@@ -1,14 +1,28 @@
 """Bounded congruence closure and isomorphism verification.
 
-The closure enumerates every word over the presentation alphabet up to a
-horizon H = max_len + pad and merges words in a union-find structure.  Two
-kinds of merges happen:
+The closure decides which words over the presentation alphabet up to a
+horizon H = max_len + pad are equal, but it stores classes, not words.
+Relations preserve length, so the words of length d+1 are the words of
+length d followed by one letter, and a class at degree d+1 is a union of
+sets C·a for classes C at degree d.  The closure therefore builds one
+level per degree: level 1 holds the letters, and level d+1 holds a node
+R(C, a) for every class C at level d and letter a.  Nodes are merged in a
+union-find structure.  Three kinds of merges happen:
 
-* congruence: each defining relation is merged, and whenever two words are
-  merged every one-letter extension (on either side) is merged too, so the
-  partition is closed under two-sided multiplication within the horizon;
-* cancellation: whenever two merged words share their first letter, their
-  suffixes are merged, and likewise for last letters and prefixes.
+* relations: the two sides of each defining relation are merged;
+* extension: when two classes C, C' merge, R(C, a) and R(C', a) merge for
+  every letter a, and so do L_b(C) and L_b(C'), where the left row
+  L_b(C) is the class of b·C; so the partition is closed under two-sided
+  multiplication within the horizon;
+* cancellation: two nodes R(C, a), R(C', a) in one class merge C with C',
+  and two classes whose L_b meet merge; these are found by signature
+  tables over the nodes of a level, not over its words.
+
+The levels are added one at a time, each followed by merging to a fixed
+point.  Any merge derived under a smaller horizon is also derived within
+H, so the result is the partition of all words up to H that the same
+rules give when applied word by word, at a cost that follows the number
+of classes times the alphabet size instead of k**H.
 
 Every merge is forced in any cancellative semigroup satisfying the
 relations, so the class counts per degree are upper bounds for the true
@@ -25,8 +39,8 @@ the map is a bijection there.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 from .altsum import AltSumSemigroup, ASElement, Zmod, conjecture_alphabet, dtw_alphabet
 from .diagrams import (
@@ -48,12 +62,19 @@ DEFAULT_WORD_BUDGET = 5_000_000
 
 
 class _UnionFind:
-    """Array union-find with path halving; the smallest index wins as root,
-    so every class is represented by its shortest, lexicographically first
-    word."""
+    """Growable array union-find with path halving; the smallest id wins as
+    root.  The node numbering of `enumerate_classes` makes the root of a
+    class the node whose birth word is the class's first word in colex order
+    (last letter most significant)."""
 
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+    def __init__(self):
+        self.parent: list[int] = []
+
+    def add(self, count: int) -> int:
+        """Append count singleton nodes and return the first new id."""
+        start = len(self.parent)
+        self.parent.extend(range(start, start + count))
+        return start
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -62,70 +83,85 @@ class _UnionFind:
             x = parent[x]
         return x
 
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
+
+def _walk(word: Word, find, slot: list[int], width: list[int]) -> int:
+    """The node holding a word: its first letter, then R(C, a) for the class
+    C reached so far and each further letter a."""
+    node = word[0]
+    for j in range(1, len(word)):
+        node = slot[find(node)] + word[j] * width[j + 1]
+    return node
 
 
 @dataclass
 class CongruencePartition:
     """Result of the bounded closure: class structure on words up to the
-    horizon, with per-degree class counts over the requested window."""
+    horizon, with per-degree class counts over the requested window.
+
+    Words are not stored.  Level d holds k * _width[d] nodes from id
+    _base[d] on; node _base[d] + a * _width[d] + i is R(C, a), the words of
+    the level-(d-1) class C rooted at _births[d][i] followed by the letter
+    a.  _slot[C] is the id of R(C, 0).
+    """
 
     alphabet_size: int
     max_len: int
     horizon: int
     degree_counts: tuple[int, ...]
     _uf: _UnionFind = field(repr=False)
-    _offsets: tuple[int, ...] = field(repr=False)
-    _powers: tuple[int, ...] = field(repr=False)
+    _base: list[int] = field(repr=False)
+    _width: list[int] = field(repr=False)
+    _births: list[list[int]] = field(repr=False)
+    _slot: list[int] = field(repr=False)
 
-    def _index(self, word: Word) -> int:
+    def _node(self, word: Word) -> int:
         length = len(word)
         if not 1 <= length <= self.horizon:
             raise DomainError(
                 f"word length {length} outside the closed range 1..{self.horizon}"
             )
-        value = 0
-        for j, letter in enumerate(word):
+        for letter in word:
             if not 0 <= letter < self.alphabet_size:
                 raise DomainError(f"letter {letter} out of range")
-            value += letter * self._powers[j]
-        return self._offsets[length] + value
+        return _walk(word, self._uf.find, self._slot, self._width)
 
-    def _decode(self, length: int, value: int) -> Word:
-        out = []
-        for _ in range(length):
-            value, letter = divmod(value, self.alphabet_size)
-            out.append(letter)
-        return tuple(out)
+    def _birth_word(self, node: int, degree: int) -> Word:
+        """The word a node was built from: the birth word of its class
+        C followed by its letter a, for R(C, a)."""
+        letters = []
+        for d in range(degree, 1, -1):
+            letter, i = divmod(node - self._base[d], self._width[d])
+            letters.append(letter)
+            node = self._births[d][i]
+        letters.append(node)
+        return tuple(reversed(letters))
+
+    def _nodes(self, degree: int) -> list[tuple[int, Word]]:
+        """The class root and the birth word of every node at a degree."""
+        find, lo = self._uf.find, self._base[degree]
+        return [
+            (find(n), self._birth_word(n, degree))
+            for n in range(lo, lo + self.alphabet_size * self._width[degree])
+        ]
 
     def representative(self, word: Word) -> Word:
-        """The class representative: shortest index in the class, decoded."""
-        root = self._uf.find(self._index(word))
-        length = 1
-        while self._offsets[length + 1] <= root:
-            length += 1
-        return self._decode(length, root - self._offsets[length])
+        """The class representative: the root's birth word, which is the
+        class's first word in colex order."""
+        return self._birth_word(self._uf.find(self._node(word)), len(word))
 
     def are_equivalent(self, u: Word, v: Word) -> bool:
-        return self._uf.find(self._index(u)) == self._uf.find(self._index(v))
+        return self._uf.find(self._node(u)) == self._uf.find(self._node(v))
 
     def classes_at_degree(self, degree: int) -> list[list[Word]]:
         """All classes of words of the given length, each sorted, the list
-        ordered by first member."""
+        ordered by representative in colex order."""
         if not 1 <= degree <= self.horizon:
             raise DomainError(f"degree {degree} outside the closed range 1..{self.horizon}")
         groups: dict[int, list[Word]] = {}
-        base = self._offsets[degree]
-        for value in range(self._powers[degree]):
-            root = self._uf.find(base + value)
-            groups.setdefault(root, []).append(self._decode(degree, value))
+        find = self._uf.find
+        for word in product(range(self.alphabet_size), repeat=degree):
+            root = find(_walk(word, find, self._slot, self._width))
+            groups.setdefault(root, []).append(word)
         return [sorted(words) for root, words in sorted(groups.items())]
 
 
@@ -135,7 +171,11 @@ def enumerate_classes(
     pad: int = 2,
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> CongruencePartition:
-    """Run the bounded closure and count classes per degree 1..max_len."""
+    """Run the bounded closure and count classes per degree 1..max_len.
+
+    The budget caps the words up to the horizon, k + k**2 + ... + k**H,
+    although only class nodes are stored.
+    """
     if max_len < 1:
         raise ParameterError(f"max_len must be at least 1, got {max_len}")
     if pad < 0:
@@ -148,98 +188,140 @@ def enumerate_classes(
             f"horizon {horizon} is shorter than the longest relation "
             f"({longest_relation}); raise max_len or pad"
         )
-
-    powers = [1]
-    for _ in range(horizon):
-        powers.append(powers[-1] * k)
-    offsets = [0, 0]
-    for length in range(1, horizon + 1):
-        offsets.append(offsets[length] + powers[length])
-    total = offsets[horizon + 1]
+    total = sum(k**length for length in range(1, horizon + 1))
     if total > budget:
         raise ResourceBudgetError(total, budget)
 
-    uf = _UnionFind(total)
-    queue: deque[tuple[int, int, int]] = deque()
+    uf = _UnionFind()
+    find, parent = uf.find, uf.parent
+    merged = bytearray()  # merged[r]: the root r has absorbed another node
+    base, width, births = [0, 0], [0, 1], [[], []]
+    slot: list[int] = []
+    # left[d][b][n - base[d]] is the node L_b(n) at level d+1 holding b
+    # followed by the words of the level-d node n
+    left: list[list[list[int]]] = [[]]
+    queue: list[tuple[int, int, int]] = []  # (level, root, root) merged
+    dirty: set[int] = set()  # levels merged at since their last sweep
+    top = 1
 
-    def value_of(word: Word) -> int:
-        value = 0
-        for j, letter in enumerate(word):
-            value += letter * powers[j]
-        return value
+    def union(x: int, y: int, level: int) -> None:
+        x, y = find(x), find(y)
+        if x == y:
+            return
+        if x > y:
+            x, y = y, x
+        parent[y] = x
+        merged[x] = 1
+        dirty.add(level)
+        if level < top:
+            queue.append((level, x, y))
 
-    for lhs, rhs in pres.relations:
-        length = len(lhs)
-        u, v = value_of(lhs), value_of(rhs)
-        if uf.union(offsets[length] + u, offsets[length] + v) and length < horizon:
-            queue.append((length, u, v))
+    def seed(level: int) -> None:
+        for lhs, rhs in pres.relations:
+            if len(lhs) == level:
+                union(_walk(lhs, find, slot, width), _walk(rhs, find, slot, width), level)
 
-    def drain():
+    def drain() -> None:
+        """Extension: two merged classes C, C' below the top level merge
+        R(C, a) with R(C', a) and L_b(C) with L_b(C') for all letters."""
         while queue:
-            length, u, v = queue.popleft()
-            longer = length + 1
-            base = offsets[longer]
-            for a in range(k):
-                pu, pv = a + k * u, a + k * v
-                if uf.union(base + pu, base + pv) and longer < horizon:
-                    queue.append((longer, pu, pv))
-                shift = a * powers[length]
-                su, sv = u + shift, v + shift
-                if uf.union(base + su, base + sv) and longer < horizon:
-                    queue.append((longer, su, sv))
+            d, x, y = queue.pop()
+            step, sx, sy = width[d + 1], slot[x], slot[y]
+            for a in range(0, k * step, step):
+                union(sx + a, sy + a, d + 1)
+            lo = base[d]
+            for row in left[d]:
+                union(row[x - lo], row[y - lo], d + 1)
 
-    def cancellation_sweep() -> bool:
-        changed = False
-        for length in range(2, horizon + 1):
-            base = offsets[length]
-            shorter = length - 1
-            short_base = offsets[shorter]
-            head_power = powers[shorter]
-            by_first: dict[tuple[int, int], int] = {}
-            by_last: dict[tuple[int, int], int] = {}
-            for value in range(powers[length]):
-                root = uf.find(base + value)
-                first = value % k
-                suffix = value // k
-                key = (root, first)
-                stored = by_first.get(key)
-                if stored is None:
-                    by_first[key] = suffix
-                elif uf.union(short_base + stored, short_base + suffix):
-                    changed = True
-                    if shorter < horizon:
-                        queue.append((shorter, stored, suffix))
-                last = value // head_power
-                prefix = value % head_power
-                key = (root, last)
-                stored = by_last.get(key)
-                if stored is None:
-                    by_last[key] = prefix
-                elif uf.union(short_base + stored, short_base + prefix):
-                    changed = True
-                    if shorter < horizon:
-                        queue.append((shorter, stored, prefix))
-        return changed
+    def sweep(e: int) -> None:
+        """Cancellation off level e as signature tables: two nodes R(C, a),
+        R(C', a) in one class merge C with C', and two roots C, C' whose
+        L_b share a class merge.  Singleton classes are skipped: a lone node
+        meets no other, and no two level-(e-1) roots share an L_b node,
+        because rows are built at a fixed point, where L_b already tells
+        the classes one level down apart."""
+        lo, step, classes = base[e], width[e], births[e]
+        for start in range(lo, lo + k * step, step):
+            seen: dict[int, int] = {}
+            for n, c in enumerate(classes, start):
+                if parent[n] == n and not merged[n]:
+                    continue
+                c = find(c)
+                other = seen.setdefault(find(n), c)
+                if other != c:
+                    union(other, c, e - 1)
+        lo = base[e - 1]
+        roots = [c for c in range(lo, base[e]) if parent[c] == c]
+        for row in left[e - 1]:
+            seen = {}
+            for c in roots:
+                target = find(row[c - lo])
+                if merged[target]:
+                    other = seen.setdefault(target, c)
+                    if other != c:
+                        union(other, c, e - 1)
 
-    while True:
+    def settle() -> None:
         drain()
-        if not cancellation_sweep():
-            break
+        while dirty:
+            level = dirty.pop()
+            if level > 1:
+                sweep(level)
+                drain()
 
-    counts = []
-    for length in range(1, max_len + 1):
-        base = offsets[length]
-        roots = {uf.find(base + value) for value in range(powers[length])}
-        counts.append(len(roots))
+    def grow() -> None:
+        """Build level top+1 from the classes at the top level."""
+        nonlocal top
+        d = top
+        lo, hi = base[d], base[d] + k * width[d]
+        roots = [n for n in range(lo, hi) if parent[n] == n]
+        step = len(roots)
+        start = uf.add(k * step)
+        merged.extend(bytes(k * step))
+        slot.extend([0] * (hi - lo))
+        for i, r in enumerate(roots):
+            slot[r] = start + i
+        base.append(start)
+        width.append(step)
+        births.append(roots)
+        # L_b(a) = R(b, a) for a letter a, and L_b(R(P, a)) = R(L_b(P), a)
+        if d == 1:
+            heads = [[slot[find(b)]] for b in range(k)]
+        else:
+            plo = base[d - 1]
+            heads = [[slot[find(row[p - plo])] for p in births[d]] for row in left[d - 1]]
+        left.append([[h + a for a in range(0, k * step, step) for h in head] for head in heads])
+        top = d + 1
+        # classes merged before this level existed: join their left rows
+        for n in range(lo, hi):
+            if parent[n] != n:
+                r = find(n)
+                for row in left[d]:
+                    union(row[n - lo], row[r - lo], d + 1)
+        seed(d + 1)
 
+    uf.add(k)
+    merged.extend(bytes(k))
+    seed(1)
+    settle()
+    while top < horizon:
+        grow()
+        settle()
+
+    counts = tuple(
+        sum(1 for n in range(base[d], base[d] + k * width[d]) if parent[n] == n)
+        for d in range(1, max_len + 1)
+    )
     return CongruencePartition(
         alphabet_size=k,
         max_len=max_len,
         horizon=horizon,
-        degree_counts=tuple(counts),
+        degree_counts=counts,
         _uf=uf,
-        _offsets=tuple(offsets),
-        _powers=tuple(powers),
+        _base=base,
+        _width=width,
+        _births=births,
+        _slot=slot,
     )
 
 
@@ -338,6 +420,14 @@ def verify_isomorphism(
     comes out "verified" when the counts agree and the classes sit in
     bijection with the elements, "unresolved" when the closure has not
     merged enough within its horizon to settle the question.
+
+    The image check runs once per closure node, not once per word: every
+    class must send all its nodes' birth words to one element.  That is the
+    same as sending all its words to one element.  A word w'a lies in the
+    node R(C, a) for the class C of w', and that node's birth word is the
+    birth word of C followed by a.  By induction on the degree, w' and the
+    birth word of C have the same image, so w'a and the birth word of
+    R(C, a) do too.  And every birth word is itself a word of its class.
     """
     phi = tuple(phi)
     warnings = tuple(warnings)
@@ -358,18 +448,19 @@ def verify_isomorphism(
         element_count = sg.count_elements(degree)
         aligned = False
         if hom:
-            images: dict[ASElement, int] = {}
-            for words in partition.classes_at_degree(degree):
-                targets = {sg.class_of(tuple(phi[x] for x in w)) for w in words}
-                if len(targets) != 1:
+            targets: dict[int, set[ASElement]] = {}
+            for root, word in partition._nodes(degree):
+                image = sg.class_of(tuple(phi[x] for x in word))
+                targets.setdefault(root, set()).add(image)
+            for root, images in sorted(targets.items()):
+                if len(images) != 1:
                     raise InternalConsistencyError(
-                        f"closure class {words[0]}... maps to {len(targets)} distinct "
-                        "elements despite the letter map respecting the relations; "
-                        "the closure merged a pair it should not have"
+                        f"closure class {partition._birth_word(root, degree)}... maps to "
+                        f"{len(images)} distinct elements despite the letter map "
+                        "respecting the relations; the closure merged a pair it "
+                        "should not have"
                     )
-                image = targets.pop()
-                images[image] = images.get(image, 0) + 1
-            collision = any(n > 1 for n in images.values())
+            collision = len(set().union(*targets.values())) < len(targets)
             if onto and class_count < element_count:
                 raise InternalConsistencyError(
                     f"degree {degree}: {class_count} classes but {element_count} "

@@ -1,6 +1,7 @@
 """Command line interface: grammars, output formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,17 @@ def test_present_from_pd_file(capsys, tmp_path):
     code, out, _ = run(capsys, "present", "--pd", str(path))
     assert code == 0
     assert json.loads(out)["alphabet"] == 3
+
+
+def test_readme_diagram_json_example(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Diagram JSON", 1)[1]
+    example = section.split("```json", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    code, out, _ = run(capsys, "classes", "--pd", str(path), "--max-len", "3")
+    assert code == 0
+    assert out.splitlines() == ["degree,count", "1,3", "2,3", "3,3"]
 
 
 def test_present_rejects_malformed_pd(capsys, tmp_path):

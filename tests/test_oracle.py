@@ -3,14 +3,18 @@
 The closure is the load-bearing component, so it is checked against a
 reference implementation that shares none of its machinery: the reference
 finds merges by exhaustively rescanning every relation in every context and
-every pair of equivalent words until a full pass changes nothing, instead
-of propagating a worklist through a dense index.
+every pair of equivalent words (cancelling a shared letter, extending by a
+letter on either side) until a full pass changes nothing, instead of
+propagating a worklist through class nodes.
 """
 
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from knotgrowth import oracle
 from knotgrowth.altsum import AltSumSemigroup, Zmod, dtw_alphabet
 from knotgrowth.diagrams import (
     build_double_twist,
@@ -71,7 +75,7 @@ def reference_counts(pres, max_len, pad):
                         for post in itertools.product(range(k), repeat=total - need - i):
                             if union(pre + lhs + post, pre + rhs + post):
                                 changed = True
-        for length in range(2, horizon + 1):
+        for length in range(1, horizon + 1):
             block = list(itertools.product(range(k), repeat=length))
             for u in block:
                 for v in block:
@@ -80,6 +84,12 @@ def reference_counts(pres, max_len, pad):
                             changed = True
                         if u[-1] == v[-1] and union(u[:-1], v[:-1]):
                             changed = True
+                        if length < horizon:
+                            for a in range(k):
+                                if union((a,) + u, (a,) + v):
+                                    changed = True
+                                if union(u + (a,), v + (a,)):
+                                    changed = True
     out = []
     for length in range(1, max_len + 1):
         block = itertools.product(range(k), repeat=length)
@@ -96,11 +106,38 @@ CROSS_CHECK_CASES = [
     (Presentation(2, ()), 3, 1),  # free on two letters
     (Presentation(2, (((0, 0), (0, 1)),)), 3, 2),  # collapses to one letter
     (Presentation(1, ()), 4, 0),
+    (Presentation(3, (((0,), (1,)),)), 3, 1),  # a length-1 relation
+    (Presentation(2, (((0, 0, 1), (1, 0, 0)),)), 4, 1),  # a length-3 relation
+    (Presentation(3, (((2,), (1,)), ((0, 1, 2), (2, 1, 0)))), 3, 2),  # both
 ]
 
 
 @pytest.mark.parametrize("pres,max_len,pad", CROSS_CHECK_CASES)
 def test_closure_matches_reference(pres, max_len, pad):
+    part = enumerate_classes(pres, max_len, pad=pad)
+    assert part.degree_counts == reference_counts(pres, max_len, pad)
+
+
+@st.composite
+def small_closures(draw):
+    """A presentation on at most 3 letters with relations of length 1 to 3,
+    a window and a pad whose word universe the reference can afford."""
+    k = draw(st.integers(1, 3))
+    words = st.integers(1, 3).flatmap(
+        lambda n: st.tuples(*[st.tuples(*[st.integers(0, k - 1)] * n)] * 2)
+    )
+    relations = tuple(draw(st.lists(words, max_size=3)))
+    pad = draw(st.integers(0, 3))
+    max_len = draw(st.integers(1, 4))
+    longest = max((len(lhs) for lhs, _ in relations), default=1)
+    assume(max_len + pad >= longest and k ** (max_len + pad) <= 250)
+    return Presentation(k, relations), max_len, pad
+
+
+@given(small_closures())
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_reference_on_random_presentations(case):
+    pres, max_len, pad = case
     part = enumerate_classes(pres, max_len, pad=pad)
     assert part.degree_counts == reference_counts(pres, max_len, pad)
 
@@ -133,6 +170,19 @@ def test_partition_queries():
     assert sorted(len(c) for c in classes) == [3, 3, 3]
     flat = sorted(w for c in classes for w in c)
     assert flat == sorted(itertools.product(range(3), repeat=2))
+
+
+def test_representative_is_colex_first():
+    # colex order reads the last letter first, so yx precedes xy
+    part = enumerate_classes(Presentation(2, (((0, 1), (1, 0)),)), 3, pad=0)
+    assert part.representative((0, 1)) == (1, 0)
+    assert part.representative((0, 0, 1)) == (1, 0, 0)
+    assert part.representative((0, 1, 1)) == (1, 1, 0)
+    assert part.classes_at_degree(2) == [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]]
+    # classes are listed in colex order of their representatives
+    assert [c[0] for c in part.classes_at_degree(3)] == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)
+    ]
 
 
 def test_closure_argument_validation():
@@ -206,6 +256,24 @@ def test_undercount_with_onto_map_is_internal_error(monkeypatch):
     monkeypatch.setattr(AltSumSemigroup, "count_elements", lambda self, t: 99)
     with pytest.raises(InternalConsistencyError):
         verify_isomorphism(pres, (0, 1, 2), sg, 2)
+
+
+def test_image_check_catches_over_merge(monkeypatch):
+    # (0, 0, 1) breaks the relations, so the closure's classes are coarser
+    # than the map's fibres; with the homomorphism check forced to pass, the
+    # image check must see a class with two images
+    pres = presentation_from_diagram(build_torus2(3))
+    sg = AltSumSemigroup(Zmod(3), (0, 1, 2))
+    monkeypatch.setattr(oracle, "verify_homomorphism", lambda *args: True)
+    with pytest.raises(InternalConsistencyError, match="maps to"):
+        verify_isomorphism(pres, (0, 0, 1), sg, 2)
+
+
+def test_reach_beyond_the_word_universe():
+    # 7 + ... + 7**14 and 6 + ... + 6**12 words: far past any word-indexed
+    # closure, but only a few nodes per degree
+    assert verify_torus(7, max_len=12, budget=10**13).all_verified
+    assert verify_dtw(2, 4, max_len=10, budget=10**13).all_verified
 
 
 def test_report_json_shape():
