@@ -6,7 +6,6 @@ from .altsum import (
     ASElement,
     ConjectureAlphabet,
     DtwAlphabet,
-    IntegersZ,
     Zmod,
     canonical_word,
     conjecture_alphabet,

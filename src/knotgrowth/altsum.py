@@ -1,9 +1,9 @@
 """Exact arithmetic in alternating-sum semigroups.
 
-Fix an abelian group G (the integers, or integers mod m) and a finite
-nonempty subset B of G.  The alternating sum of a word b1 b2 ... bk over B
-is alt(w) = b1 - b2 + b3 - ... + (-1)^(k+1) bk, computed in G.  Two words
-are identified when they have the same length and the same alternating sum;
+Fix the cyclic group G = Z_m of integers mod m and a nonempty subset B of
+G.  The alternating sum of a word b1 b2 ... bk over B is
+alt(w) = b1 - b2 + b3 - ... + (-1)^(k+1) bk, computed in G.  Two words are
+identified when they have the same length and the same alternating sum;
 the quotient of the free semigroup B+ is the alternating-sum semigroup
 AS(G, B).  The strong variant SAS(G, B) additionally requires equal counts
 of letters that are even in G, where g is even when g = h + h for some h.
@@ -14,15 +14,21 @@ runs a reachable-state recurrence rather than walking all |B|^t words:
 prepending a letter b to a word with alternating sum a yields sum b - a,
 so the set S_t of sums realized in length t satisfies
 
-    S_1 = B,    S_{t+1} = { b - a : b in B, a in S_t }.
+    S_0 = {0},    S_{t+1} = B + (-S_t),    -S_{t+1} = S_t + (-B).
 
-For the strong variant the state also carries the even-letter count.
+For the strong variant the state also carries the even-letter count e,
+which a letter b raises by one when b is even.  Each level is packed into
+one integer: bit e*2m + a is set when some word of length t has sum a and
+e even letters (e is always 0 in the plain variant).  Carrying -S_t beside
+S_t makes a step translations only: one shift per letter, by b (or -b mod
+m) plus 2m when the strong variant counts b as even, then one fold of
+bits m..2m-1 of every row back onto 0..m-1.  Levels are built on demand,
+iteratively, and kept per semigroup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .errors import (
     DomainError,
@@ -59,21 +65,52 @@ class Zmod:
         return f"Zmod({self.modulus})"
 
 
-@dataclass(frozen=True)
-class IntegersZ:
-    """The infinite cyclic group of integers."""
+class _Levels:
+    """The packed state recurrence of one semigroup, extended on demand.
 
-    def reduce(self, x: int) -> int:
-        return x
+    ``pos[t]`` packs S_t as described in the module docstring, and ``neg``
+    packs -S_t for the last level built.  Level 0 is the empty word.
+    """
 
-    def is_even(self, x: int) -> bool:
-        return x % 2 == 0
+    def __init__(self, group: Zmod, generators: tuple[int, ...], strong: bool):
+        m = group.modulus
+        self.modulus = m
+        self.width = 2 * m
+        self.strong = strong
+        lifts = [self.width if strong and group.is_even(b) else 0 for b in generators]
+        self.pos_shifts = tuple(b + lift for b, lift in zip(generators, lifts))
+        self.neg_shifts = tuple((-b) % m + lift for b, lift in zip(generators, lifts))
+        self.row = (1 << m) - 1
+        # the m-bit row mask repeated at stride 2m, one row per even count
+        self.low = self.row
+        self.pos = [1]
+        self.neg = 1
 
-    def __repr__(self):
-        return "IntegersZ()"
+    def level(self, t: int) -> int:
+        pos = self.pos
+        m = self.modulus
+        while len(pos) <= t:
+            prev, neg = pos[-1], self.neg
+            if self.strong:
+                self.low |= self.row << (self.width * len(pos))
+            low = self.low
+            nxt = 0
+            for shift in self.pos_shifts:
+                nxt |= neg << shift
+            nxt_neg = 0
+            for shift in self.neg_shifts:
+                nxt_neg |= prev << shift
+            pos.append((nxt & low) | ((nxt >> m) & low))
+            self.neg = (nxt_neg & low) | ((nxt_neg >> m) & low)
+        return pos[t]
 
-
-Group = Zmod | IntegersZ
+    def states(self, t: int) -> frozenset:
+        """Decode level t into alt values, or (alt, evens) pairs."""
+        bits = bin(self.level(t))[:1:-1]
+        set_bits = (i for i, c in enumerate(bits) if c == "1")
+        if self.strong:
+            return frozenset((i % self.width, i // self.width) for i in set_bits)
+        return frozenset(set_bits)
 
 
 @dataclass(frozen=True)
@@ -83,15 +120,17 @@ class AltSumSemigroup:
     ``generators`` is stored sorted, deduplicated and reduced into G.
     """
 
-    group: Group
+    group: Zmod
     generators: tuple[int, ...]
     strong: bool = False
+    _levels: _Levels = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.generators) == 0:
             raise ParameterError("generator set must be nonempty")
         reduced = tuple(sorted({self.group.reduce(b) for b in self.generators}))
         object.__setattr__(self, "generators", reduced)
+        object.__setattr__(self, "_levels", _Levels(self.group, reduced, self.strong))
 
     # -- word-level operations -------------------------------------------
 
@@ -133,32 +172,17 @@ class AltSumSemigroup:
         """All realized states at length t: alt values, or (alt, evens) pairs."""
         if t < 1:
             raise DomainError(f"length must be at least 1, got {t}")
-        return _states(self, t)
+        return self._levels.states(t)
 
     def count_elements(self, t: int) -> int:
         """Number of distinct elements of length exactly t."""
-        return len(self.elements_of_length(t))
+        if t < 1:
+            raise DomainError(f"length must be at least 1, got {t}")
+        return self._levels.level(t).bit_count()
 
     def __repr__(self):
         kind = "SAS" if self.strong else "AS"
         return f"{kind}({self.group!r}, {{{', '.join(map(str, self.generators))}}})"
-
-
-@lru_cache(maxsize=None)
-def _states(sg: AltSumSemigroup, t: int) -> frozenset:
-    g = sg.group
-    if t == 1:
-        if sg.strong:
-            return frozenset((b, 1 if g.is_even(b) else 0) for b in sg.generators)
-        return frozenset(sg.generators)
-    prev = _states(sg, t - 1)
-    if sg.strong:
-        return frozenset(
-            (g.reduce(b - a), e + (1 if g.is_even(b) else 0))
-            for b in sg.generators
-            for (a, e) in prev
-        )
-    return frozenset(g.reduce(b - a) for b in sg.generators for a in prev)
 
 
 @dataclass(frozen=True)
@@ -189,8 +213,10 @@ class ASElement:
             raise ParameterError("even-letter count given for a non-strong semigroup")
         if self.alt != self.semigroup.group.reduce(self.alt):
             raise ParameterError(f"alternating sum {self.alt} is not reduced")
-        state = (self.alt, self.even_count) if self.semigroup.strong else self.alt
-        if state not in _states(self.semigroup, self.length):
+        levels = self.semigroup._levels
+        bit = self.alt + levels.width * self.even_count if levels.strong else self.alt
+        if not levels.level(self.length) >> bit & 1:
+            state = (self.alt, self.even_count) if levels.strong else self.alt
             raise DomainError(
                 f"no word of length {self.length} over {self.semigroup} realizes {state}"
             )

@@ -209,20 +209,26 @@ def semigroup_growth(sg: AltSumSemigroup, terms: int = 10, source: str | None = 
 
 def skew_growth(growth: GrowthSeries, terms: int | None = None) -> SkewSeries:
     """Formal reciprocal of the growth series, n_0 = 1 and
-    n_k = -(p_1 n_{k-1} + ... + p_k n_0)."""
+    n_k = -(p_1 n_{k-1} + ... + p_k n_0).
+
+    When the growth series has a rational form num/den, the reciprocal is
+    den/num and is expanded by that linear recurrence, in time linear in
+    the terms; a power-series reciprocal is unique, so the coefficients are
+    the same.
+    """
     if terms is None:
         terms = len(growth.coefficients)
     if growth.rational is not None:
-        p = growth.rational.expand(terms)
         rational = RationalForm(growth.rational.denominator, growth.rational.numerator)
-    else:
-        if terms > len(growth.coefficients):
-            raise ParameterError(
-                f"only {len(growth.coefficients)} growth coefficients known; "
-                f"cannot expand the reciprocal to {terms} terms"
-            )
-        p = growth.coefficients[:terms]
-        rational = None
+        # n_0 is always given, as on the path below
+        coefficients = rational.expand(max(terms, 1))
+        return SkewSeries(coefficients, rational=rational, source=growth.source)
+    if terms > len(growth.coefficients):
+        raise ParameterError(
+            f"only {len(growth.coefficients)} growth coefficients known; "
+            f"cannot expand the reciprocal to {terms} terms"
+        )
+    p = growth.coefficients[:terms]
     out = [1]
     for k in range(1, terms):
         acc = 0
@@ -230,7 +236,7 @@ def skew_growth(growth: GrowthSeries, terms: int | None = None) -> SkewSeries:
             if i < len(p):
                 acc += p[i] * out[k - i]
         out.append(-acc)
-    return SkewSeries(tuple(out), rational=rational, source=growth.source)
+    return SkewSeries(tuple(out), source=growth.source)
 
 
 def cumulative_dimension(counts, degree: int) -> int:

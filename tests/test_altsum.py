@@ -2,7 +2,8 @@
 
 The reachable-state recurrence behind element enumeration is the part that
 could silently go wrong, so count_elements is compared with an exhaustive
-walk over all |B|^t words on every fixture used elsewhere in the suite.
+walk over all |B|^t words on every fixture used elsewhere in the suite, and
+the packed recurrence with a plain set recurrence on random semigroups.
 """
 
 import itertools
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from knotgrowth.altsum import (
     AltSumSemigroup,
     ASElement,
-    IntegersZ,
     Zmod,
     canonical_word,
     conjecture_alphabet,
@@ -48,6 +48,63 @@ def test_count_elements_matches_exhaustive_enumeration(sg, t):
     assert sg.count_elements(t) == brute_force_count(sg, t)
 
 
+def reference_states(sg, t):
+    """S_t by the set recurrence S_1 = B, S_{t+1} = {b - a : b in B, a in S_t},
+    carrying the even-letter count in the strong variant."""
+    g = sg.group
+    states = {(b, int(sg.strong and g.is_even(b))) for b in sg.generators}
+    for _ in range(t - 1):
+        states = {
+            (g.reduce(b - a), e + int(sg.strong and g.is_even(b)))
+            for b in sg.generators
+            for (a, e) in states
+        }
+    return frozenset(states if sg.strong else {a for a, _ in states})
+
+
+@st.composite
+def semigroups_and_degrees(draw):
+    m = draw(st.integers(min_value=1, max_value=16))
+    generators = draw(st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1))
+    sg = AltSumSemigroup(Zmod(m), tuple(generators), strong=draw(st.booleans()))
+    degrees = draw(st.permutations(range(1, draw(st.integers(1, 30)) + 1)))
+    return sg, degrees[: draw(st.integers(1, len(degrees)))]
+
+
+@given(semigroups_and_degrees())
+@settings(max_examples=300, deadline=None)
+def test_packed_levels_match_set_recurrence(case):
+    sg, degrees = case
+    # degrees come in random order, so levels are built lazily in jumps
+    for t in degrees:
+        expected = reference_states(sg, t)
+        assert sg.elements_of_length(t) == expected
+        assert sg.count_elements(t) == len(expected)
+
+
+def test_cold_deep_level():
+    # semigroups built here only, so no earlier call has filled their levels
+    assert AltSumSemigroup(Zmod(2), (0, 1), strong=True).count_elements(3000) == 3001
+    element = ASElement(AltSumSemigroup(Zmod(3), (0, 1, 2)), 2500, 1)
+    assert (element.length, element.alt) == (2500, 1)
+
+
+@pytest.mark.parametrize("sg", FIXTURES, ids=repr)
+def test_element_accepted_exactly_when_realized(sg):
+    m = sg.group.modulus
+    for t in range(1, 7):
+        realized = sg.elements_of_length(t)
+        evens = range(t + 1) if sg.strong else (None,)
+        for a in range(m):
+            for e in evens:
+                state = (a, e) if sg.strong else a
+                if state in realized:
+                    assert ASElement(sg, t, a, e).alt == a
+                else:
+                    with pytest.raises(DomainError):
+                        ASElement(sg, t, a, e)
+
+
 def test_known_count_sequences():
     assert [AS_Z3.count_elements(t) for t in (1, 2, 3, 4)] == [3, 3, 3, 3]
     assert [SAS_Z2.count_elements(t) for t in (1, 2, 3, 4)] == [2, 3, 4, 5]
@@ -60,9 +117,6 @@ def test_known_count_sequences():
 def test_alt_and_even_count():
     assert AS_Z5.alt((1, 3, 2)) == 0
     assert AS_Z5.alt((4,)) == 4
-    assert IntegersZ().reduce(-7) == -7
-    free = AltSumSemigroup(IntegersZ(), (-1, 5))
-    assert free.alt((5, -1, 5, -1)) == 12
     assert SAS_Z4.even_count((0, 1, 2, 3)) == 2
     # odd modulus: every element is even
     assert AS_Z3.even_count((0, 1, 2)) == 3

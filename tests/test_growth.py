@@ -103,6 +103,12 @@ def test_skew_growth_values():
     assert dtw.coefficients == (1, -4, 11, -29)
 
 
+def test_skew_torus7_to_2000_terms():
+    # the reciprocal of (1 + 6t)/(1 - t) is 1 - 7t/(1 + 6t)
+    skew = skew_growth(torus_growth(7, terms=2000), terms=2000)
+    assert skew.coefficients == (1,) + tuple(-7 * (-6) ** (k - 1) for k in range(1, 2000))
+
+
 @pytest.mark.parametrize(
     "series",
     [torus_growth(n, terms=21) for n in (3, 5, 7)]
