@@ -19,13 +19,10 @@ from .diagrams import (
     ReidemeisterMove,
     apply_reidemeister,
     build_conway,
-    build_conway_mln,
     build_double_twist,
     build_family,
-    build_hopf,
     build_torus2,
     build_trivial,
-    build_twist,
     conway_with_traces,
     diagram_from_dict,
     diagram_to_dict,

@@ -234,30 +234,20 @@ def _verify_report(args):
     _check_window(args)
     budget = _resolve_budget(args)
     params = _parse_int_list(args.params, "--params")
-    arity = {"torus": 1, "torus-link": 1, "twist": 1, "dtw": 2}[args.theorem]
+    arity = {"torus": 1, "twist": 1, "dtw": 2}[args.theorem]
     if len(params) != arity:
         raise ParameterError(
             f"theorem {args.theorem!r} takes {arity} parameter(s), got {len(params)}"
         )
     default_len = 3 if args.theorem in ("twist", "dtw") else 4
     max_len = args.max_len if args.max_len is not None else default_len
-    if args.theorem in ("torus", "torus-link"):
+    if args.theorem == "torus":
         (n,) = params
         report = verify_torus(n, max_len, pad=args.pad, budget=budget)
-        report = replace(report, description=f"{args.theorem}:{n}")
-        if args.theorem == "torus" and n % 2 == 0:
-            report = replace(
-                report,
-                warnings=report.warnings
-                + (f"n = {n} is even: the braid closes to a two-component link",),
-            )
-        if args.theorem == "torus-link" and n % 2 == 1:
-            report = replace(
-                report,
-                warnings=report.warnings
-                + (f"n = {n} is odd: the braid closes to a knot",),
-            )
-        return report
+        notes = ()
+        if n % 2 == 0:
+            notes = (f"n = {n} is even: the braid closes to a two-component link",)
+        return replace(report, description=f"torus:{n}", warnings=report.warnings + notes)
     if args.theorem == "twist":
         return verify_twist(params[0], max_len, pad=args.pad, budget=budget)
     n, l = params
@@ -333,6 +323,11 @@ def _growth_series(args) -> GrowthSeries:
     return growth_for_family(spec.kind, spec.params, terms=terms)
 
 
+def _print_notes(series: GrowthSeries) -> None:
+    for note in series.warnings:
+        print(f"# note: {note}", file=sys.stderr)
+
+
 def _print_series_csv(coefficients) -> None:
     print("degree,coefficient")
     for degree, c in enumerate(coefficients):
@@ -346,8 +341,7 @@ def _cmd_growth(args) -> int:
         _emit_json(series.to_json_dict())
         return 0
     _print_series_csv(series.coefficients)
-    for note in series.warnings:
-        print(f"# note: {note}", file=sys.stderr)
+    _print_notes(series)
     if args.rational:
         if series.rational is None:
             print("null")
@@ -359,6 +353,7 @@ def _cmd_growth(args) -> int:
 def _cmd_skew(args) -> int:
     _check_window(args)
     series = _growth_series(args)
+    _print_notes(series)
     terms = args.terms + 1
     skew = skew_growth(series, terms=min(terms, len(series.coefficients))
                        if series.rational is None else terms)
@@ -379,6 +374,7 @@ def _cmd_gkdim(args) -> int:
         label = args.family
         if spec.kind in GROWTH_FAMILIES:
             source = growth_for_family(spec.kind, spec.params, terms=args.terms + 1)
+            _print_notes(source)
         else:
             if args.max_len is None:
                 raise ParameterError(
@@ -500,9 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_classes)
 
     p = subs.add_parser("verify", help="check a stated isomorphism for a family")
-    p.add_argument(
-        "--theorem", choices=("torus", "torus-link", "twist", "dtw"), required=True
-    )
+    p.add_argument("--theorem", choices=("torus", "twist", "dtw"), required=True)
     p.add_argument("--params", required=True, help="e.g. 3 for torus, 2,2 for dtw")
     _add_closure_args(p, max_len_required=False)
     _add_format_arg(p, ("json", "text"), "json")

@@ -22,7 +22,6 @@ Families
   first; the closing caps on the right depend on the parity of k.  This
   normalization makes conway([n]) literally torus2(n) and conway([l, n])
   the double twist diagram with (n, l) twists, up to arc relabeling.
-* conway_mln(m, l, n): conway([m, l, n]).
 * custom diagrams can be loaded from a small JSON format.
 """
 
@@ -60,7 +59,6 @@ def crossing(over: int, under_a: int, under_b: int) -> Crossing:
 class Diagram:
     arc_count: int
     crossings: tuple[Crossing, ...]
-    provenance: str = "custom"
     arc_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -126,19 +124,14 @@ def _default_names(k: int) -> tuple[str, ...]:
 
 
 def build_trivial() -> Diagram:
-    return Diagram(1, (), provenance="trivial", arc_names=("a",))
+    return Diagram(1, (), arc_names=("a",))
 
 
 def build_torus2(n: int) -> Diagram:
     if n < 1:
         raise ParameterError(f"torus2 needs n >= 1, got {n}")
     crossings = tuple(crossing((i + 1) % n, i, (i + 2) % n) for i in range(n))
-    return Diagram(n, crossings, provenance=f"torus2:{n}", arc_names=_default_names(n))
-
-
-def build_hopf() -> Diagram:
-    d = build_torus2(2)
-    return Diagram(d.arc_count, d.crossings, provenance="hopf", arc_names=("a", "b"))
+    return Diagram(n, crossings, arc_names=_default_names(n))
 
 
 def double_twist_arc_values(n: int, l: int) -> tuple[int, ...]:
@@ -173,12 +166,7 @@ def build_double_twist(n: int, l: int) -> Diagram:
             )
         )
     names = tuple(f"a{v}" for v in values)
-    return Diagram(n + l, tuple(crossings), provenance=f"dtw:{n},{l}", arc_names=names)
-
-
-def build_twist(n: int) -> Diagram:
-    d = build_double_twist(n, 2)
-    return Diagram(d.arc_count, d.crossings, provenance=f"twist:{n}", arc_names=d.arc_names)
+    return Diagram(n + l, tuple(crossings), arc_names=names)
 
 
 def conway_with_traces(twists: tuple[int, ...]) -> tuple[Diagram, list[list[int]]]:
@@ -221,35 +209,10 @@ def conway_with_traces(twists: tuple[int, ...]) -> tuple[Diagram, list[list[int]
     else:
         unions = [(pos[1], pos[2]), (pos[0], pos[3])]
 
-    parent = list(range(next_id))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in unions:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    roots = sorted({find(x) for x in range(next_id)})
-    relabel = {}
-    for new_id, root in enumerate(roots):
-        relabel[root] = new_id
-    label = [relabel[find(x)] for x in range(next_id)]
-
+    label, kept = _quotient_labels(next_id, unions)
     crossings = tuple(crossing(label[o], label[u1], label[u2]) for o, u1, u2 in raw_crossings)
     traces = [[label[x] for x in seq] for seq in traces]
-    name = ",".join(map(str, twists))
-    diagram = Diagram(
-        len(roots),
-        crossings,
-        provenance=f"conway:{name}",
-        arc_names=_default_names(len(roots)),
-    )
-    return diagram, traces
+    return Diagram(len(kept), crossings, arc_names=_default_names(len(kept))), traces
 
 
 def build_conway(twists) -> Diagram:
@@ -257,12 +220,18 @@ def build_conway(twists) -> Diagram:
     return diagram
 
 
-def build_conway_mln(m: int, l: int, n: int) -> Diagram:
-    d = build_conway((m, l, n))
-    return Diagram(d.arc_count, d.crossings, provenance=f"cmln:{m},{l},{n}", arc_names=d.arc_names)
-
-
 # -- family specs and dispatch ----------------------------------------------
+
+
+# Each family kind once: its parameter count (None: any number) and builder.
+FAMILIES = {
+    "trivial": (0, build_trivial),
+    "hopf": (0, lambda: build_torus2(2)),
+    "torus2": (1, build_torus2),
+    "twist": (1, lambda n: build_double_twist(n, 2)),
+    "dtw": (2, build_double_twist),
+    "conway": (None, lambda *twists: build_conway(twists)),
+}
 
 
 @dataclass(frozen=True)
@@ -270,51 +239,33 @@ class FamilySpec:
     kind: str
     params: tuple[int, ...] = ()
 
-    KINDS = ("trivial", "hopf", "torus2", "twist", "dtw", "conway", "cmln", "pd")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ParameterError(f"unknown family kind {self.kind!r}")
-
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse 'trivial', 'hopf', 'torus2:5', 'dtw:2,2', 'conway:2,1', ..."""
     head, _, tail = text.partition(":")
     head = head.strip()
-    if head in ("trivial", "hopf"):
+    if head not in FAMILIES:
+        raise ParameterError(f"unknown family {head!r}")
+    arity = FAMILIES[head][0]
+    if arity == 0:
         if tail:
             raise ParameterError(f"family {head!r} takes no parameters")
         return FamilySpec(head)
-    if head not in ("torus2", "twist", "dtw", "conway", "cmln"):
-        raise ParameterError(f"unknown family {head!r}")
     if not tail:
         raise ParameterError(f"family {head!r} needs parameters, e.g. {head}:2")
     try:
         params = tuple(int(x) for x in tail.split(","))
     except ValueError:
         raise ParameterError(f"bad parameter list {tail!r} for family {head!r}") from None
-    arity = {"torus2": 1, "twist": 1, "dtw": 2, "cmln": 3}
-    if head in arity and len(params) != arity[head]:
-        raise ParameterError(f"family {head!r} takes {arity[head]} parameter(s), got {len(params)}")
+    if arity is not None and len(params) != arity:
+        raise ParameterError(f"family {head!r} takes {arity} parameter(s), got {len(params)}")
     return FamilySpec(head, params)
 
 
 def build_family(spec: FamilySpec) -> Diagram:
-    if spec.kind == "trivial":
-        return build_trivial()
-    if spec.kind == "hopf":
-        return build_hopf()
-    if spec.kind == "torus2":
-        return build_torus2(*spec.params)
-    if spec.kind == "twist":
-        return build_twist(*spec.params)
-    if spec.kind == "dtw":
-        return build_double_twist(*spec.params)
-    if spec.kind == "conway":
-        return build_conway(spec.params)
-    if spec.kind == "cmln":
-        return build_conway_mln(*spec.params)
-    raise ParameterError(f"cannot build family kind {spec.kind!r} directly")
+    if spec.kind not in FAMILIES:
+        raise ParameterError(f"unknown family {spec.kind!r}")
+    return FAMILIES[spec.kind][1](*spec.params)
 
 
 # -- custom diagrams ---------------------------------------------------------
@@ -335,7 +286,7 @@ def diagram_from_dict(data: dict) -> Diagram:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed crossing entry {entry!r}: {exc}") from None
         crossings.append(crossing(over, u1, u2))
-    return Diagram(arcs, tuple(crossings), provenance="pd")
+    return Diagram(arcs, tuple(crossings))
 
 
 def diagram_to_dict(d: Diagram) -> dict:
@@ -434,16 +385,33 @@ def _replace_under(c: Crossing, slot_arc_old: int, new: int, slot: int) -> Cross
     return Crossing(c.over, (under[0], under[1]))
 
 
+def _quotient_labels(arc_count: int, groups: list) -> tuple[list[int], list[int]]:
+    """Dense arc labels after identifying the arcs of each group.
+
+    Overlapping groups merge transitively.  Classes are numbered in order of
+    their smallest arc; the second list holds those smallest arcs.
+    """
+    parent = list(range(arc_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for group in groups:
+        roots = {find(a) for a in group}
+        keep = min(roots)
+        for r in roots:
+            parent[r] = keep
+    dense: dict[int, int] = {}
+    label = [dense.setdefault(find(a), len(dense)) for a in range(arc_count)]
+    return label, list(dense)
+
+
 def _merge_arcs(d: Diagram, groups: list[set[int]], drop_crossings: set[int]) -> Diagram:
     """Quotient arcs by the given groups, drop crossings, relabel densely."""
-    target = list(range(d.arc_count))
-    for group in groups:
-        keep = min(group)
-        for a in group:
-            target[a] = keep
-    kept_arcs = sorted({target[a] for a in range(d.arc_count)})
-    dense = {a: i for i, a in enumerate(kept_arcs)}
-    label = [dense[target[a]] for a in range(d.arc_count)]
+    label, kept_arcs = _quotient_labels(d.arc_count, groups)
     crossings = tuple(
         crossing(label[c.over], label[c.under[0]], label[c.under[1]])
         for ci, c in enumerate(d.crossings)
@@ -452,7 +420,7 @@ def _merge_arcs(d: Diagram, groups: list[set[int]], drop_crossings: set[int]) ->
     names = None
     if d.arc_names is not None:
         names = tuple(d.arc_names[a] for a in kept_arcs)
-    return Diagram(len(kept_arcs), crossings, provenance=d.provenance, arc_names=names)
+    return Diagram(len(kept_arcs), crossings, arc_names=names)
 
 
 def apply_reidemeister(d: Diagram, move: ReidemeisterMove) -> Diagram:
@@ -465,12 +433,7 @@ def apply_reidemeister(d: Diagram, move: ReidemeisterMove) -> Diagram:
             ci, slot = site
             crossings[ci] = _replace_under(crossings[ci], arc, p, slot)
         crossings.append(crossing(p, arc, p))
-        return Diagram(
-            d.arc_count + 1,
-            tuple(crossings),
-            provenance=d.provenance,
-            arc_names=_extended_names(d, 1),
-        )
+        return Diagram(d.arc_count + 1, tuple(crossings), arc_names=_extended_names(d, 1))
 
     if move.kind == "r2" and move.direction == "insert":
         arc = _require_arc(d, move.arc, "under")
@@ -483,12 +446,7 @@ def apply_reidemeister(d: Diagram, move: ReidemeisterMove) -> Diagram:
             crossings[ci] = _replace_under(crossings[ci], arc, p, slot)
         crossings.append(crossing(over, arc, mid))
         crossings.append(crossing(over, mid, p))
-        return Diagram(
-            d.arc_count + 2,
-            tuple(crossings),
-            provenance=d.provenance,
-            arc_names=_extended_names(d, 2),
-        )
+        return Diagram(d.arc_count + 2, tuple(crossings), arc_names=_extended_names(d, 2))
 
     if move.kind == "r1" and move.direction == "remove":
         (ci,) = _check_crossing_indices(d, move.crossings, 1)
@@ -573,4 +531,4 @@ def _apply_triangle(d: Diagram, move: ReidemeisterMove) -> Diagram:
     crossings = list(d.crossings)
     crossings[mb_idx] = Crossing(other_mid, c_tb.under)
     crossings[tb_idx] = Crossing(c_tb.over, c_mb.under)
-    return Diagram(d.arc_count, tuple(crossings), provenance=d.provenance, arc_names=d.arc_names)
+    return Diagram(d.arc_count, tuple(crossings), arc_names=d.arc_names)

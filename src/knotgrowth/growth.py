@@ -15,7 +15,6 @@ exponential growth, when no exact form is available.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 from .altsum import AltSumSemigroup, Zmod
@@ -158,7 +157,7 @@ def torus_growth(n: int, terms: int = 10) -> GrowthSeries:
 
     Exact for odd n (the knot case, where the degree counts are constant n).
     For even n the diagram closes to a two-component link whose counts grow,
-    so the closed form is only a floor; a warning marks that case.
+    so the closed form is only a floor; a note in ``warnings`` marks that case.
     """
     if n < 1:
         raise ParameterError(f"torus parameter must be positive, got {n}")
@@ -170,7 +169,6 @@ def torus_growth(n: int, terms: int = 10) -> GrowthSeries:
             f"crossing count {n} is even; the closed form is stated for odd "
             "counts and undercounts the link case",
         )
-        _warnings.warn(notes[0], stacklevel=2)
     rational = RationalForm((1, n - 1), (1, -1))
     return GrowthSeries(
         rational.expand(terms), rational=rational, source=f"torus2:{n}", warnings=notes
@@ -182,7 +180,7 @@ def dtw_growth(n_twists: int, l_twists: int, terms: int = 10) -> GrowthSeries:
 
     The degree counts are n+l, then nl+1, constant from degree 2 on, giving
     (1 + (n+l-1)t + (nl-n-l+1)t^2)/(1-t).  Stated for even twist products;
-    odd products get a warning.
+    odd products get a note in ``warnings``.
     """
     n, l = n_twists, l_twists
     if n < 1 or l < 1:
@@ -195,7 +193,6 @@ def dtw_growth(n_twists: int, l_twists: int, terms: int = 10) -> GrowthSeries:
             f"twist product {n}*{l} is odd; the closed form is stated for even "
             "products",
         )
-        _warnings.warn(notes[0], stacklevel=2)
     rational = RationalForm((1, n + l - 1, n * l - n - l + 1), (1, -1))
     return GrowthSeries(
         rational.expand(terms), rational=rational, source=f"dtw:{n},{l}", warnings=notes

@@ -1,6 +1,7 @@
 """Command line interface: grammars, output formats, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -107,11 +108,12 @@ def test_verify_torus_knot(capsys):
 def test_verify_torus_link_text(capsys):
     code, out, _ = run(
         capsys,
-        "verify", "--theorem", "torus-link", "--params", "4",
+        "verify", "--theorem", "torus", "--params", "4",
         "--max-len", "3", "--format", "text",
     )
     assert code == 0
     assert "result: VERIFIED" in out
+    assert "note: n = 4 is even: the braid closes to a two-component link" in out
 
 
 def test_verify_failure_exits_one(capsys):
@@ -214,11 +216,27 @@ def test_growth_json_format(capsys):
     assert data["schema_version"] == 1
 
 
-def test_growth_warns_on_stderr_for_odd_twist_product(capsys):
-    with pytest.warns(UserWarning):
-        code, _, err = run(capsys, "growth", "--family", "dtw:3,3", "--terms", "4")
+ODD_PRODUCT_NOTE = "# note: twist product 3*3 is odd; the closed form is stated for even products"
+
+
+def _series_notes(capsys, *argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the stored note is the only channel
+        code, _, err = run(capsys, *argv)
     assert code == 0
-    assert "# note:" in err
+    assert "UserWarning" not in err
+    return [line for line in err.splitlines() if line.startswith("# note:")]
+
+
+def test_growth_warns_on_stderr_for_odd_twist_product(capsys):
+    notes = _series_notes(capsys, "growth", "--family", "dtw:3,3", "--terms", "4")
+    assert notes == [ODD_PRODUCT_NOTE]
+
+
+@pytest.mark.parametrize("command", ["skew", "gkdim"])
+def test_series_commands_note_odd_twist_product_once(capsys, command):
+    notes = _series_notes(capsys, command, "--family", "dtw:3,3", "--terms", "4")
+    assert notes == [ODD_PRODUCT_NOTE]
 
 
 def test_skew_csv(capsys):
@@ -340,6 +358,9 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "classes", "--family", "torus2:3")[0] == 2  # missing --max-len
     assert run(capsys, "growth", "--counts", "1,2", "--terms", "1")[0] == 2
     assert run(capsys, "classes", "--family", "torus2:3", "--max-len", "0")[0] == 2
+    assert run(capsys, "present", "--family", "cmln:1,1,2")[0] == 2
+    assert run(capsys, "present", "--family", "pd")[0] == 2
+    assert run(capsys, "verify", "--theorem", "torus-link", "--params", "4")[0] == 2
 
 
 def test_json_output_is_stable_and_sorted(capsys):

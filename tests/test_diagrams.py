@@ -7,15 +7,13 @@ import pytest
 from knotgrowth.diagrams import (
     Crossing,
     Diagram,
+    _merge_arcs,
     apply_reidemeister,
     build_conway,
-    build_conway_mln,
     build_double_twist,
     build_family,
-    build_hopf,
     build_torus2,
     build_trivial,
-    build_twist,
     conway_with_traces,
     crossing,
     diagram_from_dict,
@@ -57,9 +55,10 @@ def test_diagram_equality_ignores_crossing_order():
 def test_trivial_and_hopf():
     t = build_trivial()
     assert (t.arc_count, t.crossings) == (1, ())
-    h = build_hopf()
+    h = build_family(parse_family_spec("hopf"))
     assert h == build_torus2(2)
     assert h.arc_count == 2
+    assert h.arc_names == ("a", "b")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -83,7 +82,6 @@ def test_double_twist_structure():
     assert d.arc_names == ("a0", "a1", "a2", "a3")
     # the one-anticlockwise-twist case reduces to the torus braid
     assert build_double_twist(4, 1) == build_torus2(5)
-    assert build_twist(3) == build_double_twist(3, 2)
 
 
 @pytest.mark.parametrize("n,l", [(1, 1), (2, 2), (3, 2), (2, 4), (4, 3)])
@@ -112,7 +110,7 @@ def test_conway_traces_have_region_lengths():
     assert d.arc_count == 5
     assert len(d.crossings) == 5
     assert d.has_even_under_parity()
-    assert build_conway_mln(2, 1, 2) == d
+    assert build_conway((2, 1, 2)) == d
 
 
 def test_conway_rejects_bad_twists():
@@ -127,17 +125,25 @@ def test_parse_family_spec():
     assert parse_family_spec("torus2:5").params == (5,)
     assert parse_family_spec("dtw:2,4").params == (2, 4)
     assert parse_family_spec("conway:2,1,2").params == (2, 1, 2)
-    assert parse_family_spec("cmln:1,1,2").params == (1, 1, 2)
-    for bad in ("hopf:2", "torus2", "torus2:x", "dtw:2", "nosuch", "cmln:1,2"):
+    for bad in ("hopf:2", "torus2", "torus2:x", "dtw:2", "nosuch", "cmln:1,1,2", "pd"):
         with pytest.raises(ParameterError):
             parse_family_spec(bad)
 
 
 def test_build_family_dispatch():
-    assert build_family(parse_family_spec("hopf")) == build_hopf()
-    assert build_family(parse_family_spec("twist:3")) == build_twist(3)
+    assert build_family(parse_family_spec("hopf")) == build_torus2(2)
+    assert build_family(parse_family_spec("twist:3")) == build_double_twist(3, 2)
+    assert build_family(parse_family_spec("twist:3")).arc_names == ("a0", "a1", "a2", "a3", "a4")
     assert build_family(parse_family_spec("conway:3")) == build_torus2(3)
-    assert build_family(parse_family_spec("cmln:1,1,2")) == build_conway_mln(1, 1, 2)
+    assert build_family(parse_family_spec("conway:2,1,2")) == build_conway((2, 1, 2))
+
+
+def test_merge_arcs_joins_overlapping_groups():
+    d = Diagram(4, (crossing(3, 0, 2), crossing(0, 1, 3)), arc_names=("a", "b", "c", "d"))
+    merged = _merge_arcs(d, [{0, 1}, {1, 2}], set())
+    assert merged.arc_count == 2
+    assert merged.crossings == (crossing(1, 0, 0), crossing(0, 0, 1))
+    assert merged.arc_names == ("a", "d")
 
 
 def test_pd_round_trip(tmp_path):
