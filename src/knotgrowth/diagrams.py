@@ -271,20 +271,38 @@ def build_family(spec: FamilySpec) -> Diagram:
 # -- custom diagrams ---------------------------------------------------------
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer as it stands: no float, string or bool is coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterError(f"malformed diagram data: {what} must be an integer, got {value!r}")
+    return value
+
+
 def diagram_from_dict(data: dict) -> Diagram:
-    """Read {"arcs": k, "crossings": [{"over": i, "under": [j1, j2]}, ...]}."""
-    try:
-        arcs = int(data["arcs"])
-        raw = data["crossings"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed diagram data: {exc}") from None
+    """Read {"arcs": k, "crossings": [{"over": i, "under": [j1, j2]}, ...]}.
+
+    Anything of another shape or type raises ParameterError."""
+    if not isinstance(data, dict) or "arcs" not in data or "crossings" not in data:
+        raise ParameterError(
+            'malformed diagram data: expected an object with "arcs" and "crossings"'
+        )
+    arcs = _json_int(data["arcs"], '"arcs"')
+    raw = data["crossings"]
+    if not isinstance(raw, list):
+        raise ParameterError(f'malformed diagram data: "crossings" must be a list, got {raw!r}')
     crossings = []
     for entry in raw:
-        try:
-            over = int(entry["over"])
-            u1, u2 = (int(x) for x in entry["under"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed crossing entry {entry!r}: {exc}") from None
+        if not isinstance(entry, dict) or "over" not in entry or "under" not in entry:
+            raise ParameterError(
+                f'malformed crossing entry {entry!r}: expected an object with "over" and "under"'
+            )
+        under = entry["under"]
+        if not isinstance(under, list) or len(under) != 2:
+            raise ParameterError(
+                f'malformed crossing entry {entry!r}: "under" must be a list of two arcs'
+            )
+        over = _json_int(entry["over"], '"over"')
+        u1, u2 = (_json_int(u, '"under" entry') for u in under)
         crossings.append(crossing(over, u1, u2))
     return Diagram(arcs, tuple(crossings))
 

@@ -65,7 +65,12 @@ class _UnionFind:
     """Growable array union-find with path halving; the smallest id wins as
     root.  The node numbering of `enumerate_classes` makes the root of a
     class the node whose birth word is the class's first word in colex order
-    (last letter most significant)."""
+    (last letter most significant).
+
+    A root holds a shared negative sentinel instead of its own id: -1 while
+    it has never absorbed another node, -2 once it has.  So a new node costs
+    one list slot and no int object, and "is a root" and "is a singleton
+    class" are each one comparison."""
 
     def __init__(self):
         self.parent: list[int] = []
@@ -73,14 +78,19 @@ class _UnionFind:
     def add(self, count: int) -> int:
         """Append count singleton nodes and return the first new id."""
         start = len(self.parent)
-        self.parent.extend(range(start, start + count))
+        self.parent += [-1] * count
         return start
 
     def find(self, x: int) -> int:
         parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        p = parent[x]
+        while p >= 0:
+            g = parent[p]
+            if g < 0:
+                return p
+            parent[x] = g
+            x = g
+            p = parent[x]
         return x
 
 
@@ -101,7 +111,9 @@ class CongruencePartition:
     Words are not stored.  Level d holds k * _width[d] nodes from id
     _base[d] on; node _base[d] + a * _width[d] + i is R(C, a), the words of
     the level-(d-1) class C rooted at _births[d][i] followed by the letter
-    a.  _slot[C] is the id of R(C, 0).
+    a.  _slot[C] is the id of R(C, 0).  In _uf.parent a class root holds a
+    negative sentinel (-1 for a singleton class, -2 otherwise) and every
+    other node an id on the way to its root.
     """
 
     alphabet_size: int
@@ -194,11 +206,13 @@ def enumerate_classes(
 
     uf = _UnionFind()
     find, parent = uf.find, uf.parent
-    merged = bytearray()  # merged[r]: the root r has absorbed another node
     base, width, births = [0, 0], [0, 1], [[], []]
     slot: list[int] = []
-    # left[d][b][n - base[d]] is the node L_b(n) at level d+1 holding b
-    # followed by the words of the level-d node n
+    # left[d][b][i] is L_b(R(P, 0)), the node at level d+1 holding b followed
+    # by the words of R(P, 0) for the class P rooted at births[d][i].  It is
+    # stored once per class: L_b(R(P, a)) = R(L_b(P), a) is that node plus
+    # a * width[d+1], so the level-d node base[d] + a * width[d] + i has
+    # L_b at left[d][b][i] + a * width[d+1].
     left: list[list[list[int]]] = [[]]
     queue: list[tuple[int, int, int]] = []  # (level, root, root) merged
     dirty: set[int] = set()  # levels merged at since their last sweep
@@ -211,7 +225,7 @@ def enumerate_classes(
         if x > y:
             x, y = y, x
         parent[y] = x
-        merged[x] = 1
+        parent[x] = -2
         dirty.add(level)
         if level < top:
             queue.append((level, x, y))
@@ -221,6 +235,15 @@ def enumerate_classes(
             if len(lhs) == level:
                 union(_walk(lhs, find, slot, width), _walk(rhs, find, slot, width), level)
 
+    def join_left(d: int, x: int, y: int) -> None:
+        """Merge L_b(x) with L_b(y) for every letter b, x and y at level d."""
+        w, step = width[d], width[d + 1]
+        ax, ix = divmod(x - base[d], w)
+        ay, iy = divmod(y - base[d], w)
+        ax, ay = ax * step, ay * step
+        for row in left[d]:
+            union(row[ix] + ax, row[iy] + ay, d + 1)
+
     def drain() -> None:
         """Extension: two merged classes C, C' below the top level merge
         R(C, a) with R(C', a) and L_b(C) with L_b(C') for all letters."""
@@ -229,9 +252,7 @@ def enumerate_classes(
             step, sx, sy = width[d + 1], slot[x], slot[y]
             for a in range(0, k * step, step):
                 union(sx + a, sy + a, d + 1)
-            lo = base[d]
-            for row in left[d]:
-                union(row[x - lo], row[y - lo], d + 1)
+            join_left(d, x, y)
 
     def sweep(e: int) -> None:
         """Cancellation off level e as signature tables: two nodes R(C, a),
@@ -244,22 +265,27 @@ def enumerate_classes(
         for start in range(lo, lo + k * step, step):
             seen: dict[int, int] = {}
             for n, c in enumerate(classes, start):
-                if parent[n] == n and not merged[n]:
+                if parent[n] == -1:
                     continue
                 c = find(c)
                 other = seen.setdefault(find(n), c)
                 if other != c:
                     union(other, c, e - 1)
-        lo = base[e - 1]
-        roots = [c for c in range(lo, base[e]) if parent[c] == c]
+        # the roots R(P, a) at level e-1 by letter a, with their L_b offsets
+        w = width[e - 1]
+        blocks = [
+            (lo, a * step, [c for c in range(lo, lo + w) if parent[c] < 0])
+            for a, lo in enumerate(range(base[e - 1], base[e], w))
+        ]
         for row in left[e - 1]:
             seen = {}
-            for c in roots:
-                target = find(row[c - lo])
-                if merged[target]:
-                    other = seen.setdefault(target, c)
-                    if other != c:
-                        union(other, c, e - 1)
+            for lo, offset, roots in blocks:
+                for c in roots:
+                    target = find(row[c - lo] + offset)
+                    if parent[target] == -2:
+                        other = seen.setdefault(target, c)
+                        if other != c:
+                            union(other, c, e - 1)
 
     def settle() -> None:
         drain()
@@ -274,34 +300,35 @@ def enumerate_classes(
         nonlocal top
         d = top
         lo, hi = base[d], base[d] + k * width[d]
-        roots = [n for n in range(lo, hi) if parent[n] == n]
+        roots = [n for n in range(lo, hi) if parent[n] < 0]
         step = len(roots)
         start = uf.add(k * step)
-        merged.extend(bytes(k * step))
         slot.extend([0] * (hi - lo))
         for i, r in enumerate(roots):
             slot[r] = start + i
         base.append(start)
         width.append(step)
         births.append(roots)
-        # L_b(a) = R(b, a) for a letter a, and L_b(R(P, a)) = R(L_b(P), a)
+        # L_b(a) = R(b, a) for a letter a, and L_b(R(P, 0)) = R(L_b(P), 0)
         if d == 1:
-            heads = [[slot[find(b)]] for b in range(k)]
+            left.append([[slot[find(b)]] for b in range(k)])
         else:
-            plo = base[d - 1]
-            heads = [[slot[find(row[p - plo])] for p in births[d]] for row in left[d - 1]]
-        left.append([[h + a for a in range(0, k * step, step) for h in head] for head in heads])
+            plo, pw, w = base[d - 1], width[d - 1], width[d]
+            left.append([
+                [
+                    slot[find(row[i] + a * w)]
+                    for a, i in (divmod(p - plo, pw) for p in births[d])
+                ]
+                for row in left[d - 1]
+            ])
         top = d + 1
         # classes merged before this level existed: join their left rows
         for n in range(lo, hi):
-            if parent[n] != n:
-                r = find(n)
-                for row in left[d]:
-                    union(row[n - lo], row[r - lo], d + 1)
+            if parent[n] >= 0:
+                join_left(d, n, find(n))
         seed(d + 1)
 
     uf.add(k)
-    merged.extend(bytes(k))
     seed(1)
     settle()
     while top < horizon:
@@ -309,7 +336,7 @@ def enumerate_classes(
         settle()
 
     counts = tuple(
-        sum(1 for n in range(base[d], base[d] + k * width[d]) if parent[n] == n)
+        sum(1 for n in range(base[d], base[d] + k * width[d]) if parent[n] < 0)
         for d in range(1, max_len + 1)
     )
     return CongruencePartition(

@@ -1,10 +1,15 @@
 """Command line interface: grammars, output formats, exit codes."""
 
+import io
 import json
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotgrowth.cli import main
 from knotgrowth.diagrams import build_torus2, diagram_to_dict
@@ -63,6 +68,54 @@ def test_present_rejects_malformed_pd(capsys, tmp_path):
     code, _, err = run(capsys, "present", "--pd", str(path))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"arcs": 3, "crossings": null}',
+        '{"arcs": 1.5, "crossings": []}',
+        '{"arcs": 3, "crossings": [{"over": 0, "under": "01"}]}',
+        '{"arcs": 3, "crossings": [{"over": true, "under": [1, 2]}]}',
+        '{"arcs": 3, "crossings": [{"over": 0, "under": [1, 1e400]}]}',
+        '{"arcs": 3, "crossings": [7]}',
+    ],
+)
+def test_classes_rejects_malformed_pd_types(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classes", "--pd", str(path), "--max-len", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed")
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+ARC = st.integers(-1, 4) | JSON_VALUES
+CROSSING = st.fixed_dictionaries({"over": ARC, "under": st.lists(ARC, max_size=3) | JSON_VALUES})
+DIAGRAM = st.fixed_dictionaries(
+    {"arcs": ARC, "crossings": st.lists(CROSSING | JSON_VALUES, max_size=3) | JSON_VALUES}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=JSON_VALUES | DIAGRAM)
+def test_present_pd_fuzz_exits_zero_or_two(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "diagram.json"
+        path.write_text(json.dumps(data))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["present", "--pd", str(path)])
+    assert code in (0, 2)
 
 
 def test_classes_csv(capsys):

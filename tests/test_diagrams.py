@@ -158,6 +158,33 @@ def test_pd_round_trip(tmp_path):
         diagram_from_dict({"crossings": []})
 
 
+MALFORMED_DIAGRAMS = [
+    {"arcs": 3, "crossings": None},
+    {"arcs": 3, "crossings": {"over": 0, "under": [1, 2]}},
+    {"arcs": 1.5, "crossings": []},
+    {"arcs": "3", "crossings": []},
+    {"arcs": True, "crossings": []},
+    {"arcs": 3, "crossings": [None]},
+    {"arcs": 3, "crossings": [[0, 1, 2]]},
+    {"arcs": 3, "crossings": [{"over": 0}]},
+    {"arcs": 3, "crossings": [{"over": 0, "under": "01"}]},
+    {"arcs": 3, "crossings": [{"over": 0, "under": [1]}]},
+    {"arcs": 3, "crossings": [{"over": 0, "under": [1, 2, 0]}]},
+    {"arcs": 3, "crossings": [{"over": 0, "under": [1, 2.0]}]},
+    {"arcs": 3, "crossings": [{"over": 0, "under": [1, float("inf")]}]},
+    {"arcs": 3, "crossings": [{"over": True, "under": [1, 2]}]},
+    {"arcs": 3, "crossings": [{"over": "0", "under": [1, 2]}]},
+    [3, []],
+    None,
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED_DIAGRAMS)
+def test_diagram_from_dict_rejects_malformed(data):
+    with pytest.raises(ParameterError):
+        diagram_from_dict(data)
+
+
 # -- moves --------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ propagating a worklist through class nodes.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -147,6 +148,36 @@ def test_free_and_collapsing_counts():
     # aa = ab forces a = b by left cancellation
     collapsed = enumerate_classes(Presentation(2, (((0, 0), (0, 1)),)), 3, pad=1)
     assert collapsed.degree_counts == (1, 1, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_free_presentation_keeps_every_word_apart(k):
+    part = enumerate_classes(Presentation(k, ()), 6)
+    assert part.degree_counts == tuple(k**d for d in range(1, 7))
+    for d in range(1, 5):
+        words = sorted(itertools.product(range(k), repeat=d), key=lambda w: w[::-1])
+        assert [part.representative(w) for w in words] == words
+        assert part.classes_at_degree(d) == [[w] for w in words]
+
+
+def test_hopf_counts_grow_by_one():
+    part = enumerate_classes(presentation_from_diagram(build_torus2(2)), 16)
+    assert part.degree_counts == tuple(d + 1 for d in range(1, 17))
+
+
+def test_closure_memory_per_node():
+    """The closure's peak traced memory per union-find node: a node is one
+    list slot holding a shared sentinel or a parent id, and the left rows
+    are stored once per class, not once per node."""
+    tracemalloc.start()
+    try:
+        part = enumerate_classes(Presentation(3, ()), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = len(part._uf.parent)
+    assert nodes == sum(3**d for d in range(1, 11))
+    assert peak / nodes <= 64
 
 
 def test_trefoil_needs_padding_at_degree_two():
