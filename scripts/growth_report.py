@@ -12,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from knotgrowth.altsum import AltSumSemigroup, Zmod, dtw_alphabet  # noqa: E402
+from knotgrowth.diagrams import FAMILIES  # noqa: E402
 from knotgrowth.growth import (  # noqa: E402
     gk_dimension,
     semigroup_growth,
@@ -20,6 +20,11 @@ from knotgrowth.growth import (  # noqa: E402
     dtw_growth,
     torus_growth,
 )
+
+
+def target(kind, *params):
+    """The family's target semigroup from its row of the family table."""
+    return FAMILIES[kind].target(*params)[0]
 
 
 def poly(coeffs):
@@ -56,23 +61,14 @@ def main() -> int:
     terms = args.terms
 
     for n in (3, 5, 7):
-        section(
-            f"torus2:{n}",
-            torus_growth(n, terms=terms),
-            AltSumSemigroup(Zmod(n), tuple(range(n))),
-            terms,
-        )
+        section(f"torus2:{n}", torus_growth(n, terms=terms), target("torus2", n), terms)
     for n, l in ((2, 2), (3, 2), (2, 4)):
-        section(
-            f"dtw:{n},{l}",
-            dtw_growth(n, l, terms=terms),
-            dtw_alphabet(n, l).semigroup(),
-            terms,
-        )
+        section(f"dtw:{n},{l}", dtw_growth(n, l, terms=terms), target("dtw", n, l), terms)
 
-    hopf = semigroup_growth(AltSumSemigroup(Zmod(2), (0, 1), strong=True), terms=terms)
+    sg = target("hopf")
+    hopf = semigroup_growth(sg, terms=terms)
     est = gk_dimension(hopf)
-    print(f"-- hopf  ({AltSumSemigroup(Zmod(2), (0, 1), strong=True)!r})")
+    print(f"-- hopf  ({sg!r})")
     print(f"   counts      {hopf.coefficients}")
     print(f"   growth exponent: {est.label()} (method {est.method})")
     return 0

@@ -14,13 +14,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from knotgrowth.oracle import (  # noqa: E402
-    conjecture_probe,
-    verify_dtw,
-    verify_torus,
-    verify_trivial,
-    verify_twist,
-)
+from knotgrowth.oracle import conjecture_probe, verify_family  # noqa: E402
+
+# (family spec, max len); None takes --max-len.
+THEOREM_CHECKS = [
+    ("trivial", None),
+    ("torus2:3", None),
+    ("torus2:5", None),
+    ("torus2:7", 3),
+    ("torus2:2", None),
+    ("torus2:4", 3),
+    ("twist:2", None),
+    ("twist:3", 3),
+    ("dtw:2,2", None),
+    ("dtw:3,2", 3),
+    ("dtw:2,4", 3),
+]
 
 
 def row(report, elapsed):
@@ -39,24 +48,11 @@ def main() -> int:
     parser.add_argument("--pad", type=int, default=2, help="extra closure length")
     args = parser.parse_args()
 
-    checks = [
-        lambda: verify_trivial(max_len=args.max_len, pad=args.pad),
-        lambda: verify_torus(3, max_len=args.max_len, pad=args.pad),
-        lambda: verify_torus(5, max_len=args.max_len, pad=args.pad),
-        lambda: verify_torus(7, max_len=3, pad=args.pad),
-        lambda: verify_torus(2, max_len=args.max_len, pad=args.pad),
-        lambda: verify_torus(4, max_len=3, pad=args.pad),
-        lambda: verify_twist(2, max_len=args.max_len, pad=args.pad),
-        lambda: verify_twist(3, max_len=3, pad=args.pad),
-        lambda: verify_dtw(2, 2, max_len=args.max_len, pad=args.pad),
-        lambda: verify_dtw(3, 2, max_len=3, pad=args.pad),
-        lambda: verify_dtw(2, 4, max_len=3, pad=args.pad),
-    ]
     print("== theorem checks ==")
     all_ok = True
-    for check in checks:
+    for spec, max_len in THEOREM_CHECKS:
         start = time.perf_counter()
-        report = check()
+        report = verify_family(spec, max_len or args.max_len, pad=args.pad)
         all_ok &= row(report, time.perf_counter() - start)
 
     print("\n== conjecture probe (findings, not pass/fail) ==")

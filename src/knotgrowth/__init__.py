@@ -67,12 +67,9 @@ from .oracle import (
     VerificationReport,
     conjecture_probe,
     enumerate_classes,
-    verify_dtw,
+    verify_family,
     verify_homomorphism,
     verify_isomorphism,
-    verify_torus,
-    verify_trivial,
-    verify_twist,
 )
 from .presentation import Presentation, are_isomorphic, presentation_from_diagram
 

@@ -266,8 +266,8 @@ class DtwAlphabet:
         base.update(j * self.n + 1 for j in range(self.l))
         return frozenset(base)
 
-    def semigroup(self, strong: bool = False) -> AltSumSemigroup:
-        return AltSumSemigroup(Zmod(self.modulus), tuple(self.elements), strong=strong)
+    def semigroup(self) -> AltSumSemigroup:
+        return AltSumSemigroup(Zmod(self.modulus), tuple(self.elements))
 
 
 def dtw_alphabet(n: int, l: int) -> DtwAlphabet:

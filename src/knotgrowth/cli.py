@@ -22,7 +22,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .diagrams import (
+    FAMILIES,
     Diagram,
+    FamilySpec,
     ReidemeisterMove,
     apply_reidemeister,
     build_family,
@@ -43,19 +45,10 @@ from .growth import (
     reidemeister_dimension_check,
     skew_growth,
 )
-from .oracle import (
-    DEFAULT_WORD_BUDGET,
-    conjecture_probe,
-    enumerate_classes,
-    verify_dtw,
-    verify_torus,
-    verify_twist,
-)
+from .oracle import DEFAULT_WORD_BUDGET, conjecture_probe, enumerate_classes, verify_family
 from .presentation import presentation_from_diagram
 
 SCHEMA_VERSION = 1
-
-GROWTH_FAMILIES = ("trivial", "hopf", "torus2", "twist", "dtw")
 
 
 def _emit_json(payload: dict) -> None:
@@ -234,24 +227,23 @@ def _verify_report(args):
     _check_window(args)
     budget = _resolve_budget(args)
     params = _parse_int_list(args.params, "--params")
-    arity = {"torus": 1, "twist": 1, "dtw": 2}[args.theorem]
+    kind = "torus2" if args.theorem == "torus" else args.theorem
+    arity = FAMILIES[kind].arity
     if len(params) != arity:
         raise ParameterError(
             f"theorem {args.theorem!r} takes {arity} parameter(s), got {len(params)}"
         )
     default_len = 3 if args.theorem in ("twist", "dtw") else 4
     max_len = args.max_len if args.max_len is not None else default_len
-    if args.theorem == "torus":
-        (n,) = params
-        report = verify_torus(n, max_len, pad=args.pad, budget=budget)
-        notes = ()
-        if n % 2 == 0:
-            notes = (f"n = {n} is even: the braid closes to a two-component link",)
-        return replace(report, description=f"torus:{n}", warnings=report.warnings + notes)
-    if args.theorem == "twist":
-        return verify_twist(params[0], max_len, pad=args.pad, budget=budget)
-    n, l = params
-    return verify_dtw(n, l, max_len, pad=args.pad, budget=budget)
+    description = f"torus:{params[0]}" if args.theorem == "torus" else None
+    report = verify_family(
+        str(FamilySpec(kind, params)), max_len, pad=args.pad, budget=budget,
+        description=description,
+    )
+    if args.theorem == "torus" and params[0] % 2 == 0:
+        note = f"n = {params[0]} is even: the braid closes to a two-component link"
+        report = replace(report, warnings=report.warnings + (note,))
+    return report
 
 
 def _print_report(report, fmt: str) -> None:
@@ -315,7 +307,7 @@ def _growth_series(args) -> GrowthSeries:
             )
         return series
     spec = parse_family_spec(args.family)
-    if spec.kind not in GROWTH_FAMILIES:
+    if FAMILIES[spec.kind].target is None:
         raise ParameterError(
             f"no stated growth for family {spec.kind!r}; count classes first "
             "and pass them with --counts"
@@ -372,7 +364,7 @@ def _cmd_gkdim(args) -> int:
     else:
         spec = parse_family_spec(args.family)
         label = args.family
-        if spec.kind in GROWTH_FAMILIES:
+        if FAMILIES[spec.kind].target is not None:
             source = growth_for_family(spec.kind, spec.params, terms=args.terms + 1)
             _print_notes(source)
         else:
@@ -385,13 +377,7 @@ def _cmd_gkdim(args) -> int:
             pres = presentation_from_diagram(build_family(spec))
             partition = enumerate_classes(pres, args.max_len, pad=args.pad, budget=budget)
             source = growth_from_counts(partition.degree_counts, source=args.family)
-    estimate = gk_dimension(
-        source,
-        method=args.method,
-        ratio_delta=args.ratio_delta,
-        diff_window=args.diff_window,
-        ratio_window=args.ratio_window,
-    )
+    estimate = gk_dimension(source, method=args.method)
     if args.format == "text":
         print(f"source: {label}")
         print(f"gk: {estimate.label()}")
@@ -408,6 +394,11 @@ def _cmd_rmove(args) -> int:
     budget = _resolve_budget(args)
     diagram, label = _diagram_from_args(args)
     site = _parse_site(args.site)
+    if args.direction == "insert":
+        needs = {"r1": ("arc",), "r2": ("arc", "over_arc")}.get(args.move, ())
+        if any(key not in site for key in needs):
+            flags = ",".join(f"{key}=N" for key in needs)
+            raise ParameterError(f"{args.move} insert needs --site {flags}")
     move = ReidemeisterMove(kind=args.move, direction=args.direction, **site)
     moved = apply_reidemeister(diagram, move)
     report = reidemeister_dimension_check(
@@ -529,9 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=12, help="series degrees to examine")
     _add_closure_args(p, max_len_required=False)
     p.add_argument("--method", choices=("rational", "difference", "ratio"), default=None)
-    p.add_argument("--ratio-delta", type=float, default=0.2)
-    p.add_argument("--diff-window", type=int, default=3)
-    p.add_argument("--ratio-window", type=int, default=4)
     _add_format_arg(p, ("json", "text"), "json")
     p.set_defaults(run=_cmd_gkdim)
 

@@ -23,6 +23,10 @@ Families
   normalization makes conway([n]) literally torus2(n) and conway([l, n])
   the double twist diagram with (n, l) twists, up to arc relabeling.
 * custom diagrams can be loaded from a small JSON format.
+
+``FAMILIES`` holds each family kind once: its parameter count, its builder
+and, where the paper states an isomorphism, its target alternating-sum
+semigroup and letter map.
 """
 
 from __future__ import annotations
@@ -31,8 +35,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from string import ascii_lowercase
+from typing import Callable, NamedTuple
 
+from .altsum import AltSumSemigroup, Zmod, dtw_alphabet
 from .errors import MoveError, ParameterError
+
+# The most arcs a diagram read from outside may have.  Every family has at
+# most sum(params) + 2 arcs, so a family spec is bounded by its parameters.
+MAX_ARCS = 100_000
 
 
 @dataclass(frozen=True)
@@ -85,19 +95,6 @@ class Diagram:
 
     def __hash__(self):
         return hash((self.arc_count, tuple(sorted((c.over, c.under) for c in self.crossings))))
-
-    def under_degree(self, arc: int) -> int:
-        """How many under-endpoints the arc has across all crossings."""
-        return sum(1 for c in self.crossings for u in c.under if u == arc)
-
-    def has_even_under_parity(self) -> bool:
-        """Every arc should terminate at under-crossings in pairs.
-
-        Built families always satisfy this.  The one modeled exception is a
-        kink inserted on a closed arc, where the split into two arcs is a
-        formal device.
-        """
-        return all(self.under_degree(a) % 2 == 0 for a in range(self.arc_count))
 
     def arc_endpoints(self, arc: int) -> list[tuple[int, int]]:
         """Under-endpoints of an arc as (crossing index, slot) pairs."""
@@ -223,14 +220,42 @@ def build_conway(twists) -> Diagram:
 # -- family specs and dispatch ----------------------------------------------
 
 
-# Each family kind once: its parameter count (None: any number) and builder.
+def _torus_target(n: int):
+    """All of Z_n, letter i to i; the strong variant for even n, where the
+    braid closes to a two-component link."""
+    return AltSumSemigroup(Zmod(n), tuple(range(n)), strong=n % 2 == 0), tuple(range(n)), ()
+
+
+def _dtw_target(n: int, l: int):
+    """The double twist alphabet in Z_(ln+1), each arc to its subscript."""
+    alphabet = dtw_alphabet(n, l)
+    phi = tuple(v % alphabet.modulus for v in double_twist_arc_values(n, l))
+    notes = ()
+    if (n * l) % 2 == 1:
+        notes = (
+            f"twist product {n}*{l} is odd; the isomorphism is only asserted "
+            "for even products",
+        )
+    return alphabet.semigroup(), phi, notes
+
+
+class Family(NamedTuple):
+    """One family kind.  ``arity`` is its parameter count (None: any number).
+    ``target``, where the paper states an isomorphism, maps the parameters
+    to (alternating-sum semigroup, letter map indexed by arc, notes)."""
+
+    arity: int | None
+    build: Callable[..., Diagram]
+    target: Callable[..., tuple] | None
+
+
 FAMILIES = {
-    "trivial": (0, build_trivial),
-    "hopf": (0, lambda: build_torus2(2)),
-    "torus2": (1, build_torus2),
-    "twist": (1, lambda n: build_double_twist(n, 2)),
-    "dtw": (2, build_double_twist),
-    "conway": (None, lambda *twists: build_conway(twists)),
+    "trivial": Family(0, build_trivial, lambda: (AltSumSemigroup(Zmod(1), (0,)), (0,), ())),
+    "hopf": Family(0, lambda: build_torus2(2), lambda: _torus_target(2)),
+    "torus2": Family(1, build_torus2, _torus_target),
+    "twist": Family(1, lambda n: build_double_twist(n, 2), lambda n: _dtw_target(n, 2)),
+    "dtw": Family(2, build_double_twist, _dtw_target),
+    "conway": Family(None, lambda *twists: build_conway(twists), None),
 }
 
 
@@ -239,6 +264,11 @@ class FamilySpec:
     kind: str
     params: tuple[int, ...] = ()
 
+    def __str__(self):
+        if not self.params:
+            return self.kind
+        return f"{self.kind}:{','.join(map(str, self.params))}"
+
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse 'trivial', 'hopf', 'torus2:5', 'dtw:2,2', 'conway:2,1', ..."""
@@ -246,7 +276,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     head = head.strip()
     if head not in FAMILIES:
         raise ParameterError(f"unknown family {head!r}")
-    arity = FAMILIES[head][0]
+    arity = FAMILIES[head].arity
     if arity == 0:
         if tail:
             raise ParameterError(f"family {head!r} takes no parameters")
@@ -259,13 +289,18 @@ def parse_family_spec(text: str) -> FamilySpec:
         raise ParameterError(f"bad parameter list {tail!r} for family {head!r}") from None
     if arity is not None and len(params) != arity:
         raise ParameterError(f"family {head!r} takes {arity} parameter(s), got {len(params)}")
+    if sum(params) > MAX_ARCS:
+        raise ParameterError(
+            f"family {head!r} with parameters summing to {sum(params)} is too large; "
+            f"diagrams have at most {MAX_ARCS} arcs"
+        )
     return FamilySpec(head, params)
 
 
 def build_family(spec: FamilySpec) -> Diagram:
     if spec.kind not in FAMILIES:
         raise ParameterError(f"unknown family {spec.kind!r}")
-    return FAMILIES[spec.kind][1](*spec.params)
+    return FAMILIES[spec.kind].build(*spec.params)
 
 
 # -- custom diagrams ---------------------------------------------------------
@@ -287,6 +322,8 @@ def diagram_from_dict(data: dict) -> Diagram:
             'malformed diagram data: expected an object with "arcs" and "crossings"'
         )
     arcs = _json_int(data["arcs"], '"arcs"')
+    if arcs > MAX_ARCS:
+        raise ParameterError(f"diagram has {arcs} arcs; at most {MAX_ARCS} are supported")
     raw = data["crossings"]
     if not isinstance(raw, list):
         raise ParameterError(f'malformed diagram data: "crossings" must be a list, got {raw!r}')

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .altsum import AltSumSemigroup, Zmod
-from .diagrams import Diagram
+from .altsum import AltSumSemigroup
+from .diagrams import FAMILIES, Diagram, FamilySpec
 from .errors import InternalConsistencyError, ParameterError
 from .oracle import DEFAULT_WORD_BUDGET, enumerate_classes
 from .presentation import presentation_from_diagram
@@ -131,12 +131,16 @@ class SkewSeries:
         }
 
 
-def growth_from_counts(counts, source: str = "counts", stable_window: int = 3) -> GrowthSeries:
+# The last this many counts must agree before a tail is called settled.
+STABLE_WINDOW = 3
+
+
+def growth_from_counts(counts, source: str = "counts") -> GrowthSeries:
     """Wrap per-degree counts; attach num/(1-t) when the tail has settled.
 
     The rational form asserts the counts continue at their last value, which
     is sound for the families here (their counts are eventually constant) and
-    is only claimed when the last stable_window counts agree.
+    is only claimed when the last STABLE_WINDOW counts agree.
     """
     counts = tuple(int(c) for c in counts)
     if not counts:
@@ -145,7 +149,7 @@ def growth_from_counts(counts, source: str = "counts", stable_window: int = 3) -
         raise ParameterError("counts must be positive")
     coefficients = (1,) + counts
     rational = None
-    if len(counts) >= stable_window and len(set(counts[-stable_window:])) == 1:
+    if len(counts) >= STABLE_WINDOW and len(set(counts[-STABLE_WINDOW:])) == 1:
         q = _mul(coefficients, (1, -1))
         num = _trim(q[:-1])
         rational = RationalForm(num, (1, -1))
@@ -215,25 +219,17 @@ def skew_growth(growth: GrowthSeries, terms: int | None = None) -> SkewSeries:
     """
     if terms is None:
         terms = len(growth.coefficients)
-    if growth.rational is not None:
-        rational = RationalForm(growth.rational.denominator, growth.rational.numerator)
-        # n_0 is always given, as on the path below
-        coefficients = rational.expand(max(terms, 1))
-        return SkewSeries(coefficients, rational=rational, source=growth.source)
-    if terms > len(growth.coefficients):
-        raise ParameterError(
-            f"only {len(growth.coefficients)} growth coefficients known; "
-            f"cannot expand the reciprocal to {terms} terms"
-        )
-    p = growth.coefficients[:terms]
-    out = [1]
-    for k in range(1, terms):
-        acc = 0
-        for i in range(1, k + 1):
-            if i < len(p):
-                acc += p[i] * out[k - i]
-        out.append(-acc)
-    return SkewSeries(tuple(out), source=growth.source)
+    terms = max(terms, 1)  # n_0 is always given
+    if growth.rational is None:
+        if terms > len(growth.coefficients):
+            raise ParameterError(
+                f"only {len(growth.coefficients)} growth coefficients known; "
+                f"cannot expand the reciprocal to {terms} terms"
+            )
+        rational, form = None, RationalForm((1,), growth.coefficients[:terms])
+    else:
+        rational = form = RationalForm(growth.rational.denominator, growth.rational.numerator)
+    return SkewSeries(form.expand(terms), rational=rational, source=growth.source)
 
 
 def cumulative_dimension(counts, degree: int) -> int:
@@ -292,13 +288,14 @@ def _differences(values):
     return tuple(b - a for a, b in zip(values, values[1:]))
 
 
-def gk_dimension(
-    source,
-    method: str | None = None,
-    ratio_delta: float = 0.2,
-    diff_window: int = 3,
-    ratio_window: int = 4,
-) -> GkEstimate:
+# The difference test needs this many vanishing tail entries; the ratio
+# test needs this many tail ratios of at least 1 + RATIO_DELTA.
+DIFF_WINDOW = 3
+RATIO_WINDOW = 4
+RATIO_DELTA = 0.2
+
+
+def gk_dimension(source, method: str | None = None) -> GkEstimate:
     """Estimate the growth rate exponent of the cumulative dimension.
 
     source is a GrowthSeries or a plain sequence of per-degree counts.  With
@@ -342,9 +339,9 @@ def gk_dimension(
         level = tuple(cumulative)
         for order in range(1, len(cumulative)):
             level = _differences(level)
-            if len(level) < diff_window:
+            if len(level) < DIFF_WINDOW:
                 break
-            if all(v == 0 for v in level[-diff_window:]):
+            if all(v == 0 for v in level[-DIFF_WINDOW:]):
                 return GkEstimate(
                     value=order - 1,
                     infinite=False,
@@ -364,13 +361,13 @@ def gk_dimension(
 
     ratios = [
         b / a for a, b in zip(cumulative, cumulative[1:]) if a > 0
-    ][-ratio_window:]
-    if len(ratios) >= ratio_window and all(r >= 1 + ratio_delta for r in ratios):
+    ][-RATIO_WINDOW:]
+    if len(ratios) >= RATIO_WINDOW and all(r >= 1 + RATIO_DELTA for r in ratios):
         return GkEstimate(
             value=None,
             infinite=True,
             method="ratio",
-            evidence={"ratios": [round(r, 4) for r in ratios], "threshold": 1 + ratio_delta},
+            evidence={"ratios": [round(r, 4) for r in ratios], "threshold": 1 + RATIO_DELTA},
         )
     return GkEstimate(
         value=None,
@@ -458,24 +455,15 @@ def reidemeister_dimension_check(
 
 
 def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> GrowthSeries:
-    """Growth series for the families with known counts.
+    """Growth series for the families with a stated target semigroup.
 
-    trivial, hopf and even torus2 go through the state recurrence of their
-    alternating-sum semigroups; odd torus2, twist and dtw use their closed
-    forms.  Other families have no stated growth and must be measured
-    through the congruence closure instead.
+    Odd torus2, twist and dtw use their closed forms; trivial, hopf and even
+    torus2 go through the state recurrence of their target semigroups in
+    ``diagrams.FAMILIES``.  Other families have no stated growth and must be
+    measured through the congruence closure instead.
     """
-    if kind == "trivial":
-        return growth_from_counts((1,) * (terms - 1), source="trivial")
-    if kind == "hopf":
-        sg = AltSumSemigroup(Zmod(2), (0, 1), strong=True)
-        return semigroup_growth(sg, terms=terms, source="hopf")
-    if kind == "torus2":
-        (n,) = params
-        if n % 2 == 1:
-            return torus_growth(n, terms=terms)
-        sg = AltSumSemigroup(Zmod(n), tuple(range(n)), strong=True)
-        return semigroup_growth(sg, terms=terms, source=f"torus2:{n}")
+    if kind == "torus2" and params[0] % 2 == 1:
+        return torus_growth(params[0], terms=terms)
     if kind == "twist":
         (n,) = params
         series = dtw_growth(n, 2, terms=terms)
@@ -488,7 +476,11 @@ def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> Gr
     if kind == "dtw":
         n, l = params
         return dtw_growth(n, l, terms=terms)
-    raise ParameterError(
-        f"no stated growth for family {kind!r}; compute counts with the "
-        "congruence closure and pass them explicitly"
-    )
+    target = FAMILIES[kind].target if kind in FAMILIES else None
+    if target is None:
+        raise ParameterError(
+            f"no stated growth for family {kind!r}; compute counts with the "
+            "congruence closure and pass them explicitly"
+        )
+    sg = target(*params)[0]
+    return semigroup_growth(sg, terms=terms, source=str(FamilySpec(kind, params)))

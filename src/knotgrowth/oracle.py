@@ -39,17 +39,11 @@ the map is a bijection there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
-from .altsum import AltSumSemigroup, ASElement, Zmod, conjecture_alphabet, dtw_alphabet
-from .diagrams import (
-    build_double_twist,
-    build_torus2,
-    build_trivial,
-    conway_with_traces,
-    double_twist_arc_values,
-)
+from .altsum import AltSumSemigroup, ASElement, conjecture_alphabet
+from .diagrams import FAMILIES, build_family, conway_with_traces, parse_family_spec
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -519,58 +513,34 @@ def verify_isomorphism(
 # -- theorem checks for the built-in families --------------------------------
 
 
-def verify_trivial(max_len: int = 4, pad: int = 2, budget: int = DEFAULT_WORD_BUDGET):
-    pres = presentation_from_diagram(build_trivial())
-    sg = AltSumSemigroup(Zmod(1), (0,))
-    return verify_isomorphism(
-        pres, (0,), sg, max_len, pad=pad, budget=budget, description="trivial"
-    )
+def verify_family(
+    spec: str,
+    max_len: int,
+    pad: int = 2,
+    budget: int = DEFAULT_WORD_BUDGET,
+    description: str | None = None,
+) -> VerificationReport:
+    """Check a family's stated isomorphism, e.g. ``verify_family("dtw:2,2", 3)``.
 
-
-def verify_torus(n: int, max_len: int = 4, pad: int = 2, budget: int = DEFAULT_WORD_BUDGET):
-    """Closed 2-strand braid against the alternating sums on all of Z_n.
-
-    Odd n gives a knot and the plain semigroup; even n gives a two-component
-    link and the strong (even-letter-count) refinement.
+    The target semigroup, letter map and notes come from the family's row
+    of ``diagrams.FAMILIES``; the description defaults to the spec.
     """
-    pres = presentation_from_diagram(build_torus2(n))
-    sg = AltSumSemigroup(Zmod(n), tuple(range(n)), strong=(n % 2 == 0))
-    phi = tuple(range(n))
+    family = parse_family_spec(spec)
+    diagram = build_family(family)
+    target = FAMILIES[family.kind].target
+    if target is None:
+        raise ParameterError(f"family {family.kind!r} has no stated target semigroup")
+    sg, phi, notes = target(*family.params)
     return verify_isomorphism(
-        pres, phi, sg, max_len, pad=pad, budget=budget, description=f"torus2:{n}"
-    )
-
-
-def verify_dtw(
-    n: int, l: int, max_len: int = 3, pad: int = 2, budget: int = DEFAULT_WORD_BUDGET
-):
-    """Double twist diagram against alternating sums on its subscript set."""
-    pres = presentation_from_diagram(build_double_twist(n, l))
-    alphabet = dtw_alphabet(n, l)
-    sg = alphabet.semigroup()
-    modulus = alphabet.modulus
-    phi = tuple(v % modulus for v in double_twist_arc_values(n, l))
-    warnings = ()
-    if (n * l) % 2 == 1:
-        warnings = (
-            f"twist product {n}*{l} is odd; the isomorphism is only asserted "
-            "for even products",
-        )
-    return verify_isomorphism(
-        pres,
+        presentation_from_diagram(diagram),
         phi,
         sg,
         max_len,
         pad=pad,
         budget=budget,
-        description=f"dtw:{n},{l}",
-        warnings=warnings,
+        description=spec if description is None else description,
+        warnings=notes,
     )
-
-
-def verify_twist(n: int, max_len: int = 3, pad: int = 2, budget: int = DEFAULT_WORD_BUDGET):
-    report = verify_dtw(n, 2, max_len, pad=pad, budget=budget)
-    return replace(report, description=f"twist:{n}")
 
 
 # -- probing the three-parameter conjecture -----------------------------------

@@ -92,25 +92,6 @@ class Presentation:
             out["names"] = list(self.letter_names)
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Presentation":
-        try:
-            alphabet = int(data["alphabet"])
-            raw = data["relations"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed presentation data: {exc}") from None
-        relations = []
-        for entry in raw:
-            try:
-                lhs, rhs = entry
-                relations.append((tuple(int(x) for x in lhs), tuple(int(x) for x in rhs)))
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"malformed relation entry {entry!r}: {exc}") from None
-        names = data.get("names")
-        if names is not None:
-            names = tuple(str(n) for n in names)
-        return cls(alphabet, tuple(relations), letter_names=names)
-
 
 def presentation_from_diagram(d: Diagram) -> Presentation:
     relations = []

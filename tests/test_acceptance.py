@@ -32,7 +32,7 @@ from knotgrowth.growth import (
     skew_growth,
     torus_growth,
 )
-from knotgrowth.oracle import enumerate_classes, verify_dtw, verify_torus
+from knotgrowth.oracle import enumerate_classes, verify_family
 from knotgrowth.presentation import Presentation
 
 SEED = 20260814
@@ -71,7 +71,7 @@ def test_criterion_01_trefoil_theorem(capsys):
 
 def test_criterion_02_torus_five():
     start = time.perf_counter()
-    result = verify_torus(5, max_len=4, pad=2)
+    result = verify_family("torus2:5", max_len=4, pad=2)
     elapsed = time.perf_counter() - start
     counts = [d.class_count for d in result.degrees]
     ok = result.all_verified and counts == [5, 5, 5, 5] and elapsed < 60
@@ -80,7 +80,7 @@ def test_criterion_02_torus_five():
 
 def test_criterion_03_torus_link_four():
     start = time.perf_counter()
-    result = verify_torus(4, max_len=3, pad=2)
+    result = verify_family("torus2:4", max_len=3, pad=2)
     elapsed = time.perf_counter() - start
     counts = [d.class_count for d in result.degrees]
     strong = result.semigroup.startswith("SAS(")
@@ -91,8 +91,8 @@ def test_criterion_03_torus_link_four():
 
 def test_criterion_04_double_twist():
     start = time.perf_counter()
-    small = verify_dtw(2, 2, max_len=4, pad=2)
-    bigger = verify_dtw(3, 2, max_len=3, pad=2)
+    small = verify_family("dtw:2,2", max_len=4, pad=2)
+    bigger = verify_family("dtw:3,2", max_len=3, pad=2)
     elapsed = time.perf_counter() - start
     counts_small = [d.class_count for d in small.degrees]
     counts_bigger = [d.class_count for d in bigger.degrees]

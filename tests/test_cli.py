@@ -107,15 +107,59 @@ DIAGRAM = st.fixed_dictionaries(
 )
 
 
+def run_quiet(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=JSON_VALUES | DIAGRAM)
-def test_present_pd_fuzz_exits_zero_or_two(data):
+def test_cli_pd_fuzz_exits_cleanly(data):
+    # the small budget keeps the closures tiny; larger diagrams exit 3
+    closure = ["--max-len", "2", "--budget", "20000"]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "diagram.json"
-        path.write_text(json.dumps(data))
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = main(["present", "--pd", str(path)])
+        path = str(Path(tmp) / "diagram.json")
+        Path(path).write_text(json.dumps(data))
+        code, err = run_quiet(["present", "--pd", path])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        for argv in (
+            ["classes", "--pd", path] + closure,
+            ["rmove", "--pd", path, "--move", "r1", "--site", "arc=0"] + closure,
+        ):
+            code, err = run_quiet(argv)
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err
+
+
+PARAM = st.integers(-3, 12) | st.sampled_from([10**8, 2**70])
+SPEC = st.builds(
+    lambda head, sep, params: head + sep + ",".join(map(str, params)),
+    st.sampled_from(["trivial", "hopf", "torus2", "twist", "dtw", "conway", "nosuch", ""]),
+    st.sampled_from(["", ":"]),
+    st.lists(PARAM, max_size=3),
+) | st.text(max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=SPEC)
+def test_present_family_fuzz_exits_cleanly(spec):
+    code, err = run_quiet(["present", "--family", spec])
     assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+def test_oversized_inputs_exit_two(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"arcs": 100000000, "crossings": []}')
+    for argv in (["present", "--pd", str(path)], ["present", "--family", "torus2:100000000"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "at most 100000" in err
+        assert "Traceback" not in err
 
 
 def test_classes_csv(capsys):
@@ -352,6 +396,18 @@ def test_rmove_r2(capsys):
     assert json.loads(out)["all_equal"] is True
 
 
+@pytest.mark.parametrize(
+    "move,site", [("r1", "--site arc=N"), ("r2", "--site arc=N,over_arc=N")]
+)
+def test_rmove_without_arc_names_the_flag(capsys, move, site):
+    code, out, err = run(
+        capsys, "rmove", "--family", "torus2:3", "--move", move, "--max-len", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {move} insert needs {site}\n"
+
+
 def test_rmove_bad_site(capsys):
     code, _, err = run(
         capsys,
@@ -400,7 +456,7 @@ def test_internal_inconsistency_exit_four(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise InternalConsistencyError("class count fell below the element count")
 
-    monkeypatch.setattr("knotgrowth.cli.verify_torus", explode)
+    monkeypatch.setattr("knotgrowth.cli.verify_family", explode)
     code, _, err = run(capsys, "verify", "--theorem", "torus", "--params", "3")
     assert code == 4
     assert "internal" in err.lower() or "class count" in err

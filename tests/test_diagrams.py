@@ -1,10 +1,12 @@
 """Diagram builders, family specs, custom loading and Reidemeister moves."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from knotgrowth.diagrams import (
+    MAX_ARCS,
     Crossing,
     Diagram,
     _merge_arcs,
@@ -28,6 +30,13 @@ from knotgrowth.diagrams import (
     r3_move,
 )
 from knotgrowth.errors import MoveError, ParameterError
+
+
+def even_under_parity(d):
+    """Every arc ends at under-crossings in pairs.  Built families always do;
+    a kink inserted on a closed arc, a formal split, does not."""
+    ends = Counter(u for c in d.crossings for u in c.under)
+    return all(ends[a] % 2 == 0 for a in range(d.arc_count))
 
 
 def test_crossing_normalizes_under_pair():
@@ -69,14 +78,14 @@ def test_torus_structure(n):
     for i, c in enumerate(d.crossings):
         assert c.over == (i + 1) % n
         assert set(c.under) == {i % n, (i + 2) % n} or c.under[0] == c.under[1]
-    assert d.has_even_under_parity()
+    assert even_under_parity(d)
 
 
 def test_double_twist_structure():
     d = build_double_twist(2, 2)
     assert d.arc_count == 4
     assert len(d.crossings) == 4
-    assert d.has_even_under_parity()
+    assert even_under_parity(d)
     assert double_twist_arc_values(2, 2) == (0, 1, 2, 3)
     assert double_twist_arc_values(2, 4) == (0, 1, 2, 3, 5, 7)
     assert d.arc_names == ("a0", "a1", "a2", "a3")
@@ -89,7 +98,7 @@ def test_double_twist_parity_and_size(n, l):
     d = build_double_twist(n, l)
     assert d.arc_count == n + l
     assert len(d.crossings) == n + l
-    assert d.has_even_under_parity()
+    assert even_under_parity(d)
 
 
 def test_conway_single_region_is_torus():
@@ -109,7 +118,7 @@ def test_conway_traces_have_region_lengths():
     assert [len(t) for t in traces] == [4, 3, 4]
     assert d.arc_count == 5
     assert len(d.crossings) == 5
-    assert d.has_even_under_parity()
+    assert even_under_parity(d)
     assert build_conway((2, 1, 2)) == d
 
 
@@ -125,7 +134,10 @@ def test_parse_family_spec():
     assert parse_family_spec("torus2:5").params == (5,)
     assert parse_family_spec("dtw:2,4").params == (2, 4)
     assert parse_family_spec("conway:2,1,2").params == (2, 1, 2)
-    for bad in ("hopf:2", "torus2", "torus2:x", "dtw:2", "nosuch", "cmln:1,1,2", "pd"):
+    half = MAX_ARCS // 2
+    assert parse_family_spec(f"dtw:{half},{MAX_ARCS - half}").params == (half, MAX_ARCS - half)
+    too_big = (f"torus2:{MAX_ARCS + 1}", f"dtw:{half},{MAX_ARCS - half + 1}")
+    for bad in ("hopf:2", "torus2", "torus2:x", "dtw:2", "nosuch", "cmln:1,1,2", "pd") + too_big:
         with pytest.raises(ParameterError):
             parse_family_spec(bad)
 
@@ -156,6 +168,9 @@ def test_pd_round_trip(tmp_path):
         diagram_from_dict({"arcs": 2, "crossings": [{"over": 5, "under": [0, 1]}]})
     with pytest.raises(ParameterError):
         diagram_from_dict({"crossings": []})
+    assert diagram_from_dict({"arcs": MAX_ARCS, "crossings": []}).arc_count == MAX_ARCS
+    with pytest.raises(ParameterError, match="at most"):
+        diagram_from_dict({"arcs": MAX_ARCS + 1, "crossings": []})
 
 
 MALFORMED_DIAGRAMS = [
@@ -203,7 +218,7 @@ def test_r1_on_closed_arc():
     assert knot.arc_count == 2
     assert knot.crossings == (Crossing(1, (0, 1)),)
     # the formal split leaves arc 0 with a single under-endpoint
-    assert not knot.has_even_under_parity()
+    assert not even_under_parity(knot)
     assert apply_reidemeister(knot, r1_remove(0)) == build_trivial()
     with pytest.raises(MoveError):
         apply_reidemeister(build_trivial(), r1_insert(0, end=1))

@@ -30,12 +30,9 @@ from knotgrowth.errors import (
 from knotgrowth.oracle import (
     conjecture_probe,
     enumerate_classes,
-    verify_dtw,
+    verify_family,
     verify_homomorphism,
     verify_isomorphism,
-    verify_torus,
-    verify_trivial,
-    verify_twist,
 )
 from knotgrowth.presentation import Presentation, presentation_from_diagram
 
@@ -244,28 +241,28 @@ def test_verify_homomorphism():
 
 
 def test_verify_torus_knot_and_link():
-    knot = verify_torus(3)
+    knot = verify_family("torus2:3", 4)
     assert knot.all_verified
     assert [d.class_count for d in knot.degrees] == [3, 3, 3, 3]
     assert [d.element_count for d in knot.degrees] == [3, 3, 3, 3]
     assert knot.semigroup.startswith("AS(")
-    link = verify_torus(4, max_len=3)
+    link = verify_family("torus2:4", max_len=3)
     assert link.all_verified
     assert [d.class_count for d in link.degrees] == [4, 6, 8]
     assert link.semigroup.startswith("SAS(")
 
 
 def test_verify_double_twist_and_twist():
-    rep = verify_dtw(2, 2)
+    rep = verify_family("dtw:2,2", 3)
     assert rep.all_verified
     assert [d.class_count for d in rep.degrees] == [4, 5, 5]
     assert rep.warnings == ()
-    odd = verify_dtw(1, 1, max_len=2)
+    odd = verify_family("dtw:1,1", max_len=2)
     assert odd.warnings  # nl odd: outside the stated hypothesis
-    tw = verify_twist(3)
+    tw = verify_family("twist:3", 3)
     assert tw.description == "twist:3"
     assert tw.all_verified
-    assert verify_trivial().all_verified
+    assert verify_family("trivial", 4).all_verified
 
 
 def test_verified_needs_onto_letter_map():
@@ -302,12 +299,12 @@ def test_image_check_catches_over_merge(monkeypatch):
 def test_reach_beyond_the_word_universe():
     # 7 + ... + 7**14 and 6 + ... + 6**12 words: far past any word-indexed
     # closure, but only a few nodes per degree
-    assert verify_torus(7, max_len=12, budget=10**13).all_verified
-    assert verify_dtw(2, 4, max_len=10, budget=10**13).all_verified
+    assert verify_family("torus2:7", max_len=12, budget=10**13).all_verified
+    assert verify_family("dtw:2,4", max_len=10, budget=10**13).all_verified
 
 
 def test_report_json_shape():
-    report = verify_dtw(2, 2)
+    report = verify_family("dtw:2,2", 3)
     data = report.to_json_dict()
     assert data["all_verified"] is True
     assert data["phi"] == [0, 1, 2, 3]

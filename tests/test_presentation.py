@@ -71,12 +71,3 @@ def test_are_isomorphic():
         big = Presentation(10, ())
         are_isomorphic(big, big)
 
-
-def test_json_round_trip():
-    pres = presentation_from_diagram(build_torus2(3))
-    again = Presentation.from_dict(pres.to_dict())
-    assert again == pres
-    with pytest.raises(ParameterError):
-        Presentation.from_dict({"relations": []})
-    with pytest.raises(ParameterError):
-        Presentation.from_dict({"alphabet": 2, "relations": [[[0, 1]]]})

@@ -44,3 +44,30 @@ def test_run_verifications_table():
     assert rows == [row + ("VERIFIED",) for row in THEOREM_ROWS] + PROBE_ROWS
     assert proc.stdout.count(" note: ") == 3
     assert proc.stdout.splitlines()[-1] == "theorem checks: all verified"
+
+
+GROWTH_SECTIONS = [
+    "-- torus2:3  (AS(Zmod(3), {0, 1, 2}))",
+    "-- torus2:5  (AS(Zmod(5), {0, 1, 2, 3, 4}))",
+    "-- torus2:7  (AS(Zmod(7), {0, 1, 2, 3, 4, 5, 6}))",
+    "-- dtw:2,2  (AS(Zmod(5), {0, 1, 2, 3}))",
+    "-- dtw:3,2  (AS(Zmod(7), {0, 1, 2, 3, 4}))",
+    "-- dtw:2,4  (AS(Zmod(9), {0, 1, 2, 3, 5, 7}))",
+    "-- hopf  (SAS(Zmod(2), {0, 1}))",
+]
+
+
+def test_growth_report():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "growth_report.py"), "--terms", "8"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith("-- ")] == GROWTH_SECTIONS
+    checks = [line.strip() for line in lines if line.strip().startswith(("match:", "P*N == 1:"))]
+    assert checks == ["match: True", "P*N == 1: True"] * 6
+    assert lines[-2:] == ["   counts      (1, 2, 3, 4, 5, 6, 7, 8)",
+                          "   growth exponent: 2 (method difference)"]
