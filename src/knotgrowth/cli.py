@@ -49,6 +49,19 @@ from .oracle import DEFAULT_WORD_BUDGET, conjecture_probe, enumerate_classes, ve
 from .presentation import presentation_from_diagram
 
 SCHEMA_VERSION = 1
+# Largest --terms for growth, skew and gkdim.  A strong alternating-sum
+# semigroup keeps every packed level of its state recurrence, so memory
+# grows with the square of the terms: growth --family torus2:4 takes
+# 74 MB at this bound and torus2:40 takes 0.8 GB.
+MAX_TERMS = 10_000
+# The --site keys each Reidemeister move reads, as the flag is written.
+SITE_KEYS = {
+    ("r1", "insert"): "arc=N",
+    ("r2", "insert"): "arc=N,over_arc=N",
+    ("r1", "remove"): "crossings=N",
+    ("r2", "remove"): "crossings=N+N",
+    ("r3", "insert"): "crossings=N+N+N",
+}
 
 
 def _emit_json(payload: dict) -> None:
@@ -97,6 +110,8 @@ def _check_window(args) -> None:
         raise ParameterError(f"--pad must not be negative, got {args.pad}")
     if getattr(args, "terms", None) is not None and args.terms < 2:
         raise ParameterError(f"--terms must be at least 2, got {args.terms}")
+    if getattr(args, "terms", None) is not None and args.terms > MAX_TERMS:
+        raise ParameterError(f"--terms must be at most {MAX_TERMS}, got {args.terms}")
 
 
 def _diagram_from_args(args) -> tuple[Diagram, str]:
@@ -394,11 +409,12 @@ def _cmd_rmove(args) -> int:
     budget = _resolve_budget(args)
     diagram, label = _diagram_from_args(args)
     site = _parse_site(args.site)
-    if args.direction == "insert":
-        needs = {"r1": ("arc",), "r2": ("arc", "over_arc")}.get(args.move, ())
-        if any(key not in site for key in needs):
-            flags = ",".join(f"{key}=N" for key in needs)
-            raise ParameterError(f"{args.move} insert needs --site {flags}")
+    needs = SITE_KEYS.get((args.move, args.direction))
+    if needs is not None and any(
+        flag.partition("=")[0] not in site for flag in needs.split(",")
+    ):
+        move = args.move if args.move == "r3" else f"{args.move} {args.direction}"
+        raise ParameterError(f"{move} needs --site {needs}")
     move = ReidemeisterMove(kind=args.move, direction=args.direction, **site)
     moved = apply_reidemeister(diagram, move)
     report = reidemeister_dimension_check(

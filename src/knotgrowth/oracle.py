@@ -40,7 +40,9 @@ the map is a bijection there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from bisect import bisect_left
+from itertools import compress, islice, product, repeat
+from operator import ge, lt
 
 from .altsum import AltSumSemigroup, ASElement, conjecture_alphabet
 from .diagrams import FAMILIES, build_family, conway_with_traces, parse_family_spec
@@ -72,7 +74,7 @@ class _UnionFind:
     def add(self, count: int) -> int:
         """Append count singleton nodes and return the first new id."""
         start = len(self.parent)
-        self.parent += [-1] * count
+        self.parent.extend(repeat(-1, count))
         return start
 
     def find(self, x: int) -> int:
@@ -105,9 +107,10 @@ class CongruencePartition:
     Words are not stored.  Level d holds k * _width[d] nodes from id
     _base[d] on; node _base[d] + a * _width[d] + i is R(C, a), the words of
     the level-(d-1) class C rooted at _births[d][i] followed by the letter
-    a.  _slot[C] is the id of R(C, 0).  In _uf.parent a class root holds a
-    negative sentinel (-1 for a singleton class, -2 otherwise) and every
-    other node an id on the way to its root.
+    a.  _slot[C] is the id of R(C, 0) for a class root C; a node merged
+    before the next level was built holds its root's.  In _uf.parent a
+    class root holds a negative sentinel (-1 for a singleton class, -2
+    otherwise) and every other node an id on the way to its root.
     """
 
     alphabet_size: int
@@ -213,7 +216,10 @@ def enumerate_classes(
     top = 1
 
     def union(x: int, y: int, level: int) -> None:
-        x, y = find(x), find(y)
+        if parent[x] >= 0:
+            x = find(x)
+        if parent[y] >= 0:
+            y = find(y)
         if x == y:
             return
         if x > y:
@@ -259,27 +265,41 @@ def enumerate_classes(
         for start in range(lo, lo + k * step, step):
             seen: dict[int, int] = {}
             for n, c in enumerate(classes, start):
-                if parent[n] == -1:
+                p = parent[n]
+                if p == -1:
                     continue
-                c = find(c)
-                other = seen.setdefault(find(n), c)
+                if p >= 0:
+                    n = p if parent[p] < 0 else find(n)
+                if parent[c] >= 0:
+                    c = find(c)
+                other = seen.setdefault(n, c)
                 if other != c:
                     union(other, c, e - 1)
-        # the roots R(P, a) at level e-1 by letter a, with their L_b offsets
+        # the roots R(P, a) at level e-1 by letter a, with their columns and
+        # L_b offsets
         w = width[e - 1]
         blocks = [
-            (lo, a * step, [c for c in range(lo, lo + w) if parent[c] < 0])
+            (a * step, [
+                (c, c - lo)
+                for c in compress(range(lo, lo + w), map(lt, parent[lo:lo + w], repeat(0)))
+            ])
             for a, lo in enumerate(range(base[e - 1], base[e], w))
         ]
         for row in left[e - 1]:
             seen = {}
-            for lo, offset, roots in blocks:
-                for c in roots:
-                    target = find(row[c - lo] + offset)
-                    if parent[target] == -2:
-                        other = seen.setdefault(target, c)
-                        if other != c:
-                            union(other, c, e - 1)
+            for offset, roots in blocks:
+                for c, i in roots:
+                    # a node in a merged class is a root marked -2 or
+                    # points into such a class
+                    target = row[i] + offset
+                    p = parent[target]
+                    if p == -1:
+                        continue
+                    if p >= 0:
+                        target = p if parent[p] < 0 else find(target)
+                    other = seen.setdefault(target, c)
+                    if other != c:
+                        union(other, c, e - 1)
 
     def settle() -> None:
         drain()
@@ -289,38 +309,96 @@ def enumerate_classes(
                 sweep(level)
                 drain()
 
+    def left_rows(d: int) -> list[list[int]]:
+        """The left rows of level d, read off the slots of level d:
+        L_b(a) = R(b, a) for a letter a, and L_b(R(P, 0)) = R(L_b(P), 0).
+        The classes P of level d-1 are sorted, so each letter block a
+        there holds a run of them, found once per level by bisection; P
+        sits at column P - shift of its block."""
+        if d == 1:
+            return [[slot[b]] for b in range(k)]
+        plo, pw, w, prev = base[d - 1], width[d - 1], width[d], births[d]
+        blocks = []
+        last = 0
+        for a in range(k):
+            shift = plo + a * pw
+            first, last = last, bisect_left(prev, shift + pw, last)
+            blocks.append((shift, a * w, first, last))
+        return [
+            [
+                slot[row[p - shift] + offset]
+                for shift, offset, first, last in blocks
+                for p in islice(prev, first, last)
+            ]
+            for row in left[d - 1]
+        ]
+
+    def join_merged(d: int) -> None:
+        """Classes of level d merged before level d+1 existed: merge L_b of
+        each merged node with L_b of its root, one letter block of level d
+        at a time, skipping blocks of roots only.  Level d+1 is the top, so
+        nothing is queued.  A node two or more steps below its root is rare
+        here and goes through find."""
+        lo, w, step, rows, roots = base[d], width[d], width[d + 1], left[d], births[d + 1]
+        joined = False
+        last = 0
+        for a in range(k):
+            blo = lo + a * w
+            first, last = last, bisect_left(roots, blo + w, last)
+            if last - first == w:
+                continue
+            pairs = []
+            for n in compress(range(blo, blo + w), map(ge, parent[blo:blo + w], repeat(0))):
+                ay, iy = divmod(find(n) - lo, w)
+                pairs.append((n - blo, iy, ay * step))
+            ax = a * step
+            for row in rows:
+                for ix, iy, ay in pairs:
+                    x, y = row[ix] + ax, row[iy] + ay
+                    p = parent[x]
+                    if p >= 0:
+                        x = p if parent[p] < 0 else find(x)
+                    p = parent[y]
+                    if p >= 0:
+                        y = p if parent[p] < 0 else find(y)
+                    if x != y:
+                        if x > y:
+                            x, y = y, x
+                        parent[y] = x
+                        parent[x] = -2
+                        joined = True
+        if joined:
+            dirty.add(d + 1)
+
     def grow() -> None:
         """Build level top+1 from the classes at the top level."""
         nonlocal top
         d = top
-        lo, hi = base[d], base[d] + k * width[d]
-        roots = [n for n in range(lo, hi) if parent[n] < 0]
-        step = len(roots)
-        start = uf.add(k * step)
-        slot.extend([0] * (hi - lo))
-        for i, r in enumerate(roots):
-            slot[r] = start + i
+        lo = base[d]
+        hi = lo + k * width[d]
+        start = len(parent)
+        # walk the merged nodes of level d: the roots between them take
+        # consecutive slots from start on, and a merged node takes its
+        # root's slot, so the left rows read slot[x] with no find
+        roots: list[int] = []
+        after = lo
+        for n in compress(range(lo, hi), map(ge, parent[lo:hi], repeat(0))):
+            s = start + len(roots)
+            roots += range(after, n)
+            slot.extend(range(s, s + n - after))
+            slot.append(slot[find(n)])
+            after = n + 1
+        s = start + len(roots)
+        roots += range(after, hi)
+        slot.extend(range(s, s + hi - after))
+        left.append(left_rows(d))
+        uf.add(k * len(roots))
         base.append(start)
-        width.append(step)
+        width.append(len(roots))
         births.append(roots)
-        # L_b(a) = R(b, a) for a letter a, and L_b(R(P, 0)) = R(L_b(P), 0)
-        if d == 1:
-            left.append([[slot[find(b)]] for b in range(k)])
-        else:
-            plo, pw, w = base[d - 1], width[d - 1], width[d]
-            left.append([
-                [
-                    slot[find(row[i] + a * w)]
-                    for a, i in (divmod(p - plo, pw) for p in births[d])
-                ]
-                for row in left[d - 1]
-            ])
         top = d + 1
-        # classes merged before this level existed: join their left rows
-        for n in range(lo, hi):
-            if parent[n] >= 0:
-                join_left(d, n, find(n))
-        seed(d + 1)
+        join_merged(d)
+        seed(top)
 
     uf.add(k)
     seed(1)
@@ -330,7 +408,7 @@ def enumerate_classes(
         settle()
 
     counts = tuple(
-        sum(1 for n in range(base[d], base[d] + k * width[d]) if parent[n] < 0)
+        sum(map(lt, islice(parent, base[d], base[d] + k * width[d]), repeat(0)))
         for d in range(1, max_len + 1)
     )
     return CongruencePartition(

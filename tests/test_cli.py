@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotgrowth.cli import main
+from knotgrowth.cli import MAX_TERMS, main
 from knotgrowth.diagrams import build_torus2, diagram_to_dict
 from knotgrowth.errors import InternalConsistencyError
 
@@ -371,6 +371,24 @@ def test_gkdim_unknown_family_needs_max_len(capsys):
     assert "--max-len" in err
 
 
+def test_terms_at_the_bound(capsys):
+    # the linked torus2:4 keeps every strong level, the costliest per term
+    code, out, err = run(capsys, "growth", "--family", "torus2:4", "--terms", str(MAX_TERMS))
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1] == f"{MAX_TERMS},{2 * MAX_TERMS + 2}"
+
+
+@pytest.mark.parametrize("command", ["growth", "skew", "gkdim"])
+def test_terms_above_the_bound_exit_two(capsys, command):
+    code, out, err = run(
+        capsys, command, "--family", "torus2:4", "--terms", str(MAX_TERMS + 1)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --terms must be at most {MAX_TERMS}, got {MAX_TERMS + 1}\n"
+
+
 # -- rmove -----------------------------------------------------------------------
 
 
@@ -406,6 +424,22 @@ def test_rmove_without_arc_names_the_flag(capsys, move, site):
     assert code == 2
     assert out == ""
     assert err == f"error: {move} insert needs {site}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--move", "r1", "--direction", "remove"], "r1 remove needs --site crossings=N"),
+        (["--move", "r2", "--direction", "remove"], "r2 remove needs --site crossings=N+N"),
+        (["--move", "r3"], "r3 needs --site crossings=N+N+N"),
+    ],
+    ids=["r1-remove", "r2-remove", "r3"],
+)
+def test_rmove_without_crossings_names_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, "rmove", "--family", "torus2:3", *argv, "--max-len", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_rmove_bad_site(capsys):

@@ -19,8 +19,10 @@ from knotgrowth import oracle
 from knotgrowth.altsum import AltSumSemigroup, Zmod, dtw_alphabet
 from knotgrowth.diagrams import (
     build_double_twist,
+    build_family,
     build_torus2,
     build_trivial,
+    parse_family_spec,
 )
 from knotgrowth.errors import (
     InternalConsistencyError,
@@ -37,9 +39,9 @@ from knotgrowth.oracle import (
 from knotgrowth.presentation import Presentation, presentation_from_diagram
 
 
-def reference_counts(pres, max_len, pad):
-    """Slow fixed-point closure used only to cross-check the real one."""
-    horizon = max_len + pad
+def reference_closure(pres, horizon):
+    """Slow fixed-point closure used only to cross-check the real one: the
+    root of every word up to the horizon."""
     k = pres.alphabet_size
     parent = {}
     for length in range(1, horizon + 1):
@@ -87,11 +89,15 @@ def reference_counts(pres, max_len, pad):
                                     changed = True
                                 if union(u + (a,), v + (a,)):
                                     changed = True
-    out = []
-    for length in range(1, max_len + 1):
-        block = itertools.product(range(k), repeat=length)
-        out.append(len({find(w) for w in block}))
-    return tuple(out)
+    return {w: find(w) for w in parent}
+
+
+def reference_counts(pres, max_len, pad):
+    root = reference_closure(pres, max_len + pad)
+    return tuple(
+        len({root[w] for w in itertools.product(range(pres.alphabet_size), repeat=length)})
+        for length in range(1, max_len + 1)
+    )
 
 
 CROSS_CHECK_CASES = [
@@ -137,6 +143,49 @@ def test_closure_matches_reference_on_random_presentations(case):
     pres, max_len, pad = case
     part = enumerate_classes(pres, max_len, pad=pad)
     assert part.degree_counts == reference_counts(pres, max_len, pad)
+
+
+@st.composite
+def diagram_closures(draw):
+    """The relations xy = yz and yx = zy of random crossings (over arc y,
+    under arcs x and z) on at most 4 arcs.  Classes merge at degree 2, so
+    every later level is grown over merged classes."""
+    k = draw(st.integers(1, 4))
+    arc = st.integers(0, k - 1)
+    crossings = draw(st.lists(st.tuples(arc, arc, arc), min_size=1, max_size=4))
+    relations = tuple(
+        relation
+        for x, y, z in crossings
+        for relation in (((x, y), (y, z)), ((y, x), (z, y)))
+    )
+    pad = draw(st.integers(0, 3))
+    max_len = draw(st.integers(1, 5))
+    assume(max_len + pad >= 2 and k ** (max_len + pad) <= 250)
+    return Presentation(k, relations), max_len, pad
+
+
+@given(diagram_closures())
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_reference_on_diagram_presentations(case):
+    """Counts up to max_len, and the representative of every word up to the
+    horizon, which must be the reference class's first word in colex order."""
+    pres, max_len, pad = case
+    part = enumerate_classes(pres, max_len, pad=pad)
+    root = reference_closure(pres, max_len + pad)
+    first: dict = {}
+    for w in sorted(root, key=lambda w: w[::-1]):
+        first.setdefault(root[w], w)
+    assert part.degree_counts == tuple(
+        sum(1 for w in first.values() if len(w) == d) for d in range(1, max_len + 1)
+    )
+    assert [part.representative(w) for w in root] == [first[r] for r in root.values()]
+
+
+def test_conway_counts_with_many_letters():
+    # 20 letters; from degree 4 on the classes number 701, the determinant
+    pres = presentation_from_diagram(build_family(parse_family_spec("conway:5,5,5,5")))
+    part = enumerate_classes(pres, 5, budget=10**10)
+    assert part.degree_counts == (20, 237, 620, 701, 701)
 
 
 def test_free_and_collapsing_counts():
