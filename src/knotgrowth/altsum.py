@@ -28,27 +28,37 @@ iteratively, and kept per semigroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     DomainError,
     InternalConsistencyError,
     NotRepresentableError,
     ParameterError,
+    refuse_assignment,
 )
 
 Word = tuple[int, ...]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class Zmod:
     """The cyclic group of integers modulo a positive modulus."""
 
-    modulus: int
+    __slots__ = ("modulus",)
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ParameterError(f"modulus must be positive, got {self.modulus}")
+    def __init__(self, modulus: int):
+        if modulus < 1:
+            raise ParameterError(f"modulus must be positive, got {modulus}")
+        _set(self, "modulus", modulus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.modulus,))
 
     def reduce(self, x: int) -> int:
         return x % self.modulus
@@ -113,24 +123,35 @@ class _Levels:
         return frozenset(set_bits)
 
 
-@dataclass(frozen=True)
 class AltSumSemigroup:
     """AS(G, B), or SAS(G, B) when ``strong`` is set.
 
     ``generators`` is stored sorted, deduplicated and reduced into G.
+    Equality and the hash cover the group, the generators and ``strong``.
     """
 
-    group: Zmod
-    generators: tuple[int, ...]
-    strong: bool = False
-    _levels: _Levels = field(init=False, repr=False, compare=False)
+    __slots__ = ("group", "generators", "strong", "_levels", "_hash")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        if len(self.generators) == 0:
+    def __init__(self, group: Zmod, generators: tuple[int, ...], strong: bool = False):
+        if len(generators) == 0:
             raise ParameterError("generator set must be nonempty")
-        reduced = tuple(sorted({self.group.reduce(b) for b in self.generators}))
-        object.__setattr__(self, "generators", reduced)
-        object.__setattr__(self, "_levels", _Levels(self.group, reduced, self.strong))
+        reduced = tuple(sorted({group.reduce(b) for b in generators}))
+        _set(self, "group", group)
+        _set(self, "generators", reduced)
+        _set(self, "strong", strong)
+        _set(self, "_levels", _Levels(group, reduced, strong))
+        _set(self, "_hash", hash((group, reduced, strong)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.generators, self.strong) == (
+            other.group, other.generators, other.strong
+        )
+
+    def __hash__(self):
+        return self._hash
 
     # -- word-level operations -------------------------------------------
 
@@ -185,7 +206,6 @@ class AltSumSemigroup:
         return f"{kind}({self.group!r}, {{{', '.join(map(str, self.generators))}}})"
 
 
-@dataclass(frozen=True)
 class ASElement:
     """An element of an alternating-sum semigroup.
 
@@ -194,32 +214,47 @@ class ASElement:
     over the generators actually realizes these invariants.
     """
 
-    semigroup: AltSumSemigroup
-    length: int
-    alt: int
-    even_count: int | None = None
+    __slots__ = ("semigroup", "length", "alt", "even_count")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        if self.length < 1:
-            raise ParameterError(f"length must be at least 1, got {self.length}")
-        if self.semigroup.strong:
-            if self.even_count is None:
+    def __init__(
+        self, semigroup: AltSumSemigroup, length: int, alt: int, even_count: int | None = None
+    ):
+        if length < 1:
+            raise ParameterError(f"length must be at least 1, got {length}")
+        levels = semigroup._levels
+        if levels.strong:
+            if even_count is None:
                 raise ParameterError("strong semigroup elements need an even-letter count")
-            if not 0 <= self.even_count <= self.length:
+            if not 0 <= even_count <= length:
                 raise ParameterError(
-                    f"even-letter count {self.even_count} out of range for length {self.length}"
+                    f"even-letter count {even_count} out of range for length {length}"
                 )
-        elif self.even_count is not None:
+            bit = alt + levels.width * even_count
+        elif even_count is not None:
             raise ParameterError("even-letter count given for a non-strong semigroup")
-        if self.alt != self.semigroup.group.reduce(self.alt):
-            raise ParameterError(f"alternating sum {self.alt} is not reduced")
-        levels = self.semigroup._levels
-        bit = self.alt + levels.width * self.even_count if levels.strong else self.alt
-        if not levels.level(self.length) >> bit & 1:
-            state = (self.alt, self.even_count) if levels.strong else self.alt
-            raise DomainError(
-                f"no word of length {self.length} over {self.semigroup} realizes {state}"
-            )
+        else:
+            bit = alt
+        if not 0 <= alt < levels.modulus:
+            raise ParameterError(f"alternating sum {alt} is not reduced")
+        if not levels.level(length) >> bit & 1:
+            state = (alt, even_count) if levels.strong else alt
+            raise DomainError(f"no word of length {length} over {semigroup} realizes {state}")
+        _set(self, "semigroup", semigroup)
+        _set(self, "length", length)
+        _set(self, "alt", alt)
+        _set(self, "even_count", even_count)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.semigroup, self.length, self.alt, self.even_count) == (
+            other.semigroup, other.length, other.alt, other.even_count
+        )
+
+    def __hash__(self):
+        # the semigroup's cached hash stands in for hash(semigroup)
+        return hash((self.semigroup._hash, self.length, self.alt, self.even_count))
 
     def __mul__(self, other: "ASElement") -> "ASElement":
         return multiply(self, other)
@@ -242,19 +277,22 @@ def multiply(x: ASElement, y: ASElement) -> ASElement:
 # -- generator families arising from knot diagrams -------------------------
 
 
-@dataclass(frozen=True)
 class DtwAlphabet:
     """Generator set attached to the double twist knot with n clockwise and
     l anticlockwise half-twists: the subset {0..n} + {jn+1 : 0 <= j < l} of
     the integers mod ln+1.  It has exactly n + l elements.
     """
 
-    n: int
-    l: int
+    __slots__ = ("n", "l")
 
-    def __post_init__(self):
-        if self.n < 1 or self.l < 1:
-            raise ParameterError(f"twist counts must be positive, got ({self.n}, {self.l})")
+    def __init__(self, n: int, l: int):
+        if n < 1 or l < 1:
+            raise ParameterError(f"twist counts must be positive, got ({n}, {l})")
+        self.n = n
+        self.l = l
+
+    def __repr__(self):
+        return f"DtwAlphabet(n={self.n!r}, l={self.l!r})"
 
     @property
     def modulus(self) -> int:
@@ -274,7 +312,6 @@ def dtw_alphabet(n: int, l: int) -> DtwAlphabet:
     return DtwAlphabet(n, l)
 
 
-@dataclass(frozen=True)
 class ConjectureAlphabet:
     """Conjectured generator set for the three-parameter pretzel-style family
     with twist counts (m, l, n), inside the integers mod (ml+1)n + m.
@@ -287,15 +324,14 @@ class ConjectureAlphabet:
     make sense when the modulus is odd; ``modulus_is_odd`` flags that.
     """
 
-    m: int
-    l: int
-    n: int
+    __slots__ = ("m", "l", "n")
 
-    def __post_init__(self):
-        if min(self.m, self.l, self.n) < 1:
-            raise ParameterError(
-                f"twist counts must be positive, got ({self.m}, {self.l}, {self.n})"
-            )
+    def __init__(self, m: int, l: int, n: int):
+        if min(m, l, n) < 1:
+            raise ParameterError(f"twist counts must be positive, got ({m}, {l}, {n})")
+        self.m = m
+        self.l = l
+        self.n = n
 
     @property
     def modulus(self) -> int:

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .diagrams import (
@@ -64,10 +63,27 @@ SITE_KEYS = {
 }
 
 
+class _no_digit_limit:
+    """Lift Python's int-to-str digit limit inside the block and restore it
+    on leaving: skew coefficients pass 4300 digits near 5600 terms.  Input
+    is parsed outside, under the limit.  Python 3.10.0-3.10.6 have none."""
+
+    def __enter__(self):
+        self.set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if self.set_limit is not None:
+            self.limit = sys.get_int_max_str_digits()
+            self.set_limit(0)
+
+    def __exit__(self, *exc):
+        if self.set_limit is not None:
+            self.set_limit(self.limit)
+
+
 def _emit_json(payload: dict) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    with _no_digit_limit():
+        print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _poly_text(coeffs) -> str:
@@ -135,10 +151,11 @@ def _load_counts(arg: str) -> tuple[int, ...]:
     """Counts from a file (the classes CSV, or bare numbers) or an inline
     comma-separated list."""
     path = Path(arg)
-    if path.exists():
-        text = path.read_text()
-    else:
-        text = arg
+    try:
+        is_file = path.exists()
+    except OSError:  # e.g. an inline list longer than a file name may be
+        is_file = False
+    text = path.read_text() if is_file else arg
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParameterError("counts input is empty")
@@ -257,7 +274,7 @@ def _verify_report(args):
     )
     if args.theorem == "torus" and params[0] % 2 == 0:
         note = f"n = {params[0]} is even: the braid closes to a two-component link"
-        report = replace(report, warnings=report.warnings + (note,))
+        report.warnings += (note,)
     return report
 
 
@@ -337,8 +354,9 @@ def _print_notes(series: GrowthSeries) -> None:
 
 def _print_series_csv(coefficients) -> None:
     print("degree,coefficient")
-    for degree, c in enumerate(coefficients):
-        print(f"{degree},{c}")
+    with _no_digit_limit():
+        for degree, c in enumerate(coefficients):
+            print(f"{degree},{c}")
 
 
 def _cmd_growth(args) -> int:

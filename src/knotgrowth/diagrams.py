@@ -32,30 +32,40 @@ semigroup and letter map.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from string import ascii_lowercase
-from typing import Callable, NamedTuple
 
 from .altsum import AltSumSemigroup, Zmod, dtw_alphabet
-from .errors import MoveError, ParameterError
+from .errors import MoveError, ParameterError, refuse_assignment
+
+_set = object.__setattr__
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 # The most arcs a diagram read from outside may have.  Every family has at
 # most sum(params) + 2 arcs, so a family spec is bounded by its parameters.
 MAX_ARCS = 100_000
 
 
-@dataclass(frozen=True)
 class Crossing:
     """One crossing: the over arc and the unordered under pair."""
 
-    over: int
-    under: tuple[int, int]
+    __slots__ = ("over", "under")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        a, b = self.under
-        if a > b:
-            object.__setattr__(self, "under", (b, a))
+    def __init__(self, over: int, under: tuple[int, int]):
+        a, b = under
+        _set(self, "over", over)
+        _set(self, "under", (b, a) if a > b else under)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.over, self.under) == (other.over, other.under)
+
+    def __hash__(self):
+        return hash((self.over, self.under))
+
+    def __repr__(self):
+        return f"Crossing(over={self.over!r}, under={self.under!r})"
 
     def arcs(self) -> tuple[int, int, int]:
         return (self.over,) + self.under
@@ -65,24 +75,29 @@ def crossing(over: int, under_a: int, under_b: int) -> Crossing:
     return Crossing(over, (under_a, under_b))
 
 
-@dataclass(frozen=True, eq=False)
 class Diagram:
-    arc_count: int
-    crossings: tuple[Crossing, ...]
-    arc_names: tuple[str, ...] | None = None
+    __slots__ = ("arc_count", "crossings", "arc_names")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        if self.arc_count < 1:
-            raise ParameterError(f"a diagram needs at least one arc, got {self.arc_count}")
-        for c in self.crossings:
+    def __init__(
+        self,
+        arc_count: int,
+        crossings: tuple[Crossing, ...],
+        arc_names: tuple[str, ...] | None = None,
+    ):
+        if arc_count < 1:
+            raise ParameterError(f"a diagram needs at least one arc, got {arc_count}")
+        for c in crossings:
             for a in c.arcs():
-                if not 0 <= a < self.arc_count:
+                if not 0 <= a < arc_count:
                     raise ParameterError(
-                        f"crossing {c} references arc {a}, out of range for "
-                        f"{self.arc_count} arcs"
+                        f"crossing {c} references arc {a}, out of range for {arc_count} arcs"
                     )
-        if self.arc_names is not None and len(self.arc_names) != self.arc_count:
+        if arc_names is not None and len(arc_names) != arc_count:
             raise ParameterError("arc_names length does not match arc_count")
+        _set(self, "arc_count", arc_count)
+        _set(self, "crossings", crossings)
+        _set(self, "arc_names", arc_names)
 
     # Equality is structural: same arc count and the same multiset of
     # crossings.  Crossing order only matters for addressing move sites.
@@ -112,8 +127,8 @@ class Diagram:
 
 
 def _default_names(k: int) -> tuple[str, ...]:
-    if k <= len(ascii_lowercase):
-        return tuple(ascii_lowercase[:k])
+    if k <= len(_LETTERS):
+        return tuple(_LETTERS[:k])
     return tuple(f"x{i}" for i in range(k))
 
 
@@ -239,14 +254,17 @@ def _dtw_target(n: int, l: int):
     return alphabet.semigroup(), phi, notes
 
 
-class Family(NamedTuple):
+class Family:
     """One family kind.  ``arity`` is its parameter count (None: any number).
     ``target``, where the paper states an isomorphism, maps the parameters
     to (alternating-sum semigroup, letter map indexed by arc, notes)."""
 
-    arity: int | None
-    build: Callable[..., Diagram]
-    target: Callable[..., tuple] | None
+    __slots__ = ("arity", "build", "target")
+
+    def __init__(self, arity: int | None, build, target):
+        self.arity = arity
+        self.build = build
+        self.target = target
 
 
 FAMILIES = {
@@ -259,10 +277,21 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
 class FamilySpec:
-    kind: str
-    params: tuple[int, ...] = ()
+    __slots__ = ("kind", "params")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, kind: str, params: tuple[int, ...] = ()):
+        _set(self, "kind", kind)
+        _set(self, "params", params)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.params) == (other.kind, other.params)
+
+    def __hash__(self):
+        return hash((self.kind, self.params))
 
     def __str__(self):
         if not self.params:
@@ -359,7 +388,6 @@ def load_pd(path) -> Diagram:
 # -- Reidemeister moves -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ReidemeisterMove:
     """A local diagram rewrite.
 
@@ -373,20 +401,29 @@ class ReidemeisterMove:
     * r3: ``crossings`` = the three crossing indices of the triangle.
     """
 
-    kind: str
-    direction: str = "insert"
-    arc: int | None = None
-    end: int = 0
-    over_arc: int | None = None
-    crossings: tuple[int, ...] = ()
+    __slots__ = ("kind", "direction", "arc", "end", "over_arc", "crossings")
 
-    def __post_init__(self):
-        if self.kind not in ("r1", "r2", "r3"):
-            raise ParameterError(f"unknown move kind {self.kind!r}")
-        if self.direction not in ("insert", "remove"):
-            raise ParameterError(f"unknown move direction {self.direction!r}")
-        if self.kind == "r3" and self.direction != "insert":
+    def __init__(
+        self,
+        kind: str,
+        direction: str = "insert",
+        arc: int | None = None,
+        end: int = 0,
+        over_arc: int | None = None,
+        crossings: tuple[int, ...] = (),
+    ):
+        if kind not in ("r1", "r2", "r3"):
+            raise ParameterError(f"unknown move kind {kind!r}")
+        if direction not in ("insert", "remove"):
+            raise ParameterError(f"unknown move direction {direction!r}")
+        if kind == "r3" and direction != "insert":
             raise ParameterError("the triangle move has no separate remove direction")
+        self.kind = kind
+        self.direction = direction
+        self.arc = arc
+        self.end = end
+        self.over_arc = over_arc
+        self.crossings = crossings
 
 
 def r1_insert(arc: int, end: int = 0) -> ReidemeisterMove:

@@ -15,11 +15,9 @@ exponential growth, when no exact form is available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .altsum import AltSumSemigroup
 from .diagrams import FAMILIES, Diagram, FamilySpec
-from .errors import InternalConsistencyError, ParameterError
+from .errors import InternalConsistencyError, ParameterError, refuse_assignment
 from .oracle import DEFAULT_WORD_BUDGET, enumerate_classes
 from .presentation import presentation_from_diagram
 
@@ -55,20 +53,26 @@ def _divide_by_one_minus_t(p) -> tuple[int, ...] | None:
     return _trim(sums[:-1]) if len(sums) > 1 else (0,)
 
 
-@dataclass(frozen=True)
 class RationalForm:
     """numerator/denominator, both ascending, denominator constant term 1."""
 
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
+    __slots__ = ("numerator", "denominator")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerator", _trim(self.numerator))
-        object.__setattr__(self, "denominator", _trim(self.denominator))
-        if self.denominator[0] != 1:
-            raise ParameterError(
-                f"denominator constant term must be 1, got {self.denominator[0]}"
-            )
+    def __init__(self, numerator: tuple[int, ...], denominator: tuple[int, ...]):
+        numerator, denominator = _trim(numerator), _trim(denominator)
+        if denominator[0] != 1:
+            raise ParameterError(f"denominator constant term must be 1, got {denominator[0]}")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.numerator, self.denominator) == (other.numerator, other.denominator)
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
 
     def expand(self, terms: int) -> tuple[int, ...]:
         num, den = self.numerator, self.denominator
@@ -84,24 +88,28 @@ class RationalForm:
         return {"num": list(self.numerator), "den": list(self.denominator)}
 
 
-@dataclass(frozen=True)
 class GrowthSeries:
     """Coefficients of P(t), starting with the constant term 1."""
 
-    coefficients: tuple[int, ...]
-    rational: RationalForm | None = None
-    source: str = "counts"
-    warnings: tuple[str, ...] = ()
+    __slots__ = ("coefficients", "rational", "source", "warnings")
 
-    def __post_init__(self):
-        if not self.coefficients or self.coefficients[0] != 1:
+    def __init__(
+        self,
+        coefficients: tuple[int, ...],
+        rational: RationalForm | None = None,
+        source: str = "counts",
+        warnings: tuple[str, ...] = (),
+    ):
+        if not coefficients or coefficients[0] != 1:
             raise ParameterError("growth coefficients must start with the constant term 1")
-        if self.rational is not None:
-            expanded = self.rational.expand(len(self.coefficients))
-            if expanded != tuple(self.coefficients):
-                raise InternalConsistencyError(
-                    "rational form does not expand to the stated coefficients"
-                )
+        if rational is not None and rational.expand(len(coefficients)) != tuple(coefficients):
+            raise InternalConsistencyError(
+                "rational form does not expand to the stated coefficients"
+            )
+        self.coefficients = coefficients
+        self.rational = rational
+        self.source = source
+        self.warnings = warnings
 
     def counts(self) -> tuple[int, ...]:
         return self.coefficients[1:]
@@ -115,13 +123,20 @@ class GrowthSeries:
         }
 
 
-@dataclass(frozen=True)
 class SkewSeries:
     """Coefficients of N(t) = 1/P(t), starting with 1."""
 
-    coefficients: tuple[int, ...]
-    rational: RationalForm | None = None
-    source: str = "counts"
+    __slots__ = ("coefficients", "rational", "source")
+
+    def __init__(
+        self,
+        coefficients: tuple[int, ...],
+        rational: RationalForm | None = None,
+        source: str = "counts",
+    ):
+        self.coefficients = coefficients
+        self.rational = rational
+        self.source = source
 
     def to_json_dict(self) -> dict:
         return {
@@ -244,12 +259,14 @@ def cumulative_dimension(counts, degree: int) -> int:
 # -- dimension estimation -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GkEstimate:
-    value: int | None
-    infinite: bool
-    method: str  # "rational", "difference", "ratio", "unresolved"
-    evidence: dict
+    __slots__ = ("value", "infinite", "method", "evidence")
+
+    def __init__(self, value: int | None, infinite: bool, method: str, evidence: dict):
+        self.value = value
+        self.infinite = infinite
+        self.method = method  # "rational", "difference", "ratio", "unresolved"
+        self.evidence = evidence
 
     def label(self) -> str:
         if self.infinite:
@@ -380,13 +397,22 @@ def gk_dimension(source, method: str | None = None) -> GkEstimate:
 # -- dimension comparison across a diagram rewrite ----------------------------
 
 
-@dataclass(frozen=True)
 class DimensionComparison:
-    degree: int
-    left_count: int
-    right_count: int
-    left_cumulative: int
-    right_cumulative: int
+    __slots__ = ("degree", "left_count", "right_count", "left_cumulative", "right_cumulative")
+
+    def __init__(
+        self,
+        degree: int,
+        left_count: int,
+        right_count: int,
+        left_cumulative: int,
+        right_cumulative: int,
+    ):
+        self.degree = degree
+        self.left_count = left_count
+        self.right_count = right_count
+        self.left_cumulative = left_cumulative
+        self.right_cumulative = right_cumulative
 
     @property
     def equal(self) -> bool:
@@ -401,12 +427,16 @@ class DimensionComparison:
         }
 
 
-@dataclass(frozen=True)
 class RmoveReport:
-    description: str
-    max_len: int
-    pad: int
-    degrees: tuple[DimensionComparison, ...]
+    __slots__ = ("description", "max_len", "pad", "degrees")
+
+    def __init__(
+        self, description: str, max_len: int, pad: int, degrees: tuple[DimensionComparison, ...]
+    ):
+        self.description = description
+        self.max_len = max_len
+        self.pad = pad
+        self.degrees = degrees
 
     @property
     def all_equal(self) -> bool:

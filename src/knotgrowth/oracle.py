@@ -39,7 +39,6 @@ the map is a bijection there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from bisect import bisect_left
 from itertools import compress, islice, product, repeat
 from operator import ge, lt
@@ -99,7 +98,6 @@ def _walk(word: Word, find, slot: list[int], width: list[int]) -> int:
     return node
 
 
-@dataclass
 class CongruencePartition:
     """Result of the bounded closure: class structure on words up to the
     horizon, with per-degree class counts over the requested window.
@@ -113,15 +111,32 @@ class CongruencePartition:
     otherwise) and every other node an id on the way to its root.
     """
 
-    alphabet_size: int
-    max_len: int
-    horizon: int
-    degree_counts: tuple[int, ...]
-    _uf: _UnionFind = field(repr=False)
-    _base: list[int] = field(repr=False)
-    _width: list[int] = field(repr=False)
-    _births: list[list[int]] = field(repr=False)
-    _slot: list[int] = field(repr=False)
+    __slots__ = (
+        "alphabet_size", "max_len", "horizon", "degree_counts",
+        "_uf", "_base", "_width", "_births", "_slot",
+    )
+
+    def __init__(
+        self,
+        alphabet_size: int,
+        max_len: int,
+        horizon: int,
+        degree_counts: tuple[int, ...],
+        _uf: _UnionFind,
+        _base: list[int],
+        _width: list[int],
+        _births: list[list[int]],
+        _slot: list[int],
+    ):
+        self.alphabet_size = alphabet_size
+        self.max_len = max_len
+        self.horizon = horizon
+        self.degree_counts = degree_counts
+        self._uf = _uf
+        self._base = _base
+        self._width = _width
+        self._births = _births
+        self._slot = _slot
 
     def _node(self, word: Word) -> int:
         length = len(word)
@@ -451,13 +466,17 @@ def verify_homomorphism(pres: Presentation, phi, sg: AltSumSemigroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class DegreeVerdict:
-    degree: int
-    class_count: int
-    element_count: int
-    aligned: bool
-    verdict: str  # "verified" or "unresolved"
+    __slots__ = ("degree", "class_count", "element_count", "aligned", "verdict")
+
+    def __init__(
+        self, degree: int, class_count: int, element_count: int, aligned: bool, verdict: str
+    ):
+        self.degree = degree
+        self.class_count = class_count
+        self.element_count = element_count
+        self.aligned = aligned
+        self.verdict = verdict  # "verified" or "unresolved"
 
     def to_json_dict(self) -> dict:
         return {
@@ -469,17 +488,33 @@ class DegreeVerdict:
         }
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    description: str
-    semigroup: str
-    alphabet_size: int
-    max_len: int
-    pad: int
-    phi: tuple[int, ...] | None
-    homomorphism: bool
-    degrees: tuple[DegreeVerdict, ...]
-    warnings: tuple[str, ...] = ()
+    __slots__ = (
+        "description", "semigroup", "alphabet_size", "max_len", "pad", "phi",
+        "homomorphism", "degrees", "warnings",
+    )
+
+    def __init__(
+        self,
+        description: str,
+        semigroup: str,
+        alphabet_size: int,
+        max_len: int,
+        pad: int,
+        phi: tuple[int, ...] | None,
+        homomorphism: bool,
+        degrees: tuple[DegreeVerdict, ...],
+        warnings: tuple[str, ...] = (),
+    ):
+        self.description = description
+        self.semigroup = semigroup
+        self.alphabet_size = alphabet_size
+        self.max_len = max_len
+        self.pad = pad
+        self.phi = phi
+        self.homomorphism = homomorphism
+        self.degrees = degrees
+        self.warnings = warnings
 
     @property
     def all_verified(self) -> bool:

@@ -10,7 +10,6 @@ is graded by word length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .diagrams import Diagram
@@ -24,17 +23,19 @@ def _normalize_relation(lhs: Word, rhs: Word) -> Relation:
     return (lhs, rhs) if lhs <= rhs else (rhs, lhs)
 
 
-@dataclass(frozen=True)
 class Presentation:
-    alphabet_size: int
-    relations: tuple[Relation, ...]
-    letter_names: tuple[str, ...] | None = None
+    __slots__ = ("alphabet_size", "relations", "letter_names")
 
-    def __post_init__(self):
-        if self.alphabet_size < 1:
-            raise ParameterError(f"alphabet must be nonempty, got size {self.alphabet_size}")
+    def __init__(
+        self,
+        alphabet_size: int,
+        relations: tuple[Relation, ...],
+        letter_names: tuple[str, ...] | None = None,
+    ):
+        if alphabet_size < 1:
+            raise ParameterError(f"alphabet must be nonempty, got size {alphabet_size}")
         seen = []
-        for lhs, rhs in self.relations:
+        for lhs, rhs in relations:
             lhs, rhs = tuple(lhs), tuple(rhs)
             if not lhs or not rhs:
                 raise ParameterError("relation words must be nonempty")
@@ -45,16 +46,16 @@ class Presentation:
                 )
             for word in (lhs, rhs):
                 for letter in word:
-                    if not 0 <= letter < self.alphabet_size:
+                    if not 0 <= letter < alphabet_size:
                         raise ParameterError(
-                            f"letter {letter} out of range for alphabet of "
-                            f"size {self.alphabet_size}"
+                            f"letter {letter} out of range for alphabet of size {alphabet_size}"
                         )
             seen.append(_normalize_relation(lhs, rhs))
-        normalized = tuple(sorted(set(seen)))
-        object.__setattr__(self, "relations", normalized)
-        if self.letter_names is not None and len(self.letter_names) != self.alphabet_size:
+        if letter_names is not None and len(letter_names) != alphabet_size:
             raise ParameterError("letter_names length does not match alphabet_size")
+        self.alphabet_size = alphabet_size
+        self.relations = tuple(sorted(set(seen)))
+        self.letter_names = letter_names
 
     def name_of(self, letter: int) -> str:
         if self.letter_names is not None:

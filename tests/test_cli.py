@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -340,6 +341,51 @@ def test_skew_csv(capsys):
     code, out, _ = run(capsys, "skew", "--family", "torus2:3", "--terms", "3")
     assert code == 0
     assert out.splitlines() == ["degree,coefficient", "0,1", "1,-3", "2,6", "3,-12"]
+
+
+def _decimal(text: str) -> int:
+    """A decimal integer of any length, parsed with Python's int-to-str
+    digit limit lifted (Python 3.10.0-3.10.6 have none)."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return int(text)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return int(text)
+    finally:
+        set_limit(limit)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_skew_prints_coefficients_past_the_digit_limit(capsys, fmt):
+    # n_5600 = -7*(-6)^5599 has 4360 digits, past the default limit of 4300
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, err = run(
+        capsys, "skew", "--family", "torus2:7", "--terms", "5600", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert get_limit() == limit
+    if fmt == "csv":
+        degree, last = out.splitlines()[-1].split(",")
+        assert degree == "5600"
+        last = _decimal(last)
+    else:
+        coefficients = json.loads(out, parse_int=_decimal)["coefficients"]
+        assert len(coefficients) == 5601
+        last = coefficients[-1]
+    assert last == -7 * (-6) ** 5599
+
+
+def test_long_inline_counts_match_a_counts_file(capsys, tmp_path):
+    counts = ",".join(str(c) for c in range(4, 241, 2))
+    assert len(counts) > 255  # longer than a file name may be
+    path = tmp_path / "counts.txt"
+    path.write_text(counts)
+    inline = run(capsys, "gkdim", "--counts", counts)
+    assert inline[0] == 0
+    assert inline == run(capsys, "gkdim", "--counts", str(path))
 
 
 def test_gkdim_family(capsys):

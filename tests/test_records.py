@@ -1,0 +1,183 @@
+"""The package's records: value semantics where they are compared, hashed
+or printed, construction by keyword, and what importing the package loads."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from knotgrowth.altsum import (
+    AltSumSemigroup,
+    ASElement,
+    ConjectureAlphabet,
+    DtwAlphabet,
+    Zmod,
+    canonical_word,
+)
+from knotgrowth.diagrams import (
+    Crossing,
+    Diagram,
+    Family,
+    FamilySpec,
+    ReidemeisterMove,
+    build_trivial,
+)
+from knotgrowth.errors import ParameterError
+from knotgrowth.growth import (
+    DimensionComparison,
+    GkEstimate,
+    GrowthSeries,
+    RationalForm,
+    RmoveReport,
+    SkewSeries,
+)
+from knotgrowth.oracle import DegreeVerdict, VerificationReport
+from knotgrowth.presentation import Presentation
+
+ROOT = Path(__file__).resolve().parents[1]
+AS_Z5 = AltSumSemigroup(Zmod(5), (1, 3))
+
+# (build one value, build an equal value afresh, build a different value)
+VALUES = {
+    "Zmod": (lambda: Zmod(5), lambda: Zmod(5), lambda: Zmod(7)),
+    "AltSumSemigroup": (
+        lambda: AltSumSemigroup(Zmod(5), (3, 1, 8)),
+        lambda: AltSumSemigroup(Zmod(5), (1, 3)),
+        lambda: AltSumSemigroup(Zmod(5), (1, 3), strong=True),
+    ),
+    "ASElement": (
+        lambda: ASElement(AS_Z5, 2, 3),
+        lambda: ASElement(AltSumSemigroup(Zmod(5), (1, 3)), 2, 3),
+        lambda: ASElement(AS_Z5, 2, 0),
+    ),
+    "Crossing": (lambda: Crossing(0, (2, 1)), lambda: Crossing(0, (1, 2)),
+                 lambda: Crossing(1, (0, 2))),
+    "FamilySpec": (lambda: FamilySpec("dtw", (2, 2)), lambda: FamilySpec("dtw", (2, 2)),
+                   lambda: FamilySpec("dtw", (2, 4))),
+    "RationalForm": (lambda: RationalForm((1, 2, 0), (1, -1)),
+                     lambda: RationalForm((1, 2), (1, -1)),
+                     lambda: RationalForm((1, 2), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equal_values_compare_and_hash_alike(name):
+    one, same, other = VALUES[name]
+    a, b, c = one(), same(), other()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != c and not a == c
+    assert len({a, b, c}) == 2
+    assert {a: "x"}[b] == "x"
+    assert a != (a,)
+
+
+FROZEN = {**{name: builders[0] for name, builders in VALUES.items()},
+          "Diagram": lambda: Diagram(3, (Crossing(0, (1, 2)),))}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_hashable_records_refuse_assignment(name):
+    record = FROZEN[name]()
+    field = type(record).__slots__[0]
+    value = getattr(record, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) == value
+
+
+SG = AltSumSemigroup(Zmod(3), (0, 1, 2))
+# Each record with arguments already in normal form, in positional order.
+KEYWORDS = [
+    (Zmod, {"modulus": 3}),
+    (AltSumSemigroup, {"group": Zmod(3), "generators": (0, 1), "strong": True}),
+    (ASElement, {"semigroup": SG, "length": 2, "alt": 1, "even_count": None}),
+    (DtwAlphabet, {"n": 2, "l": 4}),
+    (ConjectureAlphabet, {"m": 1, "l": 1, "n": 2}),
+    (Crossing, {"over": 0, "under": (1, 2)}),
+    (Diagram, {"arc_count": 2, "crossings": (Crossing(0, (1, 1)),), "arc_names": ("p", "q")}),
+    (Family, {"arity": 1, "build": build_trivial, "target": None}),
+    (FamilySpec, {"kind": "torus2", "params": (3,)}),
+    (ReidemeisterMove, {"kind": "r2", "direction": "insert", "arc": 0, "end": 1,
+                        "over_arc": 2, "crossings": ()}),
+    (RationalForm, {"numerator": (1, 2), "denominator": (1, -1)}),
+    (GrowthSeries, {"coefficients": (1, 3, 3), "rational": RationalForm((1, 2), (1, -1)),
+                    "source": "torus2:3", "warnings": ("w",)}),
+    (SkewSeries, {"coefficients": (1, -3), "rational": None, "source": "s"}),
+    (GkEstimate, {"value": 1, "infinite": False, "method": "rational", "evidence": {}}),
+    (DimensionComparison, {"degree": 1, "left_count": 3, "right_count": 3,
+                           "left_cumulative": 4, "right_cumulative": 4}),
+    (RmoveReport, {"description": "d", "max_len": 1, "pad": 2, "degrees": ()}),
+    (DegreeVerdict, {"degree": 1, "class_count": 3, "element_count": 3, "aligned": True,
+                     "verdict": "verified"}),
+    (VerificationReport, {"description": "d", "semigroup": "AS(Zmod(3), {0, 1, 2})",
+                          "alphabet_size": 3, "max_len": 1, "pad": 2, "phi": (0, 1, 2),
+                          "homomorphism": True, "degrees": (), "warnings": ("w",)}),
+    (Presentation, {"alphabet_size": 2, "relations": (((0, 1), (1, 0)),),
+                    "letter_names": ("a", "b")}),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs", KEYWORDS, ids=[cls.__name__ for cls, _ in KEYWORDS])
+def test_construction_by_keyword_and_position(cls, kwargs):
+    for record in (cls(**kwargs), cls(*kwargs.values())):
+        assert {key: getattr(record, key) for key in kwargs} == kwargs
+
+
+def test_defaults_match_the_documented_signatures():
+    assert AltSumSemigroup(Zmod(3), (0,)).strong is False
+    assert ASElement(SG, 1, 0).even_count is None
+    assert FamilySpec("hopf").params == ()
+    move = ReidemeisterMove("r1")
+    assert (move.direction, move.arc, move.end, move.over_arc, move.crossings) == (
+        "insert", None, 0, None, ()
+    )
+    series = GrowthSeries((1, 2))
+    assert (series.rational, series.source, series.warnings) == (None, "counts", ())
+    skew = SkewSeries((1, -2))
+    assert (skew.rational, skew.source) == (None, "counts")
+    assert Presentation(1, ()).letter_names is None
+    assert Diagram(1, ()).arc_names is None
+
+
+def test_reprs_that_reach_messages():
+    assert repr(Zmod(3)) == "Zmod(3)"
+    assert repr(AltSumSemigroup(Zmod(5), (3, 1, 8))) == "AS(Zmod(5), {1, 3})"
+    assert repr(AltSumSemigroup(Zmod(4), (0, 1), strong=True)) == "SAS(Zmod(4), {0, 1})"
+    assert repr(DtwAlphabet(2, 4)) == "DtwAlphabet(n=2, l=4)"
+    assert repr(Crossing(0, (2, 1))) == "Crossing(over=0, under=(1, 2))"
+    foreign = ASElement(DtwAlphabet(2, 4).semigroup(), 2, 0)
+    message = ("element of AS(Zmod(9), {0, 1, 2, 3, 5, 7}) is not from the "
+               "alternating-sum semigroup over DtwAlphabet(n=3, l=2)")
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        canonical_word(DtwAlphabet(3, 2), foreign)
+    message = "crossing Crossing(over=0, under=(1, 5)) references arc 5, out of range for 2 arcs"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        Diagram(2, (Crossing(0, (5, 1)),))
+
+
+def test_import_loads_no_code_generation_modules():
+    """The records are plain classes: importing the package and its CLI
+    pulls in none of the modules that runtime-generated classes need."""
+    code = (
+        "import json, sys, knotgrowth, knotgrowth.cli; "
+        "print(json.dumps([m for m in ('dataclasses', 'inspect', 'string', 'typing') "
+        "if m in sys.modules]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout) == []
