@@ -130,15 +130,17 @@ class AltSumSemigroup:
     Equality and the hash cover the group, the generators and ``strong``.
     """
 
-    __slots__ = ("group", "generators", "strong", "_levels", "_hash")
+    __slots__ = ("group", "generators", "strong", "_members", "_levels", "_hash")
     __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, group: Zmod, generators: tuple[int, ...], strong: bool = False):
         if len(generators) == 0:
             raise ParameterError("generator set must be nonempty")
-        reduced = tuple(sorted({group.reduce(b) for b in generators}))
+        members = frozenset(group.reduce(b) for b in generators)
+        reduced = tuple(sorted(members))
         _set(self, "group", group)
         _set(self, "generators", reduced)
+        _set(self, "_members", members)
         _set(self, "strong", strong)
         _set(self, "_levels", _Levels(group, reduced, strong))
         _set(self, "_hash", hash((group, reduced, strong)))
@@ -171,17 +173,50 @@ class AltSumSemigroup:
 
     def class_of(self, word: Word) -> "ASElement":
         """The element represented by a word over the generators."""
-        gens = set(self.generators)
-        for b in word:
-            if self.group.reduce(b) not in gens:
+        if len(word) == 0:
+            raise DomainError("alternating sum of the empty word is undefined")
+        m, members = self.group.modulus, self._members
+        all_even = m % 2
+        total = evens = 0
+        sign = 1
+        for letter in word:
+            b = letter % m
+            if b not in members:
+                raise DomainError(f"letter {letter} is not a generator of {self}")
+            total += sign * b
+            sign = -sign
+            if all_even or not b % 2:
+                evens += 1
+        return ASElement(self, len(word), total % m, evens if self.strong else None)
+
+    def extend_states(self, parents: list[int], letters: Word, degree: int) -> list[int]:
+        """The states of the words w b at a degree, letter-major: for each
+        generator b in letters, one state per state of a word w in parents.
+
+        A state is a word's bit in the packed levels: alt + 2m * evens, with
+        evens 0 in the plain variant.  Appending b as the degree-th letter
+        adds (-1)^(degree-1) b to the alternating sum, and one to the even
+        count when the variant is strong and b is even.  Every state
+        returned must be set in the level of that degree, which checks this
+        step against the words the recurrence counts.
+        """
+        levels = self._levels
+        m, width = levels.modulus, levels.width
+        states: list[int] = []
+        for b in letters:
+            if b not in self._members:
                 raise DomainError(f"letter {b} is not a generator of {self}")
-        reduced = tuple(self.group.reduce(b) for b in word)
-        return ASElement(
-            semigroup=self,
-            length=len(reduced),
-            alt=self.alt(reduced),
-            even_count=self.even_count(reduced) if self.strong else None,
-        )
+            step = b if degree % 2 else -b
+            lift = width if self.strong and self.group.is_even(b) else 0
+            states += [s - s % width + (s + step) % m + lift for s in parents]
+        level = levels.level(degree)
+        for s in set(states):
+            if not level >> s & 1:
+                raise InternalConsistencyError(
+                    f"no word of length {degree} over {self} has state {s}; the "
+                    "packed step disagrees with the level recurrence"
+                )
+        return states
 
     # -- element-level operations ----------------------------------------
 

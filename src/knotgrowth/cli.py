@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .diagrams import (
     FAMILIES,
@@ -150,12 +149,13 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 def _load_counts(arg: str) -> tuple[int, ...]:
     """Counts from a file (the classes CSV, or bare numbers) or an inline
     comma-separated list."""
-    path = Path(arg)
-    try:
-        is_file = path.exists()
-    except OSError:  # e.g. an inline list longer than a file name may be
-        is_file = False
-    text = path.read_text() if is_file else arg
+    # os.path.exists gives False, not an error, for an inline list too long
+    # to be a file name
+    if os.path.exists(arg):
+        with open(arg) as fh:
+            text = fh.read()
+    else:
+        text = arg
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParameterError("counts input is empty")

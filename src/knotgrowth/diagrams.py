@@ -32,7 +32,6 @@ semigroup and letter map.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .altsum import AltSumSemigroup, Zmod, dtw_alphabet
 from .errors import MoveError, ParameterError, refuse_assignment
@@ -381,7 +380,7 @@ def diagram_to_dict(d: Diagram) -> dict:
 
 
 def load_pd(path) -> Diagram:
-    with open(Path(path)) as fh:
+    with open(path) as fh:
         return diagram_from_dict(json.load(fh))
 
 

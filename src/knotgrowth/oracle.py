@@ -34,7 +34,8 @@ Verification then squeezes from both sides.  A letter map into an
 alternating-sum semigroup that respects the relations induces a map from
 closure classes onto the semigroup's elements, so the element count is a
 lower bound; when the two counts agree, the degree is pinned exactly and
-the map is a bijection there.
+the map is a bijection there.  Images go up the levels like the classes:
+R(C, a) maps to the image of C followed by that of a, one step per node.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from bisect import bisect_left
 from itertools import compress, islice, product, repeat
 from operator import ge, lt
 
-from .altsum import AltSumSemigroup, ASElement, conjecture_alphabet
+from .altsum import AltSumSemigroup, conjecture_alphabet
 from .diagrams import FAMILIES, build_family, conway_with_traces, parse_family_spec
 from .errors import (
     DomainError,
@@ -159,14 +160,6 @@ class CongruencePartition:
             node = self._births[d][i]
         letters.append(node)
         return tuple(reversed(letters))
-
-    def _nodes(self, degree: int) -> list[tuple[int, Word]]:
-        """The class root and the birth word of every node at a degree."""
-        find, lo = self._uf.find, self._base[degree]
-        return [
-            (find(n), self._birth_word(n, degree))
-            for n in range(lo, lo + self.alphabet_size * self._width[degree])
-        ]
 
     def representative(self, word: Word) -> Word:
         """The class representative: the root's birth word, which is the
@@ -555,13 +548,13 @@ def verify_isomorphism(
     bijection with the elements, "unresolved" when the closure has not
     merged enough within its horizon to settle the question.
 
-    The image check runs once per closure node, not once per word: every
-    class must send all its nodes' birth words to one element.  That is the
-    same as sending all its words to one element.  A word w'a lies in the
-    node R(C, a) for the class C of w', and that node's birth word is the
-    birth word of C followed by a.  By induction on the degree, w' and the
-    birth word of C have the same image, so w'a and the birth word of
-    R(C, a) do too.  And every birth word is itself a word of its class.
+    The image check runs once per closure node, not once per word.  A word
+    w'a lies in the node R(C, a) for the class C of w', and the birth word
+    of R(C, a) is the birth word of C followed by a; every birth word is a
+    word of its class.  So, by induction on the degree, a class sends all
+    its words to one element if it sends its nodes' birth words to one.
+    No birth word is built: the image of R(C, a) is one step on from that
+    of C, kept as a packed state from the degree below.
     """
     phi = tuple(phi)
     warnings = tuple(warnings)
@@ -577,15 +570,20 @@ def verify_isomorphism(
         )
 
     verdicts = []
+    find, base, births = partition._uf.find, partition._base, partition._births
+    states = [0]  # the empty word's: one column below level 1
     for degree in range(1, max_len + 1):
         class_count = partition.degree_counts[degree - 1]
         element_count = sg.count_elements(degree)
         aligned = False
         if hom:
-            targets: dict[int, set[ASElement]] = {}
-            for root, word in partition._nodes(degree):
-                image = sg.class_of(tuple(phi[x] for x in word))
-                targets.setdefault(root, set()).add(image)
+            if degree > 1:
+                lo = base[degree - 1]
+                states = [states[c - lo] for c in births[degree]]
+            states = sg.extend_states(states, phi, degree)
+            targets: dict = {}
+            for n, state in enumerate(states, base[degree]):
+                targets.setdefault(find(n), set()).add(state)
             for root, images in sorted(targets.items()):
                 if len(images) != 1:
                     raise InternalConsistencyError(

@@ -21,7 +21,7 @@ from knotgrowth.altsum import (
     dtw_alphabet,
     multiply,
 )
-from knotgrowth.errors import DomainError, ParameterError
+from knotgrowth.errors import DomainError, InternalConsistencyError, ParameterError
 
 AS_Z3 = AltSumSemigroup(Zmod(3), (0, 1, 2))
 AS_Z5 = AltSumSemigroup(Zmod(5), (0, 1, 2, 3, 4))
@@ -136,6 +136,45 @@ def test_class_of_validates_letters():
         AS_C22.class_of((4,))  # 4 is not in {0,1,2,3}
     e = AS_C22.class_of((1, 2, 3))
     assert (e.length, e.alt) == (3, 2)
+
+
+@given(st.sampled_from(FIXTURES).flatmap(
+    lambda sg: st.tuples(st.just(sg), st.lists(st.sampled_from(sg.generators), min_size=1))
+), st.integers(-2, 2))
+def test_class_of_matches_alt_and_even_count(case, wrap):
+    """class_of in one pass agrees with alt and even_count, also on letters
+    given unreduced."""
+    sg, word = case
+    shifted = tuple(b + wrap * sg.group.modulus for b in word)
+    even_count = sg.even_count(word) if sg.strong else None
+    assert sg.class_of(shifted) == sg.element(len(word), sg.alt(word), even_count)
+
+
+@pytest.mark.parametrize("sg", FIXTURES, ids=repr)
+def test_extend_states_appends_letters(sg):
+    """From the empty word's state 0, each step gives the packed state of
+    every word w b, letter-major, and the level's states are exactly those
+    the recurrence counts."""
+    width = 2 * sg.group.modulus
+    words, states = [()], [0]
+    for degree in range(1, 5):
+        states = sg.extend_states(states, sg.generators, degree)
+        words = [w + (b,) for b in sg.generators for w in words]
+        assert states == [
+            sg.alt(w) + width * (sg.even_count(w) if sg.strong else 0) for w in words
+        ]
+        decoded = {(s % width, s // width) if sg.strong else s for s in states}
+        assert decoded == sg.elements_of_length(degree)
+
+
+def test_extend_states_checks_letters_and_levels(monkeypatch):
+    with pytest.raises(DomainError, match="letter 4 is not a generator"):
+        AS_C22.extend_states([0], (1, 4), 1)
+    sg = AltSumSemigroup(Zmod(5), (1, 2))
+    monkeypatch.setattr(sg._levels, "level", lambda t: 0b10)  # only state 1
+    assert sg.extend_states([0], (1,), 1) == [1]
+    with pytest.raises(InternalConsistencyError, match="length 1 .* has state 2"):
+        sg.extend_states([0], (1, 2), 1)
 
 
 def test_element_validation():

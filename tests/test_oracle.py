@@ -345,6 +345,118 @@ def test_image_check_catches_over_merge(monkeypatch):
         verify_isomorphism(pres, (0, 0, 1), sg, 2)
 
 
+def image_of(phi, m, strong, word):
+    """The alternating sum in Z_m and the even-letter count (0 unless
+    strong) of a word's image under the letter map, from the definitions:
+    b1 - b2 + b3 - ..., and g is even when g = h + h for some h in Z_m."""
+    images = [phi[x] for x in word]
+    alt = sum(b if j % 2 == 0 else -b for j, b in enumerate(images)) % m
+    evens = sum(1 for b in images if m % 2 == 1 or b % 2 == 0) if strong else 0
+    return alt, evens
+
+
+IMAGE_CASES = {
+    "torus2:3": lambda: verify_family("torus2:3", 5),
+    "torus2:7": lambda: verify_family("torus2:7", 4),
+    "torus2:4": lambda: verify_family("torus2:4", 5),  # SAS
+    "hopf": lambda: verify_family("hopf", 8),  # SAS
+    "dtw:2,2": lambda: verify_family("dtw:2,2", 5),
+    "dtw:2,4": lambda: verify_family("dtw:2,4", 4),
+    "twist:3": lambda: verify_family("twist:3", 4),
+    "trivial": lambda: verify_family("trivial", 5),
+    "cmln:2,1,2": lambda: conjecture_probe(2, 1, 2, max_len=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+def test_image_check_states_match_birth_words(monkeypatch, name):
+    """The state the image check carries for every closure node, at every
+    degree, is the image of the node's birth word."""
+    partitions, recorded = [], {}
+    enumerate_real = oracle.enumerate_classes
+    extend_real = AltSumSemigroup.extend_states
+
+    def enumerate_spy(*args, **kwargs):
+        partitions.append(enumerate_real(*args, **kwargs))
+        return partitions[-1]
+
+    def extend_spy(sg, parents, letters, degree):
+        recorded[degree] = (sg, letters, extend_real(sg, parents, letters, degree))
+        return recorded[degree][2]
+
+    monkeypatch.setattr(oracle, "enumerate_classes", enumerate_spy)
+    monkeypatch.setattr(AltSumSemigroup, "extend_states", extend_spy)
+    report = IMAGE_CASES[name]()
+    (part,) = partitions
+    assert report.homomorphism
+    assert sorted(recorded) == list(range(1, report.max_len + 1))
+    for degree, (sg, phi, states) in recorded.items():
+        assert phi == report.phi
+        m = sg.group.modulus
+        assert len(states) == part.alphabet_size * part._width[degree]
+        for n, state in enumerate(states, part._base[degree]):
+            alt, evens = image_of(phi, m, sg.strong, part._birth_word(n, degree))
+            assert state == alt + 2 * m * evens, (degree, n)
+
+
+@st.composite
+def mapped_presentations(draw):
+    """A letter map into AS or SAS over Z_m, drawn first, then relations it
+    respects: both sides of each have one length, alternating sum and even
+    count.  The map covers the generators unless extra ones are drawn."""
+    m = draw(st.integers(1, 6))
+    strong = draw(st.booleans())
+    k = draw(st.integers(1, 3))
+    phi = tuple(draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k)))
+    generators = set(phi) | draw(st.sets(st.integers(0, m - 1), max_size=1))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.integers(1, 3))
+        lhs = tuple(draw(st.lists(st.integers(0, k - 1), min_size=length, max_size=length)))
+        target = image_of(phi, m, True, lhs)
+        rhs = draw(st.sampled_from([
+            w for w in itertools.product(range(k), repeat=length)
+            if image_of(phi, m, True, w) == target
+        ]))
+        relations.append((lhs, rhs))
+    pad = draw(st.integers(0, 3))
+    max_len = draw(st.integers(1, 4))
+    longest = max((len(lhs) for lhs, _ in relations), default=1)
+    assume(max_len + pad >= longest and k ** (max_len + pad) <= 250)
+    sg = AltSumSemigroup(Zmod(m), tuple(generators), strong)
+    return Presentation(k, tuple(relations)), phi, sg, max_len, pad
+
+
+@given(mapped_presentations())
+@settings(max_examples=60, deadline=None)
+def test_verdicts_match_a_per_word_image_check(case):
+    """aligned and the verdicts against the image of every word of every
+    reference class, and the element counts against every word over the
+    generators."""
+    pres, phi, sg, max_len, pad = case
+    report = verify_isomorphism(pres, phi, sg, max_len, pad=pad)
+    root = reference_closure(pres, max_len + pad)
+    m, onto = sg.group.modulus, set(phi) == set(sg.generators)
+    expected = []
+    for degree in range(1, max_len + 1):
+        images: dict = {}
+        for w in itertools.product(range(pres.alphabet_size), repeat=degree):
+            images.setdefault(root[w], set()).add(image_of(phi, m, sg.strong, w))
+        assert all(len(found) == 1 for found in images.values())
+        elements = {
+            image_of(sg.generators, m, sg.strong, w)
+            for w in itertools.product(range(len(sg.generators)), repeat=degree)
+        }
+        aligned = len(set().union(*images.values())) == len(images)
+        verified = onto and aligned and len(images) == len(elements)
+        expected.append((len(images), len(elements), aligned,
+                         "verified" if verified else "unresolved"))
+    assert report.homomorphism
+    assert [
+        (d.class_count, d.element_count, d.aligned, d.verdict) for d in report.degrees
+    ] == expected
+
+
 def test_reach_beyond_the_word_universe():
     # 7 + ... + 7**14 and 6 + ... + 6**12 words: far past any word-indexed
     # closure, but only a few nodes per degree

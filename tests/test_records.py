@@ -165,13 +165,12 @@ def test_reprs_that_reach_messages():
         Diagram(2, (Crossing(0, (5, 1)),))
 
 
-def test_import_loads_no_code_generation_modules():
-    """The records are plain classes: importing the package and its CLI
-    pulls in none of the modules that runtime-generated classes need."""
+def _loaded_by_import(modules):
+    """Which of the named modules `import knotgrowth, knotgrowth.cli` loads,
+    in a fresh interpreter without the site module."""
     code = (
         "import json, sys, knotgrowth, knotgrowth.cli; "
-        "print(json.dumps([m for m in ('dataclasses', 'inspect', 'string', 'typing') "
-        "if m in sys.modules]))"
+        f"print(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -180,4 +179,16 @@ def test_import_loads_no_code_generation_modules():
         text=True,
         check=True,
     )
-    assert json.loads(result.stdout) == []
+    return json.loads(result.stdout)
+
+
+def test_import_loads_no_code_generation_modules():
+    """The records are plain classes: importing the package and its CLI
+    pulls in none of the modules that runtime-generated classes need."""
+    assert _loaded_by_import(("dataclasses", "inspect", "string", "typing")) == []
+
+
+def test_import_loads_no_pathlib():
+    """Files are opened by name, so the import skips pathlib and what it
+    pulls in."""
+    assert _loaded_by_import(("pathlib", "fnmatch", "urllib.parse")) == []
