@@ -23,7 +23,7 @@ e even letters (e is always 0 in the plain variant).  Carrying -S_t beside
 S_t makes a step translations only: one shift per letter, by b (or -b mod
 m) plus 2m when the strong variant counts b as even, then one fold of
 bits m..2m-1 of every row back onto 0..m-1.  Levels are built on demand,
-iteratively, and kept per semigroup.
+iteratively, and each semigroup keeps only the last one built.
 """
 
 from __future__ import annotations
@@ -78,8 +78,11 @@ class Zmod:
 class _Levels:
     """The packed state recurrence of one semigroup, extended on demand.
 
-    ``pos[t]`` packs S_t as described in the module docstring, and ``neg``
-    packs -S_t for the last level built.  Level 0 is the empty word.
+    ``pos`` packs S_t as described in the module docstring for the last
+    level built, t = ``t``, and ``neg`` packs -S_t.  Level 0 is the empty
+    word.  Only that level is kept, so memory stays linear in t.  A request
+    for an earlier level restarts from level 0; the library reads levels in
+    ascending order.
     """
 
     def __init__(self, group: Zmod, generators: tuple[int, ...], strong: bool):
@@ -91,28 +94,33 @@ class _Levels:
         self.pos_shifts = tuple(b + lift for b, lift in zip(generators, lifts))
         self.neg_shifts = tuple((-b) % m + lift for b, lift in zip(generators, lifts))
         self.row = (1 << m) - 1
-        # the m-bit row mask repeated at stride 2m, one row per even count
+        self._restart()
+
+    def _restart(self) -> None:
+        # low is the m-bit row mask repeated at stride 2m, one row per even
+        # count up to t
         self.low = self.row
-        self.pos = [1]
-        self.neg = 1
+        self.t = 0
+        self.pos = self.neg = 1
 
     def level(self, t: int) -> int:
-        pos = self.pos
+        if t < self.t:
+            self._restart()
         m = self.modulus
-        while len(pos) <= t:
-            prev, neg = pos[-1], self.neg
+        pos, neg, low = self.pos, self.neg, self.low
+        for level in range(self.t + 1, t + 1):
             if self.strong:
-                self.low |= self.row << (self.width * len(pos))
-            low = self.low
+                low |= self.row << (self.width * level)
             nxt = 0
             for shift in self.pos_shifts:
                 nxt |= neg << shift
             nxt_neg = 0
             for shift in self.neg_shifts:
-                nxt_neg |= prev << shift
-            pos.append((nxt & low) | ((nxt >> m) & low))
-            self.neg = (nxt_neg & low) | ((nxt_neg >> m) & low)
-        return pos[t]
+                nxt_neg |= pos << shift
+            pos = (nxt & low) | ((nxt >> m) & low)
+            neg = (nxt_neg & low) | ((nxt_neg >> m) & low)
+        self.pos, self.neg, self.low, self.t = pos, neg, low, t
+        return pos
 
     def states(self, t: int) -> frozenset:
         """Decode level t into alt values, or (alt, evens) pairs."""

@@ -22,7 +22,10 @@ The levels are added one at a time, each followed by merging to a fixed
 point.  Any merge derived under a smaller horizon is also derived within
 H, so the result is the partition of all words up to H that the same
 rules give when applied word by word, at a cost that follows the number
-of classes times the alphabet size instead of k**H.
+of classes times the alphabet size instead of k**H.  A level's left rows
+are built when a merge first reads them, and its class count is its node
+count less the roots merged away there, so a presentation that never
+merges builds no left rows and scans no level.
 
 Every merge is forced in any cancellative semigroup satisfying the
 relations, so the class counts per degree are upper bounds for the true
@@ -191,7 +194,8 @@ def enumerate_classes(
     """Run the bounded closure and count classes per degree 1..max_len.
 
     The budget caps the words up to the horizon, k + k**2 + ... + k**H,
-    although only class nodes are stored.
+    although only class nodes are stored, and left rows only for levels
+    a merge reads.  Each count is the level's node count less its merges.
     """
     if max_len < 1:
         raise ParameterError(f"max_len must be at least 1, got {max_len}")
@@ -217,8 +221,11 @@ def enumerate_classes(
     # by the words of R(P, 0) for the class P rooted at births[d][i].  It is
     # stored once per class: L_b(R(P, a)) = R(L_b(P), a) is that node plus
     # a * width[d+1], so the level-d node base[d] + a * width[d] + i has
-    # L_b at left[d][b][i] + a * width[d+1].
-    left: list[list[list[int]]] = [[]]
+    # L_b at left[d][b][i] + a * width[d+1].  left[d] is None until first
+    # read (see build_left).
+    left: list[list[list[int]] | None] = [[]]
+    # absorbed[d]: roots of level d merged into another root
+    absorbed = [0, 0]
     queue: list[tuple[int, int, int]] = []  # (level, root, root) merged
     dirty: set[int] = set()  # levels merged at since their last sweep
     top = 1
@@ -234,6 +241,7 @@ def enumerate_classes(
             x, y = y, x
         parent[y] = x
         parent[x] = -2
+        absorbed[level] += 1
         dirty.add(level)
         if level < top:
             queue.append((level, x, y))
@@ -249,7 +257,7 @@ def enumerate_classes(
         ax, ix = divmod(x - base[d], w)
         ay, iy = divmod(y - base[d], w)
         ax, ay = ax * step, ay * step
-        for row in left[d]:
+        for row in left[d] or build_left(d):
             union(row[ix] + ax, row[iy] + ay, d + 1)
 
     def drain() -> None:
@@ -267,8 +275,8 @@ def enumerate_classes(
         R(C', a) in one class merge C with C', and two roots C, C' whose
         L_b share a class merge.  Singleton classes are skipped: a lone node
         meets no other, and no two level-(e-1) roots share an L_b node,
-        because rows are built at a fixed point, where L_b already tells
-        the classes one level down apart."""
+        because rows are read off slots fixed at a fixed point, where L_b
+        already tells the classes one level down apart."""
         lo, step, classes = base[e], width[e], births[e]
         for start in range(lo, lo + k * step, step):
             seen: dict[int, int] = {}
@@ -293,7 +301,7 @@ def enumerate_classes(
             ])
             for a, lo in enumerate(range(base[e - 1], base[e], w))
         ]
-        for row in left[e - 1]:
+        for row in left[e - 1] or build_left(e - 1):
             seen = {}
             for offset, roots in blocks:
                 for c, i in roots:
@@ -341,14 +349,31 @@ def enumerate_classes(
             for row in left[d - 1]
         ]
 
+    def build_left(d: int) -> list[list[int]]:
+        """left[d], built on first read with the missing levels below it,
+        bottom-up (a relation of length L puts off the first read by L
+        levels).  left_rows(d) reads only births[d], left[d-1] and the slots
+        of level d, fixed once level d+1 exists, so the rows do not depend
+        on when they are built."""
+        first = d
+        while left[first - 1] is None:
+            first -= 1
+        for j in range(first, d + 1):
+            left[j] = left_rows(j)
+        return left[d]
+
     def join_merged(d: int) -> None:
         """Classes of level d merged before level d+1 existed: merge L_b of
         each merged node with L_b of its root, one letter block of level d
         at a time, skipping blocks of roots only.  Level d+1 is the top, so
         nothing is queued.  A node two or more steps below its root is rare
-        here and goes through find."""
-        lo, w, step, rows, roots = base[d], width[d], width[d + 1], left[d], births[d + 1]
-        joined = False
+        here and goes through find.  A level with no merged node has nothing
+        to join and reads no rows."""
+        if not absorbed[d]:
+            return
+        lo, w, step, roots = base[d], width[d], width[d + 1], births[d + 1]
+        rows = left[d] or build_left(d)
+        joined = 0
         last = 0
         for a in range(k):
             blo = lo + a * w
@@ -374,8 +399,9 @@ def enumerate_classes(
                             x, y = y, x
                         parent[y] = x
                         parent[x] = -2
-                        joined = True
+                        joined += 1
         if joined:
+            absorbed[d + 1] += joined
             dirty.add(d + 1)
 
     def grow() -> None:
@@ -390,7 +416,8 @@ def enumerate_classes(
         # root's slot, so the left rows read slot[x] with no find
         roots: list[int] = []
         after = lo
-        for n in compress(range(lo, hi), map(ge, parent[lo:hi], repeat(0))):
+        merged = compress(range(lo, hi), map(ge, parent[lo:hi], repeat(0))) if absorbed[d] else ()
+        for n in merged:
             s = start + len(roots)
             roots += range(after, n)
             slot.extend(range(s, s + n - after))
@@ -399,7 +426,8 @@ def enumerate_classes(
         s = start + len(roots)
         roots += range(after, hi)
         slot.extend(range(s, s + hi - after))
-        left.append(left_rows(d))
+        left.append(None)
+        absorbed.append(0)
         uf.add(k * len(roots))
         base.append(start)
         width.append(len(roots))
@@ -415,10 +443,7 @@ def enumerate_classes(
         grow()
         settle()
 
-    counts = tuple(
-        sum(map(lt, islice(parent, base[d], base[d] + k * width[d]), repeat(0)))
-        for d in range(1, max_len + 1)
-    )
+    counts = tuple(k * width[d] - absorbed[d] for d in range(1, max_len + 1))
     return CongruencePartition(
         alphabet_size=k,
         max_len=max_len,

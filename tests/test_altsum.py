@@ -82,6 +82,17 @@ def test_packed_levels_match_set_recurrence(case):
         assert sg.count_elements(t) == len(expected)
 
 
+def test_levels_read_out_of_order():
+    # only the last level is kept, so a level below it restarts from 0
+    for strong in (False, True):
+        sg = AltSumSemigroup(Zmod(6), (0, 1, 3), strong=strong)
+        order = list(range(12, 0, -1)) + list(range(1, 13))
+        assert [sg._levels.level(t) for t in order] == [
+            AltSumSemigroup(Zmod(6), (0, 1, 3), strong=strong)._levels.level(t)
+            for t in order
+        ]
+
+
 def test_cold_deep_level():
     # semigroups built here only, so no earlier call has filled their levels
     assert AltSumSemigroup(Zmod(2), (0, 1), strong=True).count_elements(3000) == 3001

@@ -112,13 +112,28 @@ CROSS_CHECK_CASES = [
     (Presentation(3, (((0,), (1,)),)), 3, 1),  # a length-1 relation
     (Presentation(2, (((0, 0, 1), (1, 0, 0)),)), 4, 1),  # a length-3 relation
     (Presentation(3, (((2,), (1,)), ((0, 1, 2), (2, 1, 0)))), 3, 2),  # both
+    # a length-4 relation: the left rows of levels 1-3 are first built when
+    # level 4 merges
+    (Presentation(2, (((0, 1, 1, 0), (1, 0, 0, 1)),)), 4, 2),
+    # and cancelled down to a = b through those rows
+    (Presentation(2, (((0, 0, 0, 1), (0, 0, 0, 0)),)), 4, 2),
 ]
+
+
+def assert_counts_are_roots(part):
+    """Each degree count, kept from merge counters, is the number of roots
+    (negative entries) in that level's slice of the union-find."""
+    parent, k = part._uf.parent, part.alphabet_size
+    for d, count in enumerate(part.degree_counts, 1):
+        lo = part._base[d]
+        assert count == sum(p < 0 for p in parent[lo:lo + k * part._width[d]])
 
 
 @pytest.mark.parametrize("pres,max_len,pad", CROSS_CHECK_CASES)
 def test_closure_matches_reference(pres, max_len, pad):
     part = enumerate_classes(pres, max_len, pad=pad)
     assert part.degree_counts == reference_counts(pres, max_len, pad)
+    assert_counts_are_roots(part)
 
 
 @st.composite
@@ -143,6 +158,7 @@ def test_closure_matches_reference_on_random_presentations(case):
     pres, max_len, pad = case
     part = enumerate_classes(pres, max_len, pad=pad)
     assert part.degree_counts == reference_counts(pres, max_len, pad)
+    assert_counts_are_roots(part)
 
 
 @st.composite
@@ -178,6 +194,7 @@ def test_closure_matches_reference_on_diagram_presentations(case):
     assert part.degree_counts == tuple(
         sum(1 for w in first.values() if len(w) == d) for d in range(1, max_len + 1)
     )
+    assert_counts_are_roots(part)
     assert [part.representative(w) for w in root] == [first[r] for r in root.values()]
 
 
