@@ -3,14 +3,11 @@ arithmetic, bounded congruence counting, and growth."""
 
 from .altsum import (
     AltSumSemigroup,
-    ASElement,
     ConjectureAlphabet,
     DtwAlphabet,
     Zmod,
-    canonical_word,
     conjecture_alphabet,
     dtw_alphabet,
-    multiply,
 )
 from .diagrams import (
     Crossing,
@@ -40,7 +37,6 @@ from .errors import (
     InternalConsistencyError,
     KnotgrowthError,
     MoveError,
-    NotRepresentableError,
     ParameterError,
     ResourceBudgetError,
 )

@@ -8,9 +8,11 @@ the quotient of the free semigroup B+ is the alternating-sum semigroup
 AS(G, B).  The strong variant SAS(G, B) additionally requires equal counts
 of letters that are even in G, where g is even when g = h + h for some h.
 
-Elements are therefore determined by a small tuple of integers, so all
-arithmetic here is exact.  Enumeration of the elements of a given length
-runs a reachable-state recurrence rather than walking all |B|^t words:
+An element of length t is therefore one integer, its state alt + 2m * e,
+where e is its number of even letters in the strong variant and 0 in the
+plain one.  States are compared only at equal length, and all arithmetic
+here is exact.  Counting the elements of a given length runs a
+reachable-state recurrence rather than walking all |B|^t words:
 prepending a letter b to a word with alternating sum a yields sum b - a,
 so the set S_t of sums realized in length t satisfies
 
@@ -18,12 +20,12 @@ so the set S_t of sums realized in length t satisfies
 
 For the strong variant the state also carries the even-letter count e,
 which a letter b raises by one when b is even.  Each level is packed into
-one integer: bit e*2m + a is set when some word of length t has sum a and
-e even letters (e is always 0 in the plain variant).  Carrying -S_t beside
-S_t makes a step translations only: one shift per letter, by b (or -b mod
-m) plus 2m when the strong variant counts b as even, then one fold of
-bits m..2m-1 of every row back onto 0..m-1.  Levels are built on demand,
-iteratively, and each semigroup keeps only the last one built.
+one integer: bit e*2m + a, the state, is set when some word of length t
+has sum a and e even letters.  Carrying -S_t beside S_t makes a step
+translations only: one shift per letter, by b (or -b mod m) plus 2m when
+the strong variant counts b as even, then one fold of bits m..2m-1 of
+every row back onto 0..m-1.  Levels are built on demand, iteratively,
+and each semigroup keeps only the last one built.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 from .errors import (
     DomainError,
     InternalConsistencyError,
-    NotRepresentableError,
     ParameterError,
     refuse_assignment,
 )
@@ -81,8 +82,8 @@ class _Levels:
     ``pos`` packs S_t as described in the module docstring for the last
     level built, t = ``t``, and ``neg`` packs -S_t.  Level 0 is the empty
     word.  Only that level is kept, so memory stays linear in t.  A request
-    for an earlier level restarts from level 0; the library reads levels in
-    ascending order.
+    for an earlier level restarts from level 0; the image check and the
+    counts read levels in ascending order.
     """
 
     def __init__(self, group: Zmod, generators: tuple[int, ...], strong: bool):
@@ -122,20 +123,19 @@ class _Levels:
         self.pos, self.neg, self.low, self.t = pos, neg, low, t
         return pos
 
-    def states(self, t: int) -> frozenset:
-        """Decode level t into alt values, or (alt, evens) pairs."""
-        bits = bin(self.level(t))[:1:-1]
-        set_bits = (i for i, c in enumerate(bits) if c == "1")
-        if self.strong:
-            return frozenset((i % self.width, i // self.width) for i in set_bits)
-        return frozenset(set_bits)
-
 
 class AltSumSemigroup:
     """AS(G, B), or SAS(G, B) when ``strong`` is set.
 
     ``generators`` is stored sorted, deduplicated and reduced into G.
     Equality and the hash cover the group, the generators and ``strong``.
+
+    This is the target the squeeze in ``oracle`` checks a presentation
+    against, and it reads a target only through ``generators``, the letters
+    a letter map may use; ``class_of``, the state of a word, for the
+    homomorphism check; ``extend_states``, one letter appended to many
+    states, for the image check; ``count_elements``, the lower bound at a
+    degree; and ``repr``, which names the target in reports.
     """
 
     __slots__ = ("group", "generators", "strong", "_members", "_levels", "_hash")
@@ -163,24 +163,12 @@ class AltSumSemigroup:
     def __hash__(self):
         return self._hash
 
-    # -- word-level operations -------------------------------------------
+    def class_of(self, word: Word) -> int:
+        """The state of the element a word over the generators represents.
 
-    def alt(self, word: Word) -> int:
-        """Alternating sum of a word, reduced into the group."""
-        if len(word) == 0:
-            raise DomainError("alternating sum of the empty word is undefined")
-        total = 0
-        sign = 1
-        for b in word:
-            total += sign * b
-            sign = -sign
-        return self.group.reduce(total)
-
-    def even_count(self, word: Word) -> int:
-        return sum(1 for b in word if self.group.is_even(b))
-
-    def class_of(self, word: Word) -> "ASElement":
-        """The element represented by a word over the generators."""
+        Letters may be given unreduced.  The state is read at degree
+        len(word) and must be set in that level.
+        """
         if len(word) == 0:
             raise DomainError("alternating sum of the empty word is undefined")
         m, members = self.group.modulus, self._members
@@ -195,21 +183,21 @@ class AltSumSemigroup:
             sign = -sign
             if all_even or not b % 2:
                 evens += 1
-        return ASElement(self, len(word), total % m, evens if self.strong else None)
+        state = total % m + (self._levels.width * evens if self.strong else 0)
+        self._check_realized((state,), len(word))
+        return state
 
     def extend_states(self, parents: list[int], letters: Word, degree: int) -> list[int]:
         """The states of the words w b at a degree, letter-major: for each
         generator b in letters, one state per state of a word w in parents.
 
-        A state is a word's bit in the packed levels: alt + 2m * evens, with
-        evens 0 in the plain variant.  Appending b as the degree-th letter
-        adds (-1)^(degree-1) b to the alternating sum, and one to the even
-        count when the variant is strong and b is even.  Every state
-        returned must be set in the level of that degree, which checks this
-        step against the words the recurrence counts.
+        Appending b as the degree-th letter adds (-1)^(degree-1) b to the
+        alternating sum, and one to the even count when the variant is
+        strong and b is even.  Every state returned must be set in the level
+        of that degree, which checks this step against the words the
+        recurrence counts.
         """
-        levels = self._levels
-        m, width = levels.modulus, levels.width
+        m, width = self._levels.modulus, self._levels.width
         states: list[int] = []
         for b in letters:
             if b not in self._members:
@@ -217,26 +205,17 @@ class AltSumSemigroup:
             step = b if degree % 2 else -b
             lift = width if self.strong and self.group.is_even(b) else 0
             states += [s - s % width + (s + step) % m + lift for s in parents]
-        level = levels.level(degree)
-        for s in set(states):
+        self._check_realized(set(states), degree)
+        return states
+
+    def _check_realized(self, states, degree: int) -> None:
+        level = self._levels.level(degree)
+        for s in states:
             if not level >> s & 1:
                 raise InternalConsistencyError(
                     f"no word of length {degree} over {self} has state {s}; the "
-                    "packed step disagrees with the level recurrence"
+                    "state disagrees with the level recurrence"
                 )
-        return states
-
-    # -- element-level operations ----------------------------------------
-
-    def element(self, length: int, alt: int, even_count: int | None = None) -> "ASElement":
-        """Build an element from its invariants, validating realizability."""
-        return ASElement(self, length, self.group.reduce(alt), even_count)
-
-    def elements_of_length(self, t: int) -> frozenset:
-        """All realized states at length t: alt values, or (alt, evens) pairs."""
-        if t < 1:
-            raise DomainError(f"length must be at least 1, got {t}")
-        return self._levels.states(t)
 
     def count_elements(self, t: int) -> int:
         """Number of distinct elements of length exactly t."""
@@ -247,74 +226,6 @@ class AltSumSemigroup:
     def __repr__(self):
         kind = "SAS" if self.strong else "AS"
         return f"{kind}({self.group!r}, {{{', '.join(map(str, self.generators))}}})"
-
-
-class ASElement:
-    """An element of an alternating-sum semigroup.
-
-    Identified by word length and alternating sum, plus the even-letter
-    count in the strong variant.  Construction validates that some word
-    over the generators actually realizes these invariants.
-    """
-
-    __slots__ = ("semigroup", "length", "alt", "even_count")
-    __setattr__ = __delattr__ = refuse_assignment
-
-    def __init__(
-        self, semigroup: AltSumSemigroup, length: int, alt: int, even_count: int | None = None
-    ):
-        if length < 1:
-            raise ParameterError(f"length must be at least 1, got {length}")
-        levels = semigroup._levels
-        if levels.strong:
-            if even_count is None:
-                raise ParameterError("strong semigroup elements need an even-letter count")
-            if not 0 <= even_count <= length:
-                raise ParameterError(
-                    f"even-letter count {even_count} out of range for length {length}"
-                )
-            bit = alt + levels.width * even_count
-        elif even_count is not None:
-            raise ParameterError("even-letter count given for a non-strong semigroup")
-        else:
-            bit = alt
-        if not 0 <= alt < levels.modulus:
-            raise ParameterError(f"alternating sum {alt} is not reduced")
-        if not levels.level(length) >> bit & 1:
-            state = (alt, even_count) if levels.strong else alt
-            raise DomainError(f"no word of length {length} over {semigroup} realizes {state}")
-        _set(self, "semigroup", semigroup)
-        _set(self, "length", length)
-        _set(self, "alt", alt)
-        _set(self, "even_count", even_count)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.semigroup, self.length, self.alt, self.even_count) == (
-            other.semigroup, other.length, other.alt, other.even_count
-        )
-
-    def __hash__(self):
-        # the semigroup's cached hash stands in for hash(semigroup)
-        return hash((self.semigroup._hash, self.length, self.alt, self.even_count))
-
-    def __mul__(self, other: "ASElement") -> "ASElement":
-        return multiply(self, other)
-
-
-def multiply(x: ASElement, y: ASElement) -> ASElement:
-    """Product in the semigroup; concatenation on representing words.
-
-    alt(uv) = alt(u) + (-1)^|u| alt(v), lengths and even counts add.
-    """
-    if x.semigroup != y.semigroup:
-        raise ParameterError("cannot multiply elements of different semigroups")
-    sg = x.semigroup
-    sign = -1 if x.length % 2 == 1 else 1
-    alt = sg.group.reduce(x.alt + sign * y.alt)
-    evens = x.even_count + y.even_count if sg.strong else None
-    return ASElement(sg, x.length + y.length, alt, evens)
 
 
 # -- generator families arising from knot diagrams -------------------------
@@ -333,9 +244,6 @@ class DtwAlphabet:
             raise ParameterError(f"twist counts must be positive, got ({n}, {l})")
         self.n = n
         self.l = l
-
-    def __repr__(self):
-        return f"DtwAlphabet(n={self.n!r}, l={self.l!r})"
 
     @property
     def modulus(self) -> int:
@@ -399,44 +307,3 @@ class ConjectureAlphabet:
 def conjecture_alphabet(m: int, l: int, n: int) -> ConjectureAlphabet:
     return ConjectureAlphabet(m, l, n)
 
-
-def canonical_word(alphabet: DtwAlphabet, element: ASElement) -> Word:
-    """The canonical representing word for an element of AS over a double
-    twist alphabet.
-
-    For length t >= 2 the canonical words have one of the shapes
-
-        s 0 0^(t-2)    for s in {0..n}
-        0 q 0^(t-2)    for q in {1..n}   (sum -q)
-        d c 0^(t-2)    for d in {2n+1, 3n+1, ..., (l-1)n+1}, c in {1..n}
-
-    tried in that order; for l >= 2 exactly one shape matches any sum.
-    Length-1 elements are their own single-letter word when the sum is a
-    generator, and have no canonical word otherwise.
-    """
-    sg = alphabet.semigroup()
-    if element.semigroup != sg:
-        raise ParameterError(
-            f"element of {element.semigroup} is not from the alternating-sum "
-            f"semigroup over {alphabet}"
-        )
-    t, s = element.length, element.alt
-    n, mod = alphabet.n, alphabet.modulus
-    if t == 1:
-        if s in alphabet.elements:
-            return (s,)
-        raise NotRepresentableError(f"sum {s} is not a single generator of {alphabet}")
-    tail = (0,) * (t - 2)
-    if s <= n:
-        return (s, 0) + tail
-    q = (-s) % mod
-    if 1 <= q <= n:
-        return (0, q) + tail
-    for j in range(2, alphabet.l):
-        d = j * n + 1
-        c = (d - s) % mod
-        if 1 <= c <= n:
-            return (d, c) + tail
-    raise InternalConsistencyError(
-        f"no canonical word found for sum {s} at length {t} over {alphabet}"
-    )

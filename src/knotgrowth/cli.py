@@ -148,7 +148,8 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 def _load_counts(arg: str) -> tuple[int, ...]:
     """Counts from a file (the classes CSV, or bare numbers) or an inline
-    comma-separated list."""
+    comma-separated list.  A line may end in a comma; no other field may be
+    empty."""
     # os.path.exists gives False, not an error, for an inline list too long
     # to be a file name
     if os.path.exists(arg):
@@ -175,10 +176,10 @@ def _load_counts(arg: str) -> tuple[int, ...]:
             counts.append(count)
     else:
         for line in lines:
-            for f in line.split(","):
+            for f in line.removesuffix(",").split(","):
                 f = f.strip()
                 if not f:
-                    continue
+                    raise ParameterError(f"empty count field in {line!r}")
                 try:
                     counts.append(int(f))
                 except ValueError:

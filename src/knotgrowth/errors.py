@@ -23,10 +23,6 @@ class DomainError(KnotgrowthError, ValueError):
     """A value lies outside the domain an operation is defined on."""
 
 
-class NotRepresentableError(KnotgrowthError, ValueError):
-    """The requested element has no word of the requested shape."""
-
-
 class MoveError(KnotgrowthError, ValueError):
     """A diagram rewrite does not apply at the given site."""
 

@@ -465,7 +465,8 @@ def verify_homomorphism(pres: Presentation, phi, sg: AltSumSemigroup) -> bool:
 
     phi assigns each letter a generator of the target semigroup; the map
     extends to words letterwise and must send both sides of each relation
-    to the same element.
+    to the same element.  Both sides have the same length, so that is the
+    same state.
     """
     phi = tuple(phi)
     if len(phi) != pres.alphabet_size:

@@ -1,6 +1,6 @@
 """Alternating-sum semigroup arithmetic, checked against brute force.
 
-The reachable-state recurrence behind element enumeration is the part that
+The reachable-state recurrence behind element counts is the part that
 could silently go wrong, so count_elements is compared with an exhaustive
 walk over all |B|^t words on every fixture used elsewhere in the suite, and
 the packed recurrence with a plain set recurrence on random semigroups.
@@ -12,15 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotgrowth.altsum import (
-    AltSumSemigroup,
-    ASElement,
-    Zmod,
-    canonical_word,
-    conjecture_alphabet,
-    dtw_alphabet,
-    multiply,
-)
+from knotgrowth.altsum import AltSumSemigroup, Zmod, conjecture_alphabet, dtw_alphabet
 from knotgrowth.errors import DomainError, InternalConsistencyError, ParameterError
 
 AS_Z3 = AltSumSemigroup(Zmod(3), (0, 1, 2))
@@ -34,18 +26,37 @@ AS_C24 = dtw_alphabet(2, 4).semigroup()
 FIXTURES = [AS_Z3, AS_Z5, SAS_Z2, SAS_Z4, AS_C22, AS_C32, AS_C24]
 
 
+def alt(sg, word):
+    """The alternating sum b1 - b2 + b3 - ... of a word, reduced mod m."""
+    return sum(b if i % 2 == 0 else -b for i, b in enumerate(word)) % sg.group.modulus
+
+
+def evens(sg, word):
+    """The number of letters that are twice some element mod m."""
+    m = sg.group.modulus
+    return sum(1 for b in word if any((2 * h - b) % m == 0 for h in range(m)))
+
+
+def state(sg, word):
+    """alt + 2m * evens, with evens 0 in the plain variant."""
+    return alt(sg, word) + 2 * sg.group.modulus * (evens(sg, word) if sg.strong else 0)
+
+
 def brute_force_count(sg, t):
-    seen = set()
-    for word in itertools.product(sg.generators, repeat=t):
-        key = (sg.alt(word), sg.even_count(word) if sg.strong else None)
-        seen.add(key)
-    return len(seen)
+    return len({state(sg, word) for word in itertools.product(sg.generators, repeat=t)})
 
 
 @pytest.mark.parametrize("sg", FIXTURES, ids=repr)
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_count_elements_matches_exhaustive_enumeration(sg, t):
     assert sg.count_elements(t) == brute_force_count(sg, t)
+
+
+def decode(sg, level):
+    """The states set in a packed level, as alt values or (alt, evens) pairs."""
+    width = 2 * sg.group.modulus
+    bits = [i for i in range(level.bit_length()) if level >> i & 1]
+    return frozenset((i % width, i // width) if sg.strong else i for i in bits)
 
 
 def reference_states(sg, t):
@@ -78,7 +89,7 @@ def test_packed_levels_match_set_recurrence(case):
     # degrees come in random order, so levels are built lazily in jumps
     for t in degrees:
         expected = reference_states(sg, t)
-        assert sg.elements_of_length(t) == expected
+        assert decode(sg, sg._levels.level(t)) == expected
         assert sg.count_elements(t) == len(expected)
 
 
@@ -96,24 +107,8 @@ def test_levels_read_out_of_order():
 def test_cold_deep_level():
     # semigroups built here only, so no earlier call has filled their levels
     assert AltSumSemigroup(Zmod(2), (0, 1), strong=True).count_elements(3000) == 3001
-    element = ASElement(AltSumSemigroup(Zmod(3), (0, 1, 2)), 2500, 1)
-    assert (element.length, element.alt) == (2500, 1)
-
-
-@pytest.mark.parametrize("sg", FIXTURES, ids=repr)
-def test_element_accepted_exactly_when_realized(sg):
-    m = sg.group.modulus
-    for t in range(1, 7):
-        realized = sg.elements_of_length(t)
-        evens = range(t + 1) if sg.strong else (None,)
-        for a in range(m):
-            for e in evens:
-                state = (a, e) if sg.strong else a
-                if state in realized:
-                    assert ASElement(sg, t, a, e).alt == a
-                else:
-                    with pytest.raises(DomainError):
-                        ASElement(sg, t, a, e)
+    sg = AltSumSemigroup(Zmod(3), (0, 1, 2))
+    assert sg.class_of((1,) + (0,) * 2499) == 1
 
 
 def test_known_count_sequences():
@@ -126,13 +121,14 @@ def test_known_count_sequences():
 
 
 def test_alt_and_even_count():
-    assert AS_Z5.alt((1, 3, 2)) == 0
-    assert AS_Z5.alt((4,)) == 4
-    assert SAS_Z4.even_count((0, 1, 2, 3)) == 2
+    assert AS_Z5.class_of((1, 3, 2)) == 0
+    assert AS_Z5.class_of((4,)) == 4
+    # alt 0 - 1 + 2 - 3 = 2 and two even letters, at width 8
+    assert SAS_Z4.class_of((0, 1, 2, 3)) == 2 + 8 * 2
     # odd modulus: every element is even
-    assert AS_Z3.even_count((0, 1, 2)) == 3
-    with pytest.raises(DomainError):
-        AS_Z3.alt(())
+    assert AltSumSemigroup(Zmod(3), (0, 1, 2), strong=True).class_of((0, 1, 2)) == 1 + 6 * 3
+    with pytest.raises(DomainError, match="empty word"):
+        AS_Z3.class_of(())
 
 
 def test_generators_are_normalized():
@@ -143,22 +139,34 @@ def test_generators_are_normalized():
 
 
 def test_class_of_validates_letters():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="letter 4 is not a generator"):
         AS_C22.class_of((4,))  # 4 is not in {0,1,2,3}
-    e = AS_C22.class_of((1, 2, 3))
-    assert (e.length, e.alt) == (3, 2)
+    assert AS_C22.class_of((1, 2, 3)) == 2
 
 
 @given(st.sampled_from(FIXTURES).flatmap(
     lambda sg: st.tuples(st.just(sg), st.lists(st.sampled_from(sg.generators), min_size=1))
 ), st.integers(-2, 2))
 def test_class_of_matches_alt_and_even_count(case, wrap):
-    """class_of in one pass agrees with alt and even_count, also on letters
-    given unreduced."""
+    """class_of in one pass agrees with the alternating sum and even count
+    of the definition, also on letters given unreduced."""
     sg, word = case
     shifted = tuple(b + wrap * sg.group.modulus for b in word)
-    even_count = sg.even_count(word) if sg.strong else None
-    assert sg.class_of(shifted) == sg.element(len(word), sg.alt(word), even_count)
+    assert sg.class_of(shifted) == state(sg, word)
+
+
+@given(st.sampled_from(FIXTURES).flatmap(
+    lambda sg: st.tuples(st.just(sg), st.lists(st.sampled_from(sg.generators), min_size=1))
+))
+def test_class_of_is_the_fold_of_extend_states(case):
+    """The homomorphism check and the image check share one encoding: the
+    state of a word is its letters appended one at a time from the empty
+    word's state 0."""
+    sg, word = case
+    states = [0]
+    for degree, b in enumerate(word, 1):
+        states = sg.extend_states(states, (b,), degree)
+    assert states == [sg.class_of(word)]
 
 
 @pytest.mark.parametrize("sg", FIXTURES, ids=repr)
@@ -171,11 +179,9 @@ def test_extend_states_appends_letters(sg):
     for degree in range(1, 5):
         states = sg.extend_states(states, sg.generators, degree)
         words = [w + (b,) for b in sg.generators for w in words]
-        assert states == [
-            sg.alt(w) + width * (sg.even_count(w) if sg.strong else 0) for w in words
-        ]
+        assert states == [state(sg, w) for w in words]
         decoded = {(s % width, s // width) if sg.strong else s for s in states}
-        assert decoded == sg.elements_of_length(degree)
+        assert decoded == decode(sg, sg._levels.level(degree))
 
 
 def test_extend_states_checks_letters_and_levels(monkeypatch):
@@ -188,30 +194,13 @@ def test_extend_states_checks_letters_and_levels(monkeypatch):
         sg.extend_states([0], (1, 2), 1)
 
 
-def test_element_validation():
-    with pytest.raises(ParameterError):
-        ASElement(AS_Z3, 0, 0)
-    with pytest.raises(ParameterError):
-        ASElement(AS_Z3, 2, 5)  # not reduced mod 3
-    with pytest.raises(ParameterError):
-        ASElement(SAS_Z4, 2, 0)  # strong needs even_count
-    with pytest.raises(ParameterError):
-        ASElement(AS_Z3, 2, 0, even_count=1)  # plain must not carry one
-    with pytest.raises(ParameterError):
-        ASElement(SAS_Z4, 2, 0, even_count=3)  # more evens than letters
-    # 4 is not a generator of C_{2,4}, so no length-1 element has that sum
-    assert 4 not in AS_C24.elements_of_length(1)
-    with pytest.raises(DomainError):
-        ASElement(AS_C24, 1, 4)
-
-
-def test_multiply_matches_concatenation():
-    u, v = (1, 0, 3), (2, 5)
-    x = AS_C24.class_of(u)
-    y = AS_C24.class_of(v)
-    assert x * y == AS_C24.class_of(u + v)
-    with pytest.raises(ParameterError):
-        multiply(AS_Z3.class_of((1,)), AS_Z5.class_of((1,)))
+def test_class_of_checks_levels(monkeypatch):
+    sg = AltSumSemigroup(Zmod(5), (1, 2))
+    monkeypatch.setattr(sg._levels, "level", lambda t: 0b10)  # only state 1
+    assert sg.class_of((1,)) == 1
+    assert sg.class_of((2, 1)) == 1
+    with pytest.raises(InternalConsistencyError, match="length 2 .* has state 4"):
+        sg.class_of((1, 2))
 
 
 words = st.lists(st.sampled_from(AS_C32.generators), min_size=1, max_size=8).map(tuple)
@@ -221,23 +210,20 @@ words = st.lists(st.sampled_from(AS_C32.generators), min_size=1, max_size=8).map
 @settings(max_examples=300)
 def test_alt_concatenation_law(u, v):
     sign = -1 if len(u) % 2 == 1 else 1
-    assert AS_C32.alt(u + v) == AS_C32.group.reduce(AS_C32.alt(u) + sign * AS_C32.alt(v))
-
-
-@given(u=words, v=words, w=words)
-@settings(max_examples=200)
-def test_multiply_associative(u, v, w):
-    x, y, z = (AS_C32.class_of(t) for t in (u, v, w))
-    assert (x * y) * z == x * (y * z)
+    of = AS_C32.class_of
+    assert of(u + v) == (of(u) + sign * of(v)) % AS_C32.group.modulus
 
 
 @given(u=words, v=words, w=words)
 @settings(max_examples=200)
 def test_cancellative(u, v, w):
-    x, y, z = (AS_C32.class_of(t) for t in (u, v, w))
-    if x.length == y.length and x != y:
-        assert x * z != y * z
-        assert z * x != z * y
+    """Equal-length words with different states stay apart when the same
+    word is appended or prepended."""
+    of = AS_C32.class_of
+    v = (v * len(u))[: len(u)]
+    if of(u) != of(v):
+        assert of(u + w) != of(v + w)
+        assert of(w + u) != of(w + v)
 
 
 def test_dtw_alphabet_shapes():
@@ -264,25 +250,3 @@ def test_conjecture_alphabet():
     assert not c2.modulus_is_odd
     with pytest.raises(ParameterError):
         conjecture_alphabet(1, 0, 1)
-
-
-@pytest.mark.parametrize("alphabet", [dtw_alphabet(2, 2), dtw_alphabet(3, 2), dtw_alphabet(2, 4)])
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
-def test_canonical_word_round_trip_and_distinct(alphabet, t):
-    sg = alphabet.semigroup()
-    seen = {}
-    for state in sg.elements_of_length(t):
-        e = ASElement(sg, t, state)
-        w = canonical_word(alphabet, e)
-        assert len(w) == t
-        assert sg.class_of(w) == e
-        assert w not in seen.values()
-        seen[state] = w
-
-
-def test_canonical_word_rejects_foreign_elements():
-    a = dtw_alphabet(2, 4)
-    sg = a.semigroup()
-    other = dtw_alphabet(3, 2)
-    with pytest.raises(ParameterError):
-        canonical_word(other, ASElement(sg, 2, 0))

@@ -388,6 +388,27 @@ def test_long_inline_counts_match_a_counts_file(capsys, tmp_path):
     assert inline == run(capsys, "gkdim", "--counts", str(path))
 
 
+@pytest.mark.parametrize("text", ["1,,2", "1, ,2", ",1,2", "1,2,,", "1,2\n,\n3"])
+def test_empty_count_field_is_an_input_error(capsys, tmp_path, text):
+    """An empty field would shift every later count down a degree."""
+    path = tmp_path / "counts.txt"
+    path.write_text(text)
+    for source in (text, str(path)):
+        code, out, err = run(capsys, "growth", "--counts", source)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: empty count field in ")
+        assert err.count("\n") == 1
+
+
+def test_counts_lines_may_end_in_a_comma(capsys, tmp_path):
+    path = tmp_path / "counts.txt"
+    path.write_text("1,2,\n2,\n")
+    expected = run(capsys, "growth", "--counts", "1,2,2", "--terms", "3")
+    assert expected[0] == 0
+    assert run(capsys, "growth", "--counts", "1,2,2,", "--terms", "3") == expected
+    assert run(capsys, "growth", "--counts", str(path), "--terms", "3") == expected
+
+
 def test_gkdim_family(capsys):
     code, out, _ = run(capsys, "gkdim", "--family", "torus2:3")
     assert code == 0

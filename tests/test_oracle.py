@@ -240,7 +240,7 @@ def test_closure_memory_per_node():
         tracemalloc.stop()
     nodes = len(part._uf.parent)
     assert nodes == sum(3**d for d in range(1, 11))
-    assert peak / nodes <= 64
+    assert peak / nodes <= 40
 
 
 def test_trefoil_needs_padding_at_degree_two():

@@ -10,14 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from knotgrowth.altsum import (
-    AltSumSemigroup,
-    ASElement,
-    ConjectureAlphabet,
-    DtwAlphabet,
-    Zmod,
-    canonical_word,
-)
+from knotgrowth.altsum import AltSumSemigroup, ConjectureAlphabet, DtwAlphabet, Zmod
 from knotgrowth.diagrams import (
     Crossing,
     Diagram,
@@ -39,7 +32,6 @@ from knotgrowth.oracle import DegreeVerdict, VerificationReport
 from knotgrowth.presentation import Presentation
 
 ROOT = Path(__file__).resolve().parents[1]
-AS_Z5 = AltSumSemigroup(Zmod(5), (1, 3))
 
 # (build one value, build an equal value afresh, build a different value)
 VALUES = {
@@ -48,11 +40,6 @@ VALUES = {
         lambda: AltSumSemigroup(Zmod(5), (3, 1, 8)),
         lambda: AltSumSemigroup(Zmod(5), (1, 3)),
         lambda: AltSumSemigroup(Zmod(5), (1, 3), strong=True),
-    ),
-    "ASElement": (
-        lambda: ASElement(AS_Z5, 2, 3),
-        lambda: ASElement(AltSumSemigroup(Zmod(5), (1, 3)), 2, 3),
-        lambda: ASElement(AS_Z5, 2, 0),
     ),
     "Crossing": (lambda: Crossing(0, (2, 1)), lambda: Crossing(0, (1, 2)),
                  lambda: Crossing(1, (0, 2))),
@@ -95,12 +82,10 @@ def test_hashable_records_refuse_assignment(name):
     assert getattr(record, field) == value
 
 
-SG = AltSumSemigroup(Zmod(3), (0, 1, 2))
 # Each record with arguments already in normal form, in positional order.
 KEYWORDS = [
     (Zmod, {"modulus": 3}),
     (AltSumSemigroup, {"group": Zmod(3), "generators": (0, 1), "strong": True}),
-    (ASElement, {"semigroup": SG, "length": 2, "alt": 1, "even_count": None}),
     (DtwAlphabet, {"n": 2, "l": 4}),
     (ConjectureAlphabet, {"m": 1, "l": 1, "n": 2}),
     (Crossing, {"over": 0, "under": (1, 2)}),
@@ -135,7 +120,6 @@ def test_construction_by_keyword_and_position(cls, kwargs):
 
 def test_defaults_match_the_documented_signatures():
     assert AltSumSemigroup(Zmod(3), (0,)).strong is False
-    assert ASElement(SG, 1, 0).even_count is None
     assert FamilySpec("hopf").params == ()
     move = ReidemeisterMove("r1")
     assert (move.direction, move.arc, move.end, move.over_arc, move.crossings) == (
@@ -153,13 +137,7 @@ def test_reprs_that_reach_messages():
     assert repr(Zmod(3)) == "Zmod(3)"
     assert repr(AltSumSemigroup(Zmod(5), (3, 1, 8))) == "AS(Zmod(5), {1, 3})"
     assert repr(AltSumSemigroup(Zmod(4), (0, 1), strong=True)) == "SAS(Zmod(4), {0, 1})"
-    assert repr(DtwAlphabet(2, 4)) == "DtwAlphabet(n=2, l=4)"
     assert repr(Crossing(0, (2, 1))) == "Crossing(over=0, under=(1, 2))"
-    foreign = ASElement(DtwAlphabet(2, 4).semigroup(), 2, 0)
-    message = ("element of AS(Zmod(9), {0, 1, 2, 3, 5, 7}) is not from the "
-               "alternating-sum semigroup over DtwAlphabet(n=3, l=2)")
-    with pytest.raises(ParameterError, match=re.escape(message)):
-        canonical_word(DtwAlphabet(3, 2), foreign)
     message = "crossing Crossing(over=0, under=(1, 5)) references arc 5, out of range for 2 arcs"
     with pytest.raises(ParameterError, match=re.escape(message)):
         Diagram(2, (Crossing(0, (5, 1)),))
