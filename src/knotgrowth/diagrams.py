@@ -226,11 +226,6 @@ def conway_with_traces(twists: tuple[int, ...]) -> tuple[Diagram, list[list[int]
     return Diagram(len(kept), crossings, arc_names=_default_names(len(kept))), traces
 
 
-def build_conway(twists) -> Diagram:
-    diagram, _ = conway_with_traces(tuple(twists))
-    return diagram
-
-
 # -- family specs and dispatch ----------------------------------------------
 
 
@@ -272,7 +267,7 @@ FAMILIES = {
     "torus2": Family(1, build_torus2, _torus_target),
     "twist": Family(1, lambda n: build_double_twist(n, 2), lambda n: _dtw_target(n, 2)),
     "dtw": Family(2, build_double_twist, _dtw_target),
-    "conway": Family(None, lambda *twists: build_conway(twists), None),
+    "conway": Family(None, lambda *twists: conway_with_traces(twists)[0], None),
 }
 
 
@@ -423,26 +418,6 @@ class ReidemeisterMove:
         self.end = end
         self.over_arc = over_arc
         self.crossings = crossings
-
-
-def r1_insert(arc: int, end: int = 0) -> ReidemeisterMove:
-    return ReidemeisterMove("r1", "insert", arc=arc, end=end)
-
-
-def r2_insert(arc: int, over_arc: int, end: int = 0) -> ReidemeisterMove:
-    return ReidemeisterMove("r2", "insert", arc=arc, end=end, over_arc=over_arc)
-
-
-def r1_remove(crossing_index: int) -> ReidemeisterMove:
-    return ReidemeisterMove("r1", "remove", crossings=(crossing_index,))
-
-
-def r2_remove(c1: int, c2: int) -> ReidemeisterMove:
-    return ReidemeisterMove("r2", "remove", crossings=(c1, c2))
-
-
-def r3_move(c1: int, c2: int, c3: int) -> ReidemeisterMove:
-    return ReidemeisterMove("r3", "insert", crossings=(c1, c2, c3))
 
 
 def _extended_names(d: Diagram, extra: int) -> tuple[str, ...]:

@@ -142,17 +142,6 @@ class CongruencePartition:
         self._births = _births
         self._slot = _slot
 
-    def _node(self, word: Word) -> int:
-        length = len(word)
-        if not 1 <= length <= self.horizon:
-            raise DomainError(
-                f"word length {length} outside the closed range 1..{self.horizon}"
-            )
-        for letter in word:
-            if not 0 <= letter < self.alphabet_size:
-                raise DomainError(f"letter {letter} out of range")
-        return _walk(word, self._uf.find, self._slot, self._width)
-
     def _birth_word(self, node: int, degree: int) -> Word:
         """The word a node was built from: the birth word of its class
         C followed by its letter a, for R(C, a)."""
@@ -164,17 +153,9 @@ class CongruencePartition:
         letters.append(node)
         return tuple(reversed(letters))
 
-    def representative(self, word: Word) -> Word:
-        """The class representative: the root's birth word, which is the
-        class's first word in colex order."""
-        return self._birth_word(self._uf.find(self._node(word)), len(word))
-
-    def are_equivalent(self, u: Word, v: Word) -> bool:
-        return self._uf.find(self._node(u)) == self._uf.find(self._node(v))
-
     def classes_at_degree(self, degree: int) -> list[list[Word]]:
         """All classes of words of the given length, each sorted, the list
-        ordered by representative in colex order."""
+        in colex order of the classes' colex-first words."""
         if not 1 <= degree <= self.horizon:
             raise DomainError(f"degree {degree} outside the closed range 1..{self.horizon}")
         groups: dict[int, list[Word]] = {}
@@ -581,14 +562,19 @@ def verify_isomorphism(
     its words to one element if it sends its nodes' birth words to one.
     No birth word is built: the image of R(C, a) is one step on from that
     of C, kept as a packed state from the degree below.
+
+    With phi None there is no letter map: the homomorphism check is
+    skipped and every degree stays unresolved.
     """
-    phi = tuple(phi)
     warnings = tuple(warnings)
-    hom = verify_homomorphism(pres, phi, sg)
-    if not hom:
-        warnings += ("the letter map does not respect the relations",)
+    hom = False
+    if phi is not None:
+        phi = tuple(phi)
+        hom = verify_homomorphism(pres, phi, sg)
+        if not hom:
+            warnings += ("the letter map does not respect the relations",)
     partition = enumerate_classes(pres, max_len, pad=pad, budget=budget)
-    onto = set(phi) == set(sg.generators)
+    onto = hom and set(phi) == set(sg.generators)
     if hom and not onto:
         warnings += (
             "the letter map does not cover all generators; element counts "
@@ -773,7 +759,7 @@ def conjecture_probe(
             if (b0, b1) != candidates[0]
         ]
 
-    phi_map = None
+    phi = None
     used = None
     for b0, b1 in candidates:
         if anchor_arcs[0] == anchor_arcs[1] and b0 != b1:
@@ -783,40 +769,16 @@ def conjecture_probe(
         if solved is None:
             continue
         if all(v in generators for v in solved.values()):
-            phi_map = solved
+            phi = tuple(solved[a] for a in range(diagram.arc_count))
             used = (b0, b1)
             break
-    if phi_map is None:
+    if phi is None:
         warnings.append(
             "no arc labeling satisfies the crossing constraints with values in "
             "the generator set"
         )
-        partition = enumerate_classes(pres, max_len, pad=pad, budget=budget)
-        verdicts = tuple(
-            DegreeVerdict(
-                d,
-                partition.degree_counts[d - 1],
-                sg.count_elements(d),
-                False,
-                "unresolved",
-            )
-            for d in range(1, max_len + 1)
-        )
-        return VerificationReport(
-            description=f"cmln:{m},{l},{n}",
-            semigroup=repr(sg),
-            alphabet_size=pres.alphabet_size,
-            max_len=max_len,
-            pad=pad,
-            phi=None,
-            homomorphism=False,
-            degrees=verdicts,
-            warnings=tuple(warnings),
-        )
-
-    if used != (0 % modulus, 1 % modulus):
+    elif used != (0 % modulus, 1 % modulus):
         warnings.append(f"natural anchors failed; using anchor pair {used}")
-    phi = tuple(phi_map[a] for a in range(diagram.arc_count))
     return verify_isomorphism(
         pres,
         phi,

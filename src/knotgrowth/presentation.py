@@ -10,8 +10,6 @@ is graded by word length.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .diagrams import Diagram
 from .errors import ParameterError
 
@@ -109,31 +107,3 @@ def presentation_from_diagram(d: Diagram) -> Presentation:
     names = tuple(d.name_of(a) for a in range(d.arc_count))
     return Presentation(d.arc_count, tuple(relations), letter_names=names)
 
-
-def are_isomorphic(p: Presentation, q: Presentation) -> bool:
-    """Whether some letter bijection carries one relation set onto the other.
-
-    Brute force over permutations, so intended for the small alphabets that
-    diagram families produce.
-    """
-    if p.alphabet_size != q.alphabet_size:
-        return False
-    if len(p.relations) != len(q.relations):
-        return False
-    if p.alphabet_size > 9:
-        raise ParameterError(
-            f"isomorphism search over {p.alphabet_size}! permutations refused; "
-            "10 letters or more is too slow"
-        )
-    target = set(q.relations)
-    for perm in permutations(range(p.alphabet_size)):
-        image = {
-            _normalize_relation(
-                tuple(perm[x] for x in lhs),
-                tuple(perm[x] for x in rhs),
-            )
-            for lhs, rhs in p.relations
-        }
-        if image == target:
-            return True
-    return False

@@ -11,12 +11,7 @@ import time
 
 from knotgrowth.altsum import AltSumSemigroup, Zmod, dtw_alphabet
 from knotgrowth.cli import main
-from knotgrowth.diagrams import (
-    apply_reidemeister,
-    build_torus2,
-    r1_insert,
-    r2_insert,
-)
+from knotgrowth.diagrams import ReidemeisterMove, apply_reidemeister, build_torus2
 from knotgrowth.growth import (
     dtw_growth,
     gk_dimension,
@@ -150,8 +145,8 @@ def test_criterion_07_skew_reciprocal():
 
 def test_criterion_08_reidemeister_invariance():
     trefoil = build_torus2(3)
-    doubled = apply_reidemeister(trefoil, r2_insert(arc=0, over_arc=1, end=0))
-    kinked = apply_reidemeister(trefoil, r1_insert(arc=0, end=0))
+    doubled = apply_reidemeister(trefoil, ReidemeisterMove("r2", arc=0, over_arc=1, end=0))
+    kinked = apply_reidemeister(trefoil, ReidemeisterMove("r1", arc=0, end=0))
 
     pad_used = 2
     r2_report = reidemeister_dimension_check(trefoil, doubled, max_len=4, pad=2)

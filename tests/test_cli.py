@@ -524,6 +524,17 @@ def test_rmove_bad_site(capsys):
     assert code == 2
 
 
+def test_rmove_repeated_site_key(capsys):
+    code, out, err = run(
+        capsys,
+        "rmove", "--family", "torus2:3", "--move", "r1",
+        "--site", "arc=0,arc=1,end=0", "--max-len", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: site key 'arc' is given twice\n"
+
+
 # -- exit codes and stability ------------------------------------------------------
 
 

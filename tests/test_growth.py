@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotgrowth.altsum import AltSumSemigroup, Zmod, dtw_alphabet
-from knotgrowth.diagrams import apply_reidemeister, build_torus2, build_trivial, r1_insert
+from knotgrowth.diagrams import (
+    ReidemeisterMove,
+    apply_reidemeister,
+    build_torus2,
+    build_trivial,
+)
 from knotgrowth.errors import InternalConsistencyError, ParameterError
 from knotgrowth.growth import (
     GrowthSeries,
@@ -204,7 +209,7 @@ def test_gk_json_shape():
 
 def test_rewrite_preserves_cumulative_dimensions():
     trefoil = build_torus2(3)
-    kinked = apply_reidemeister(trefoil, r1_insert(arc=0, end=0))
+    kinked = apply_reidemeister(trefoil, ReidemeisterMove("r1", arc=0, end=0))
     report = reidemeister_dimension_check(trefoil, kinked, max_len=3, description="r1")
     assert report.all_equal
     assert [d.left_cumulative for d in report.degrees] == [4, 7, 10]

@@ -25,6 +25,7 @@ from knotgrowth.diagrams import (
     parse_family_spec,
 )
 from knotgrowth.errors import (
+    DomainError,
     InternalConsistencyError,
     ParameterError,
     ResourceBudgetError,
@@ -183,19 +184,22 @@ def diagram_closures(draw):
 @given(diagram_closures())
 @settings(max_examples=60, deadline=None)
 def test_closure_matches_reference_on_diagram_presentations(case):
-    """Counts up to max_len, and the representative of every word up to the
-    horizon, which must be the reference class's first word in colex order."""
+    """Counts up to max_len, and the partition of the words of every degree
+    up to the horizon: the reference classes, each sorted, listed in colex
+    order of their colex-first words."""
     pres, max_len, pad = case
     part = enumerate_classes(pres, max_len, pad=pad)
     root = reference_closure(pres, max_len + pad)
-    first: dict = {}
-    for w in sorted(root, key=lambda w: w[::-1]):
-        first.setdefault(root[w], w)
-    assert part.degree_counts == tuple(
-        sum(1 for w in first.values() if len(w) == d) for d in range(1, max_len + 1)
-    )
+    expected = []
+    for d in range(1, max_len + pad + 1):
+        classes: dict = {}
+        words = itertools.product(range(pres.alphabet_size), repeat=d)
+        for w in sorted(words, key=lambda w: w[::-1]):
+            classes.setdefault(root[w], []).append(w)
+        expected.append([sorted(c) for c in classes.values()])
+    assert part.degree_counts == tuple(len(c) for c in expected[:max_len])
     assert_counts_are_roots(part)
-    assert [part.representative(w) for w in root] == [first[r] for r in root.values()]
+    assert [part.classes_at_degree(d) for d in range(1, max_len + pad + 1)] == expected
 
 
 def test_conway_counts_with_many_letters():
@@ -219,7 +223,6 @@ def test_free_presentation_keeps_every_word_apart(k):
     assert part.degree_counts == tuple(k**d for d in range(1, 7))
     for d in range(1, 5):
         words = sorted(itertools.product(range(k), repeat=d), key=lambda w: w[::-1])
-        assert [part.representative(w) for w in words] == words
         assert part.classes_at_degree(d) == [[w] for w in words]
 
 
@@ -255,26 +258,34 @@ def test_trefoil_needs_padding_at_degree_two():
 def test_partition_queries():
     pres = presentation_from_diagram(build_torus2(3))
     part = enumerate_classes(pres, 2, pad=1)
-    assert part.are_equivalent((0, 0), (1, 1))
-    assert part.are_equivalent((0, 0), (2, 2))
-    assert not part.are_equivalent((0, 0), (0, 1))
-    assert part.representative((2, 2)) == (0, 0)
-    classes = part.classes_at_degree(2)
-    assert sorted(len(c) for c in classes) == [3, 3, 3]
-    flat = sorted(w for c in classes for w in c)
-    assert flat == sorted(itertools.product(range(3), repeat=2))
+    assert part.classes_at_degree(1) == [[(0,)], [(1,)], [(2,)]]
+    # aa = bb = cc; colex-first words aa, ba, ca, so lex or colex-last
+    # order would list the classes differently
+    assert part.classes_at_degree(2) == [
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 2), (1, 0), (2, 1)],
+        [(0, 1), (1, 2), (2, 0)],
+    ]
+    for degree in (0, 4):
+        with pytest.raises(DomainError):
+            part.classes_at_degree(degree)
 
 
 def test_representative_is_colex_first():
-    # colex order reads the last letter first, so yx precedes xy
+    # colex order reads the last letter first, so the class {ac, ba} is
+    # listed where ba is, before ca and ab
+    part = enumerate_classes(Presentation(3, (((0, 2), (1, 0)),)), 2, pad=0)
+    assert part.classes_at_degree(2) == [
+        [(0, 0)], [(0, 2), (1, 0)], [(2, 0)], [(0, 1)], [(1, 1)], [(2, 1)], [(1, 2)], [(2, 2)]
+    ]
     part = enumerate_classes(Presentation(2, (((0, 1), (1, 0)),)), 3, pad=0)
-    assert part.representative((0, 1)) == (1, 0)
-    assert part.representative((0, 0, 1)) == (1, 0, 0)
-    assert part.representative((0, 1, 1)) == (1, 1, 0)
     assert part.classes_at_degree(2) == [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]]
-    # classes are listed in colex order of their representatives
-    assert [c[0] for c in part.classes_at_degree(3)] == [
-        (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)
+    # classes are listed in colex order of their colex-first words
+    assert part.classes_at_degree(3) == [
+        [(0, 0, 0)],
+        [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+        [(0, 1, 1), (1, 0, 1), (1, 1, 0)],
+        [(1, 1, 1)],
     ]
 
 
@@ -515,7 +526,17 @@ def test_probe_without_anchor_search():
     assert not report.all_verified
     assert report.phi is None
     assert not report.homomorphism
-    assert any("no arc labeling" in w for w in report.warnings)
+    assert report.warnings == (
+        "modulus 8 is even; the conjecture is stated for odd moduli",
+        "no arc labeling satisfies the crossing constraints with values in the "
+        "generator set",
+    )
+    # with no letter map, every degree is unresolved and nothing is aligned
+    assert [(d.class_count, d.element_count, d.aligned, d.verdict) for d in report.degrees] == [
+        (5, 5, False, "unresolved"),
+        (11, 8, False, "unresolved"),
+        (16, 8, False, "unresolved"),
+    ]
 
 
 def test_probe_agrees_with_direct_dtw_check():

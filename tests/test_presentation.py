@@ -4,11 +4,7 @@ import pytest
 
 from knotgrowth.diagrams import Diagram, build_torus2, build_trivial, crossing
 from knotgrowth.errors import ParameterError
-from knotgrowth.presentation import (
-    Presentation,
-    are_isomorphic,
-    presentation_from_diagram,
-)
+from knotgrowth.presentation import Presentation, presentation_from_diagram
 
 
 def test_trefoil_relations():
@@ -59,15 +55,3 @@ def test_relabel():
     assert cycled.letter_names == ("c", "a", "b")
     with pytest.raises(ParameterError):
         pres.relabel((0, 0, 1))
-
-
-def test_are_isomorphic():
-    tre = presentation_from_diagram(build_torus2(3))
-    assert are_isomorphic(tre, tre.relabel((2, 0, 1)))
-    assert not are_isomorphic(tre, presentation_from_diagram(build_torus2(5)))
-    square = presentation_from_diagram(build_torus2(4))
-    assert not are_isomorphic(square, presentation_from_diagram(build_torus2(2)))
-    with pytest.raises(ParameterError):
-        big = Presentation(10, ())
-        are_isomorphic(big, big)
-

@@ -1,6 +1,8 @@
 """The package's records: value semantics where they are compared, hashed
-or printed, construction by keyword, and what importing the package loads."""
+or printed, construction by keyword, and what importing the package loads
+and exports."""
 
+import ast
 import json
 import os
 import re
@@ -170,3 +172,24 @@ def test_import_loads_no_pathlib():
     """Files are opened by name, so the import skips pathlib and what it
     pulls in."""
     assert _loaded_by_import(("pathlib", "fnmatch", "urllib.parse")) == []
+
+
+def test_readme_library_example():
+    """The README's Library block runs against the package namespace, and
+    each bare expression evaluates to the value its comment shows."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = []
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            comment = lines[node.end_lineno - 1].split("#", 1)[1].strip()
+            shown.append((repr(eval(source, namespace)), comment))
+        else:
+            exec(source, namespace)
+    assert [comment for _, comment in shown] == [
+        "(4, 5, 5, 5)", "5", "'AS(Zmod(5), {0, 1, 2, 3})'", "True", "(1, -3, 6, -12)", "'1'"
+    ]
+    assert [value for value, _ in shown] == [comment for _, comment in shown]
