@@ -50,7 +50,11 @@ SCHEMA_VERSION = 1
 # Largest --terms for growth, skew and gkdim.  Level t of a strong
 # alternating-sum semigroup has one row per even count, so the state
 # recurrence takes time that grows with the square of the terms:
-# growth --family torus2:40 takes 21-26 s at this bound (and 17 MB).
+# growth --family torus2:40 takes 21-26 s at this bound (and 17 MB).  So
+# does a skew series with no rational form, a power-series reciprocal:
+# skew --family torus2:4 takes 37-50 s and torus2:12 105-110 s.  A skew
+# with one prints in time linear in its text: skew --family torus2:7
+# writes 39 MB in 0.3 s.
 MAX_TERMS = 10_000
 # The --site keys each Reidemeister move reads, as the flag is written.
 SITE_KEYS = {
@@ -64,8 +68,11 @@ SITE_KEYS = {
 
 class _no_digit_limit:
     """Lift Python's int-to-str digit limit inside the block and restore it
-    on leaving: skew coefficients pass 4300 digits near 5600 terms.  Input
-    is parsed outside, under the limit.  Python 3.10.0-3.10.6 have none."""
+    on leaving.  The limit is there because that conversion is quadratic in
+    the digits.  The CSV of a series with a rational form prints exact
+    decimals, but JSON output and skews with no rational form print ints,
+    and skew coefficients pass 4300 digits near 5600 terms.  Input is parsed
+    outside, under the limit.  Python 3.10.0-3.10.6 have none."""
 
     def __enter__(self):
         self.set_limit = getattr(sys, "set_int_max_str_digits", None)
@@ -331,14 +338,16 @@ def _growth_series(args) -> GrowthSeries:
     terms = args.terms + 1  # coefficients through degree --terms
     if args.counts is not None:
         series = growth_from_counts(_load_counts(args.counts))
-        if series.rational is not None and terms > len(series.coefficients):
-            series = GrowthSeries(
-                series.rational.expand(terms),
-                rational=series.rational,
-                source=series.source,
-                warnings=series.warnings,
-            )
-        return series
+        if series.rational is None:
+            coefficients = series.coefficients[:terms]
+        else:
+            coefficients = series.rational.expand(terms)
+        return GrowthSeries(
+            coefficients,
+            rational=series.rational,
+            source=series.source,
+            warnings=series.warnings,
+        )
     spec = parse_family_spec(args.family)
     if FAMILIES[spec.kind].target is None:
         raise ParameterError(
@@ -353,9 +362,22 @@ def _print_notes(series: GrowthSeries) -> None:
         print(f"# note: {note}", file=sys.stderr)
 
 
-def _print_series_csv(coefficients) -> None:
+def _print_series_csv(series) -> None:
+    """One line per coefficient.  A series with a rational form streams them
+    from its recurrence in exact decimals, whose str() is linear in the
+    digits where an int's is quadratic, so the text takes time linear in its
+    length."""
+    coefficients, arithmetic = series.coefficients, _no_digit_limit()
+    if series.rational is not None:
+        from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+        from decimal import localcontext
+
+        coefficients = series.rational.iter_coefficients(len(coefficients), Decimal)
+        # every step is exact, or raises instead of printing a rounded digit
+        exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+        arithmetic = localcontext(exact)
     print("degree,coefficient")
-    with _no_digit_limit():
+    with arithmetic:
         for degree, c in enumerate(coefficients):
             print(f"{degree},{c}")
 
@@ -366,7 +388,7 @@ def _cmd_growth(args) -> int:
     if args.format == "json":
         _emit_json(series.to_json_dict())
         return 0
-    _print_series_csv(series.coefficients)
+    _print_series_csv(series)
     _print_notes(series)
     if args.rational:
         if series.rational is None:
@@ -386,7 +408,7 @@ def _cmd_skew(args) -> int:
     if args.format == "json":
         _emit_json(skew.to_json_dict())
         return 0
-    _print_series_csv(skew.coefficients)
+    _print_series_csv(skew)
     return 0
 
 

@@ -15,6 +15,8 @@ exponential growth, when no exact form is available.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .altsum import AltSumSemigroup
 from .diagrams import FAMILIES, Diagram, FamilySpec
 from .errors import InternalConsistencyError, ParameterError, refuse_assignment
@@ -75,14 +77,26 @@ class RationalForm:
         return hash((self.numerator, self.denominator))
 
     def expand(self, terms: int) -> tuple[int, ...]:
-        num, den = self.numerator, self.denominator
-        out = []
+        return tuple(self.iter_coefficients(terms))
+
+    def iter_coefficients(self, terms: int, number=int):
+        """Yield c_0 .. c_{terms-1} by c_i = num_i - sum_j den_j c_{i-j}, in
+        the arithmetic of `number`, keeping only the last `order` values.
+
+        With ``number=Decimal`` the steps round under the caller's decimal
+        context, so a caller that needs exact values sets one that cannot
+        round, as ``cli._print_series_csv`` does.
+        """
+        num = [number(a) for a in self.numerator]
+        negated = [number(-d) for d in self.denominator[1:]]
+        recent = deque(maxlen=len(negated))  # c_{i-1}, c_{i-2}, ...
+        zero = number(0)
         for i in range(terms):
-            c = num[i] if i < len(num) else 0
-            for j in range(1, min(i, len(den) - 1) + 1):
-                c -= den[j] * out[i - j]
-            out.append(c)
-        return tuple(out)
+            c = num[i] if i < len(num) else zero
+            for d, r in zip(negated, recent):
+                c += d * r
+            yield c
+            recent.appendleft(c)
 
     def to_json_dict(self) -> dict:
         return {"num": list(self.numerator), "den": list(self.denominator)}

@@ -6,15 +6,17 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotgrowth.cli import MAX_TERMS, main
+from knotgrowth.cli import MAX_TERMS, _no_digit_limit, _print_series_csv, main
 from knotgrowth.diagrams import build_torus2, diagram_to_dict
 from knotgrowth.errors import InternalConsistencyError
+from knotgrowth.growth import RationalForm, SkewSeries, growth_for_family, skew_growth
 
 
 def run(capsys, *argv):
@@ -345,21 +347,28 @@ def test_skew_csv(capsys):
 
 def _decimal(text: str) -> int:
     """A decimal integer of any length, parsed with Python's int-to-str
-    digit limit lifted (Python 3.10.0-3.10.6 have none)."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
+    digit limit lifted."""
+    with _no_digit_limit():
         return int(text)
-    limit = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        return int(text)
-    finally:
-        set_limit(limit)
+
+
+def _assert_int_csv(out: str, coefficients) -> None:
+    """`out` is the series CSV from str() of each int, with the digit limit
+    lifted.  A mismatch names its first line, since pytest's own diff of two
+    texts of megabytes takes minutes to build."""
+    with _no_digit_limit():
+        lines = [f"{degree},{c}\n" for degree, c in enumerate(coefficients)]
+    lines.insert(0, "degree,coefficient\n")
+    if out != "".join(lines):
+        pairs = enumerate(zip_longest(out.splitlines(keepends=True), lines))
+        i, (got, want) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
+        pytest.fail(f"line {i}: {got!r:.80} != {want!r:.80}")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_skew_prints_coefficients_past_the_digit_limit(capsys, fmt):
     # n_5600 = -7*(-6)^5599 has 4360 digits, past the default limit of 4300
+    expected = (1,) + tuple(-7 * (-6) ** (k - 1) for k in range(1, 5601))
     get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     limit = get_limit()
     code, out, err = run(
@@ -368,14 +377,67 @@ def test_skew_prints_coefficients_past_the_digit_limit(capsys, fmt):
     assert (code, err) == (0, "")
     assert get_limit() == limit
     if fmt == "csv":
-        degree, last = out.splitlines()[-1].split(",")
-        assert degree == "5600"
-        last = _decimal(last)
+        _assert_int_csv(out, expected)
     else:
-        coefficients = json.loads(out, parse_int=_decimal)["coefficients"]
-        assert len(coefficients) == 5601
-        last = coefficients[-1]
-    assert last == -7 * (-6) ** 5599
+        assert tuple(json.loads(out, parse_int=_decimal)["coefficients"]) == expected
+
+
+_small = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+
+
+@given(
+    numerator=st.lists(_small, min_size=1, max_size=6),
+    denominator_tail=st.lists(_small, max_size=4),
+    terms=st.integers(min_value=1, max_value=300),
+)
+@settings(max_examples=200, deadline=None)
+def test_series_text_matches_int_text(numerator, denominator_tail, terms):
+    """The text streamed from the decimal recurrence is str() of each int of
+    the int recurrence, whose values solve den * c = num through the last
+    degree."""
+    form = RationalForm(tuple(numerator), (1, *denominator_tail))
+    coefficients = form.expand(terms)
+    assert all(type(c) is int for c in coefficients)
+    num, den = form.numerator, form.denominator
+    for i in range(terms):
+        product = sum(d * coefficients[i - j] for j, d in enumerate(den[: i + 1]))
+        assert product == (num[i] if i < len(num) else 0)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _print_series_csv(SkewSeries(coefficients, rational=form))
+    _assert_int_csv(out.getvalue(), coefficients)
+
+
+def test_order_two_skew_text_matches_int_text(capsys):
+    # N(t) of dtw:2,2 = (1 - t)/(1 + 3t + t^2): each value is a sum of the
+    # last two, and degree 600 has 251 digits
+    skew = skew_growth(growth_for_family("dtw", (2, 2), terms=601))
+    assert len(skew.rational.denominator) == 3
+    code, out, err = run(capsys, "skew", "--family", "dtw:2,2", "--terms", "600")
+    assert (code, err) == (0, "")
+    _assert_int_csv(out, skew.rational.expand(601))
+
+
+def test_trivial_skew_text_has_no_negative_zero(capsys):
+    # N(t) = 1 - t: every coefficient past degree 1 is a decimal zero
+    code, out, err = run(capsys, "skew", "--family", "trivial", "--terms", "6")
+    assert (code, err) == (0, "")
+    _assert_int_csv(out, (1, -1, 0, 0, 0, 0, 0))
+
+
+def test_growth_counts_respect_terms(capsys):
+    code, out, _ = run(capsys, "growth", "--counts", "1,2,3,4,5,6", "--terms", "2")
+    assert code == 0
+    assert out.splitlines() == ["degree,coefficient", "0,1", "1,1", "2,2"]
+    code, out, _ = run(
+        capsys, "growth", "--counts", "1,2,3,4,5,6", "--terms", "2", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["coefficients"] == [1, 1, 2]
+    # a settled tail keeps its rational form
+    code, out, _ = run(capsys, "growth", "--counts", "1,2,3,3,3", "--terms", "2", "--rational")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,1", "1,1", "2,2", '{"den": [1, -1], "num": [1, 0, 1, 1]}']
 
 
 def test_long_inline_counts_match_a_counts_file(capsys, tmp_path):

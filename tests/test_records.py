@@ -174,6 +174,12 @@ def test_import_loads_no_pathlib():
     assert _loaded_by_import(("pathlib", "fnmatch", "urllib.parse")) == []
 
 
+def test_import_loads_no_decimal():
+    """Only the text of a long rational series uses decimals, and it imports
+    them when it first needs them."""
+    assert _loaded_by_import(("decimal", "numbers")) == []
+
+
 def test_readme_library_example():
     """The README's Library block runs against the package namespace, and
     each bare expression evaluates to the value its comment shows."""
