@@ -16,6 +16,7 @@ exponential growth, when no exact form is available.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 
 from .altsum import AltSumSemigroup
 from .diagrams import FAMILIES, Diagram, FamilySpec
@@ -364,7 +365,7 @@ def gk_dimension(source, method: str | None = None) -> GkEstimate:
     if method == "rational":
         raise ParameterError("no rational form available for the rational method")
 
-    cumulative = [cumulative_dimension(counts, d) for d in range(len(counts) + 1)]
+    cumulative = list(accumulate(counts, initial=1))
 
     if method in (None, "difference"):
         level = tuple(cumulative)
@@ -482,6 +483,8 @@ def reidemeister_dimension_check(
     """
     lp = enumerate_classes(presentation_from_diagram(left), max_len, pad=pad, budget=budget)
     rp = enumerate_classes(presentation_from_diagram(right), max_len, pad=pad, budget=budget)
+    left_cumulative = tuple(accumulate(lp.degree_counts, initial=1))
+    right_cumulative = tuple(accumulate(rp.degree_counts, initial=1))
     rows = []
     for degree in range(1, max_len + 1):
         rows.append(
@@ -489,8 +492,8 @@ def reidemeister_dimension_check(
                 degree=degree,
                 left_count=lp.degree_counts[degree - 1],
                 right_count=rp.degree_counts[degree - 1],
-                left_cumulative=cumulative_dimension(lp.degree_counts, degree),
-                right_cumulative=cumulative_dimension(rp.degree_counts, degree),
+                left_cumulative=left_cumulative[degree],
+                right_cumulative=right_cumulative[degree],
             )
         )
     return RmoveReport(

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotgrowth.cli import MAX_TERMS, _no_digit_limit, _print_series_csv, main
+from knotgrowth import cli
+from knotgrowth.cli import (
+    MAX_TERMS,
+    SUBCOMMANDS,
+    _no_digit_limit,
+    _print_series_csv,
+    build_parser,
+    main,
+)
 from knotgrowth.diagrams import build_torus2, diagram_to_dict
 from knotgrowth.errors import InternalConsistencyError
 from knotgrowth.growth import RationalForm, SkewSeries, growth_for_family, skew_growth
@@ -486,6 +494,19 @@ def test_gkdim_counts_exponential(capsys):
     assert json.loads(out)["gk"] == "infinity"
 
 
+def test_gkdim_counts_respect_terms(capsys):
+    counts = "1,2,4,8,16,32,64,128"
+    code, out, _ = run(capsys, "gkdim", "--counts", counts, "--terms", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["gk"], data["evidence"]) == ("unresolved", {"cumulative": [1, 2, 4]})
+    # the counts past degree 2 are never examined
+    assert run(capsys, "gkdim", "--counts", "1,2", "--terms", "2") == (code, out, "")
+    code, out, _ = run(capsys, "gkdim", "--counts", counts, "--terms", "8")
+    assert code == 0
+    assert json.loads(out)["gk"] == "infinity"
+
+
 def test_gkdim_measures_unknown_family_through_closure(capsys):
     code, out, _ = run(capsys, "gkdim", "--family", "conway:3", "--max-len", "5")
     assert code == 0
@@ -644,6 +665,101 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "present", "--family", "cmln:1,1,2")[0] == 2
     assert run(capsys, "present", "--family", "pd")[0] == 2
     assert run(capsys, "verify", "--theorem", "torus-link", "--params", "4")[0] == 2
+
+
+# -- the parser -----------------------------------------------------------------
+
+# per subcommand: a missing required flag, a bad choice, a trailing argument
+USAGE_ERRORS = {
+    "present": (
+        [], ["--family", "hopf", "--format", "csv"], ["--family", "hopf", "junk"],
+    ),
+    "classes": (
+        ["--family", "hopf"],
+        ["--family", "hopf", "--max-len", "2", "--format", "text"],
+        ["--family", "hopf", "--max-len", "2", "junk"],
+    ),
+    "verify": (
+        ["--theorem", "torus"],
+        ["--theorem", "torus-link", "--params", "4"],
+        ["--theorem", "torus", "--params", "3", "junk"],
+    ),
+    "probe": (
+        ["--params", "2,1,2"],
+        ["--conjecture", "cmln2", "--params", "2,1,2"],
+        ["--conjecture", "cmln", "--params", "2,1,2", "--max-len", "2", "junk"],
+    ),
+    "growth": (
+        ["--terms", "3"], ["--family", "hopf", "--format", "json5"], ["--family", "hopf", "junk"],
+    ),
+    "skew": ([], ["--family", "hopf", "--format", "text"], ["--family", "hopf", "junk"]),
+    "gkdim": (
+        ["--terms", "3"], ["--family", "hopf", "--method", "guess"], ["--family", "hopf", "junk"],
+    ),
+    "rmove": (
+        ["--family", "hopf", "--max-len", "2"],
+        ["--family", "hopf", "--max-len", "2", "--move", "r4"],
+        ["--family", "hopf", "--max-len", "2", "--move", "r1", "--site", "arc=0", "junk"],
+    ),
+}
+
+
+def _subcommand_choices(parser) -> list[str]:
+    (subs,) = (a for a in parser._actions if a.dest == "command")
+    return list(subs.choices)
+
+
+def test_subcommand_table_matches_the_full_parser():
+    assert list(USAGE_ERRORS) == list(SUBCOMMANDS)
+    assert _subcommand_choices(build_parser()) == list(SUBCOMMANDS)
+    assert _subcommand_choices(build_parser("classes")) == ["classes"]
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_one_subcommand_parser_reads_as_the_full_one(capsys, monkeypatch, command):
+    built = []
+
+    def record(only=None):
+        built.append(only)
+        return build_parser(only)
+
+    argvs = [[command, "-h"]] + [[command, *rest] for rest in USAGE_ERRORS[command]]
+    monkeypatch.setattr(cli, "build_parser", record)
+    one = [run(capsys, *argv) for argv in argvs]
+    assert built == [command] * len(argvs)
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: build_parser())
+    full = [run(capsys, *argv) for argv in argvs]
+    assert one == full
+    assert one[0][0] == 0 and one[0][1].startswith(f"usage: knotgrowth {command} ")
+    for code, out, err in one[1:]:
+        assert (code, out) == (2, "")
+        assert err.count("\nknotgrowth") == 1 and " error: " in err
+    # the trailing argument is reported under the top-level usage line
+    assert one[-1][2].startswith("usage: knotgrowth [-h]")
+    assert "{" + ",".join(SUBCOMMANDS) + "} ..." in one[-1][2]
+    assert one[-1][2].endswith(": error: unrecognized arguments: junk\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["nonsense"], ["-h", "classes"]])
+def test_top_level_usage_lists_every_subcommand(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == (0 if "-h" in argv else 2)
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out + err
+    if argv == ["nonsense"]:
+        assert "argument command: invalid choice: 'nonsense'" in err
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    argv = ["present", "--family", "hopf", "--format", "text"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setattr(sys, "argv", ["knotgrowth", *argv])
+    code = main()
+    assert (code, *capsys.readouterr()) == expected
+    monkeypatch.setattr(sys, "argv", ["knotgrowth", "-h"])
+    code = main()
+    assert code == 0
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
 
 
 def test_json_output_is_stable_and_sorted(capsys):

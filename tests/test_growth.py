@@ -170,6 +170,9 @@ def test_gk_from_differences():
     # plain counts take the same route: no rational form is attached
     est2 = gk_dimension((1,) * 10)
     assert (est2.value, est2.method) == (1, "difference")
+    assert est.evidence["cumulative"] == [
+        cumulative_dimension(hopf.counts(), d) for d in range(len(hopf.counts()) + 1)
+    ]
 
 
 def test_gk_ratio_test_flags_exponential_growth():
