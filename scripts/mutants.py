@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Check that the tests kill a fixed list of mutants of the closure.
+
+Each mutant names a file, an exact text that must occur in it once, the
+text that replaces it, and the tests that must fail on the result.  For
+each one the tree is copied to a temporary directory, the edit is applied
+there, and the selected tests run with ``-x``.  The check fails when a
+mutant survives (its tests pass), when its old text does not occur exactly
+once, or when its tests cannot run.  Only program files are mutated: no
+test is edited, skipped or deselected.
+
+    python scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ORACLE = "src/knotgrowth/oracle.py"
+CLOSURE_TESTS = (
+    "tests/test_oracle.py::test_closure_matches_reference",
+    "tests/test_oracle.py::test_partition_queries",
+    "tests/test_oracle.py::test_representative_is_colex_first",
+    "tests/test_oracle.py::test_conway_counts_with_many_letters",
+    "tests/test_oracle.py::test_free_presentation_keeps_every_word_apart",
+)
+
+# (name, file, old text, new text, tests)
+MUTANTS = [
+    (
+        "join one cross-column member per letter block, whatever its class",
+        ORACLE,
+        "                if root >= blo or root in seen:\n",
+        "                if root >= blo or seen:\n",
+        CLOSURE_TESTS,
+    ),
+    (
+        "merge-free slots range off by one",
+        ORACLE,
+        "            slot = range(start, start + hi - lo)\n",
+        "            slot = range(start + 1, start + 1 + hi - lo)\n",
+        CLOSURE_TESTS,
+    ),
+    (
+        "the largest id wins in union",
+        ORACLE,
+        "        if x > y:\n            x, y = y, x\n        parent[y] = x\n",
+        "        if x < y:\n            x, y = y, x\n        parent[y] = x\n",
+        CLOSURE_TESTS,
+    ),
+    (
+        "sweep without right cancellation",
+        ORACLE,
+        "                if other != c:\n                    union(other, c, e - 1)\n"
+        "        # the roots",
+        "                if other != c:\n                    pass\n"
+        "        # the roots",
+        CLOSURE_TESTS,
+    ),
+]
+
+IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_out", "*.egg-info"
+)
+
+
+def apply(tree: Path, path: str, old: str, new: str) -> None:
+    """Replace the one occurrence of old in tree/path, or raise ValueError."""
+    if path.startswith("tests/"):
+        raise ValueError(f"{path} is a test file; mutants change program files only")
+    target = tree / path
+    text = target.read_text()
+    found = text.count(old)
+    if found != 1:
+        raise ValueError(f"the old text occurs {found} times in {path}, not once")
+    target.write_text(text.replace(old, new))
+
+
+def run_mutant(name, path, old, new, tests) -> str:
+    """'killed', 'SURVIVED', or an error message."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        try:
+            apply(tree, path, old, new)
+        except ValueError as err:
+            return f"ERROR: {err}"
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=tree,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    # pytest exits 1 when a test failed; 0 means every test passed, and any
+    # other code means the tests did not run as selected
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    return f"ERROR: pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}"
+
+
+def main() -> int:
+    failed = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        outcome = run_mutant(*mutant)
+        print(f"{outcome:<9} {mutant[0]}  ({time.perf_counter() - start:.1f}s)", flush=True)
+        failed += outcome != "killed"
+    print(f"mutants: {len(MUTANTS) - failed} of {len(MUTANTS)} killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -75,9 +75,9 @@ SITE_KEYS = {
 class _no_digit_limit:
     """Lift Python's int-to-str digit limit inside the block and restore it
     on leaving.  The limit is there because that conversion is quadratic in
-    the digits.  The CSV of a series with a rational form prints exact
-    decimals, but JSON output and skews with no rational form print ints,
-    and skew coefficients pass 4300 digits near 5600 terms.  Input is parsed
+    the digits.  The CSV and JSON of a series with a rational form print
+    exact decimals, but skews with no rational form print ints, and skew
+    coefficients pass 4300 digits near 5600 terms.  Input is parsed
     outside, under the limit.  Python 3.10.0-3.10.6 have none."""
 
     def __enter__(self):
@@ -368,31 +368,56 @@ def _print_notes(series: GrowthSeries) -> None:
         print(f"# note: {note}", file=sys.stderr)
 
 
-def _print_series_csv(series) -> None:
-    """One line per coefficient.  A series with a rational form streams them
-    from its recurrence in exact decimals, whose str() is linear in the
-    digits where an int's is quadratic, so the text takes time linear in its
-    length."""
-    coefficients, arithmetic = series.coefficients, _no_digit_limit()
-    if series.rational is not None:
-        from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
-        from decimal import localcontext
+def _text_coefficients(series):
+    """The coefficients to print and the context to print them in.  A series
+    with a rational form streams them from its recurrence in exact decimals,
+    whose str() is linear in the digits where an int's is quadratic, so the
+    text takes time linear in its length."""
+    if series.rational is None:
+        return series.coefficients, _no_digit_limit()
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+    from decimal import localcontext
 
-        coefficients = series.rational.iter_coefficients(len(coefficients), Decimal)
-        # every step is exact, or raises instead of printing a rounded digit
-        exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
-        arithmetic = localcontext(exact)
+    # every step is exact, or raises instead of printing a rounded digit
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+    coefficients = series.rational.iter_coefficients(len(series.coefficients), Decimal)
+    return coefficients, localcontext(exact)
+
+
+def _print_series_csv(series) -> None:
+    """One line per coefficient, as `_text_coefficients` gives them."""
+    coefficients, arithmetic = _text_coefficients(series)
     print("degree,coefficient")
     with arithmetic:
         for degree, c in enumerate(coefficients):
             print(f"{degree},{c}")
 
 
+def _emit_series_json(series) -> None:
+    """`_emit_json` of a growth or skew series, with the same bytes.  The
+    other keys are dumped as usual and the coefficient list, never empty, is
+    spliced in as `_text_coefficients` gives it, so a series with a rational
+    form prints in time linear in its text."""
+    payload = series.to_json_dict()
+    payload["coefficients"] = []
+    payload["schema_version"] = SCHEMA_VERSION
+    empty = '"coefficients": []'
+    head, tail = json.dumps(payload, sort_keys=True, indent=2).split(empty, 1)
+    coefficients, arithmetic = _text_coefficients(series)
+    print(f'{head}"coefficients": [')
+    with arithmetic:
+        separator = ""
+        for c in coefficients:
+            print(f"{separator}    {c}", end="")
+            separator = ",\n"
+    print(f"\n  ]{tail}")
+
+
 def _cmd_growth(args) -> int:
     _check_window(args)
     series = _growth_series(args)
     if args.format == "json":
-        _emit_json(series.to_json_dict())
+        _emit_series_json(series)
         return 0
     _print_series_csv(series)
     _print_notes(series)
@@ -412,7 +437,7 @@ def _cmd_skew(args) -> int:
     skew = skew_growth(series, terms=min(terms, len(series.coefficients))
                        if series.rational is None else terms)
     if args.format == "json":
-        _emit_json(skew.to_json_dict())
+        _emit_series_json(skew)
         return 0
     _print_series_csv(skew)
     return 0
@@ -439,7 +464,10 @@ def _cmd_gkdim(args) -> int:
             budget = _resolve_budget(args)
             pres = presentation_from_diagram(build_family(spec))
             partition = enumerate_classes(pres, args.max_len, pad=args.pad, budget=budget)
-            source = growth_from_counts(partition.degree_counts, source=args.family)
+            # the closure keeps its horizon: a shorter one gives coarser counts
+            source = growth_from_counts(
+                partition.degree_counts[: args.terms], source=args.family
+            )
     estimate = gk_dimension(source, method=args.method)
     if args.format == "text":
         print(f"source: {label}")

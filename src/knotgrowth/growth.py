@@ -86,7 +86,7 @@ class RationalForm:
 
         With ``number=Decimal`` the steps round under the caller's decimal
         context, so a caller that needs exact values sets one that cannot
-        round, as ``cli._print_series_csv`` does.
+        round, as ``cli._text_coefficients`` does.
         """
         num = [number(a) for a in self.numerator]
         negated = [number(-d) for d in self.denominator[1:]]

@@ -25,7 +25,11 @@ rules give when applied word by word, at a cost that follows the number
 of classes times the alphabet size instead of k**H.  A level's left rows
 are built when a merge first reads them, and its class count is its node
 count less the roots merged away there, so a presentation that never
-merges builds no left rows and scans no level.
+merges builds no left rows and scans no level.  Each level keeps its own
+block of births (the roots below that its nodes extend) and slots (where
+each of its classes extends to).  On a level with no merged node both maps
+are identities and are kept as ranges, so such a level stores one
+union-find entry per node and nothing else.
 
 Every merge is forced in any cancellative semigroup satisfying the
 relations, so the class counts per degree are upper bounds for the true
@@ -93,12 +97,12 @@ class _UnionFind:
         return x
 
 
-def _walk(word: Word, find, slot: list[int], width: list[int]) -> int:
+def _walk(word: Word, find, slots: list, base: list[int], width: list[int]) -> int:
     """The node holding a word: its first letter, then R(C, a) for the class
     C reached so far and each further letter a."""
     node = word[0]
     for j in range(1, len(word)):
-        node = slot[find(node)] + word[j] * width[j + 1]
+        node = slots[j][find(node) - base[j]] + word[j] * width[j + 1]
     return node
 
 
@@ -109,15 +113,17 @@ class CongruencePartition:
     Words are not stored.  Level d holds k * _width[d] nodes from id
     _base[d] on; node _base[d] + a * _width[d] + i is R(C, a), the words of
     the level-(d-1) class C rooted at _births[d][i] followed by the letter
-    a.  _slot[C] is the id of R(C, 0) for a class root C; a node merged
-    before the next level was built holds its root's.  In _uf.parent a
-    class root holds a negative sentinel (-1 for a singleton class, -2
-    otherwise) and every other node an id on the way to its root.
+    a.  For a class root C at level d, _slots[d][C - _base[d]] is the id of
+    R(C, 0) at level d+1; a node merged before level d+1 was built holds
+    its root's.  When no node of level d was merged by then, _births[d+1]
+    and _slots[d] are ranges.  In _uf.parent a class root holds a negative
+    sentinel (-1 for a singleton class, -2 otherwise) and every other node
+    an id on the way to its root.
     """
 
     __slots__ = (
         "alphabet_size", "max_len", "horizon", "degree_counts",
-        "_uf", "_base", "_width", "_births", "_slot",
+        "_uf", "_base", "_width", "_births", "_slots",
     )
 
     def __init__(
@@ -129,8 +135,8 @@ class CongruencePartition:
         _uf: _UnionFind,
         _base: list[int],
         _width: list[int],
-        _births: list[list[int]],
-        _slot: list[int],
+        _births: list,
+        _slots: list,
     ):
         self.alphabet_size = alphabet_size
         self.max_len = max_len
@@ -140,7 +146,7 @@ class CongruencePartition:
         self._base = _base
         self._width = _width
         self._births = _births
-        self._slot = _slot
+        self._slots = _slots
 
     def _birth_word(self, node: int, degree: int) -> Word:
         """The word a node was built from: the birth word of its class
@@ -161,7 +167,7 @@ class CongruencePartition:
         groups: dict[int, list[Word]] = {}
         find = self._uf.find
         for word in product(range(self.alphabet_size), repeat=degree):
-            root = find(_walk(word, find, self._slot, self._width))
+            root = find(_walk(word, find, self._slots, self._base, self._width))
             groups.setdefault(root, []).append(word)
         return [sorted(words) for root, words in sorted(groups.items())]
 
@@ -197,7 +203,7 @@ def enumerate_classes(
     uf = _UnionFind()
     find, parent = uf.find, uf.parent
     base, width, births = [0, 0], [0, 1], [[], []]
-    slot: list[int] = []
+    slots: list = [[]]
     # left[d][b][i] is L_b(R(P, 0)), the node at level d+1 holding b followed
     # by the words of R(P, 0) for the class P rooted at births[d][i].  It is
     # stored once per class: L_b(R(P, a)) = R(L_b(P), a) is that node plus
@@ -230,7 +236,11 @@ def enumerate_classes(
     def seed(level: int) -> None:
         for lhs, rhs in pres.relations:
             if len(lhs) == level:
-                union(_walk(lhs, find, slot, width), _walk(rhs, find, slot, width), level)
+                union(
+                    _walk(lhs, find, slots, base, width),
+                    _walk(rhs, find, slots, base, width),
+                    level,
+                )
 
     def join_left(d: int, x: int, y: int) -> None:
         """Merge L_b(x) with L_b(y) for every letter b, x and y at level d."""
@@ -246,7 +256,8 @@ def enumerate_classes(
         R(C, a) with R(C', a) and L_b(C) with L_b(C') for all letters."""
         while queue:
             d, x, y = queue.pop()
-            step, sx, sy = width[d + 1], slot[x], slot[y]
+            slot, lo = slots[d], base[d]
+            step, sx, sy = width[d + 1], slot[x - lo], slot[y - lo]
             for a in range(0, k * step, step):
                 union(sx + a, sy + a, d + 1)
             join_left(d, x, y)
@@ -311,7 +322,9 @@ def enumerate_classes(
         L_b(a) = R(b, a) for a letter a, and L_b(R(P, 0)) = R(L_b(P), 0).
         The classes P of level d-1 are sorted, so each letter block a
         there holds a run of them, found once per level by bisection; P
-        sits at column P - shift of its block."""
+        sits at column P - shift of its block, and the block's offset
+        takes L_b(P) there to its index in slots[d]."""
+        slot = slots[d]
         if d == 1:
             return [[slot[b]] for b in range(k)]
         plo, pw, w, prev = base[d - 1], width[d - 1], width[d], births[d]
@@ -320,7 +333,7 @@ def enumerate_classes(
         for a in range(k):
             shift = plo + a * pw
             first, last = last, bisect_left(prev, shift + pw, last)
-            blocks.append((shift, a * w, first, last))
+            blocks.append((shift, a * w - base[d], first, last))
         return [
             [
                 slot[row[p - shift] + offset]
@@ -349,7 +362,15 @@ def enumerate_classes(
         at a time, skipping blocks of roots only.  Level d+1 is the top, so
         nothing is queued.  A node two or more steps below its root is rare
         here and goes through find.  A level with no merged node has nothing
-        to join and reads no rows."""
+        to join and reads no rows.
+
+        Only one member per class and letter block is joined, and none whose
+        root lies in its own block.  Two members R(P1, a), R(P2, a) of one
+        class were right-cancelled to P1 ~ P2 by sweep(d) during settle, and
+        extension then merged L_b(P1) ~ L_b(P2) before level d+1 existed.
+        So those two nodes share a slot, and L_b(R(Pi, a)) = R(L_b(Pi), a)
+        is one node for both members: joining the second repeats the
+        first."""
         if not absorbed[d]:
             return
         lo, w, step, roots = base[d], width[d], width[d + 1], births[d + 1]
@@ -362,8 +383,13 @@ def enumerate_classes(
             if last - first == w:
                 continue
             pairs = []
+            seen = set()
             for n in compress(range(blo, blo + w), map(ge, parent[blo:blo + w], repeat(0))):
-                ay, iy = divmod(find(n) - lo, w)
+                root = find(n)
+                if root >= blo or root in seen:
+                    continue
+                seen.add(root)
+                ay, iy = divmod(root - lo, w)
                 pairs.append((n - blo, iy, ay * step))
             ax = a * step
             for row in rows:
@@ -392,21 +418,27 @@ def enumerate_classes(
         lo = base[d]
         hi = lo + k * width[d]
         start = len(parent)
-        # walk the merged nodes of level d: the roots between them take
-        # consecutive slots from start on, and a merged node takes its
-        # root's slot, so the left rows read slot[x] with no find
-        roots: list[int] = []
-        after = lo
-        merged = compress(range(lo, hi), map(ge, parent[lo:hi], repeat(0))) if absorbed[d] else ()
-        for n in merged:
+        if absorbed[d]:
+            # walk the merged nodes of level d: the roots between them take
+            # consecutive slots from start on, and a merged node takes its
+            # root's slot, so the left rows read slots[d] with no find
+            roots: list[int] | range = []
+            slot: list[int] | range = []
+            after = lo
+            for n in compress(range(lo, hi), map(ge, parent[lo:hi], repeat(0))):
+                s = start + len(roots)
+                roots += range(after, n)
+                slot.extend(range(s, s + n - after))
+                slot.append(slot[find(n) - lo])
+                after = n + 1
             s = start + len(roots)
-            roots += range(after, n)
-            slot.extend(range(s, s + n - after))
-            slot.append(slot[find(n)])
-            after = n + 1
-        s = start + len(roots)
-        roots += range(after, hi)
-        slot.extend(range(s, s + hi - after))
+            roots += range(after, hi)
+            slot.extend(range(s, s + hi - after))
+        else:
+            # every node is a root: both maps are identities, kept as ranges
+            roots = range(lo, hi)
+            slot = range(start, start + hi - lo)
+        slots.append(slot)
         left.append(None)
         absorbed.append(0)
         uf.add(k * len(roots))
@@ -434,7 +466,7 @@ def enumerate_classes(
         _base=base,
         _width=width,
         _births=births,
-        _slot=slot,
+        _slots=slots,
     )
 
 

@@ -24,7 +24,13 @@ from knotgrowth.cli import (
 )
 from knotgrowth.diagrams import build_torus2, diagram_to_dict
 from knotgrowth.errors import InternalConsistencyError
-from knotgrowth.growth import RationalForm, SkewSeries, growth_for_family, skew_growth
+from knotgrowth.growth import (
+    GrowthSeries,
+    RationalForm,
+    SkewSeries,
+    growth_for_family,
+    skew_growth,
+)
 
 
 def run(capsys, *argv):
@@ -433,6 +439,31 @@ def test_trivial_skew_text_has_no_negative_zero(capsys):
     _assert_int_csv(out, (1, -1, 0, 0, 0, 0, 0))
 
 
+SERIES_JSON_CASES = {
+    # order 1, 262 digits at the end
+    "skew torus2:7": lambda: skew_growth(growth_for_family("torus2", (7,), terms=301)),
+    # no rational form: the ints go through json.dumps
+    "skew torus2:12": lambda: skew_growth(growth_for_family("torus2", (12,), terms=41)),
+    "growth dtw:2,2": lambda: growth_for_family("dtw", (2, 2), terms=301),
+    "skew of one term": lambda: SkewSeries((1,), rational=RationalForm((1,), (1, 7))),
+    "growth of one term": lambda: GrowthSeries((1,), rational=RationalForm((1,), (1, -1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_JSON_CASES))
+def test_series_json_matches_json_dumps(name):
+    """The JSON of a growth or skew series, with the coefficients of a
+    rational form spliced in as streamed decimals, has the bytes of
+    json.dumps of the whole payload."""
+    series = SERIES_JSON_CASES[name]()
+    assert (series.rational is None) == (name == "skew torus2:12")
+    payload = dict(series.to_json_dict(), schema_version=cli.SCHEMA_VERSION)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit_series_json(series)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_growth_counts_respect_terms(capsys):
     code, out, _ = run(capsys, "growth", "--counts", "1,2,3,4,5,6", "--terms", "2")
     assert code == 0
@@ -505,6 +536,24 @@ def test_gkdim_counts_respect_terms(capsys):
     code, out, _ = run(capsys, "gkdim", "--counts", counts, "--terms", "8")
     assert code == 0
     assert json.loads(out)["gk"] == "infinity"
+
+
+def test_gkdim_closure_counts_respect_terms(capsys):
+    # the closure keeps its horizon, and only the first --terms of its
+    # counts 3, 3, 3, 3, 3 are examined, as with --counts
+    argv = ("gkdim", "--family", "conway:3", "--max-len", "5", "--method", "difference")
+    code, out, _ = run(capsys, *argv, "--terms", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["gk"], data["evidence"]["cumulative"]) == ("unresolved", [1, 4, 7])
+    for terms in ("2", "4", "12"):
+        code, out, _ = run(capsys, *argv, "--terms", terms)
+        _, counts, _ = run(
+            capsys, "gkdim", "--counts", "3,3,3,3,3", "--method", "difference", "--terms", terms
+        )
+        assert code == 0
+        assert json.loads(out) == dict(json.loads(counts), source="conway:3")
+    assert json.loads(out)["evidence"]["cumulative"] == [1, 4, 7, 10, 13, 16]
 
 
 def test_gkdim_measures_unknown_family_through_closure(capsys):

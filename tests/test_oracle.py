@@ -93,6 +93,30 @@ def reference_closure(pres, horizon):
     return {w: find(w) for w in parent}
 
 
+def reference_partition(pres, horizon):
+    """The reference classes of every degree up to the horizon, each sorted,
+    listed in colex order of their colex-first words."""
+    root = reference_closure(pres, horizon)
+    partition = []
+    for d in range(1, horizon + 1):
+        classes: dict = {}
+        words = itertools.product(range(pres.alphabet_size), repeat=d)
+        for w in sorted(words, key=lambda w: w[::-1]):
+            classes.setdefault(root[w], []).append(w)
+        partition.append([sorted(c) for c in classes.values()])
+    return partition
+
+
+def assert_partition_matches_reference(pres, max_len, pad):
+    """Counts up to max_len, and the partition of the words of every degree
+    up to the horizon."""
+    part = enumerate_classes(pres, max_len, pad=pad)
+    expected = reference_partition(pres, max_len + pad)
+    assert part.degree_counts == tuple(len(c) for c in expected[:max_len])
+    assert_counts_are_roots(part)
+    assert [part.classes_at_degree(d) for d in range(1, max_len + pad + 1)] == expected
+
+
 def reference_counts(pres, max_len, pad):
     root = reference_closure(pres, max_len + pad)
     return tuple(
@@ -118,6 +142,8 @@ CROSS_CHECK_CASES = [
     (Presentation(2, (((0, 1, 1, 0), (1, 0, 0, 1)),)), 4, 2),
     # and cancelled down to a = b through those rows
     (Presentation(2, (((0, 0, 0, 1), (0, 0, 0, 0)),)), 4, 2),
+    # aa = ba forces a = b by right cancellation alone
+    (Presentation(2, (((0, 0), (1, 0)),)), 3, 2),
 ]
 
 
@@ -139,10 +165,12 @@ def test_closure_matches_reference(pres, max_len, pad):
 
 @st.composite
 def small_closures(draw):
-    """A presentation on at most 3 letters with relations of length 1 to 3,
-    a window and a pad whose word universe the reference can afford."""
+    """A presentation on at most 3 letters with relations of length 1 to 4,
+    a window and a pad whose word universe the reference can afford.  Levels
+    below the shortest relation merge nothing, so their births and slots
+    are ranges under levels that merge."""
     k = draw(st.integers(1, 3))
-    words = st.integers(1, 3).flatmap(
+    words = st.integers(1, 4).flatmap(
         lambda n: st.tuples(*[st.tuples(*[st.integers(0, k - 1)] * n)] * 2)
     )
     relations = tuple(draw(st.lists(words, max_size=3)))
@@ -156,10 +184,7 @@ def small_closures(draw):
 @given(small_closures())
 @settings(max_examples=60, deadline=None)
 def test_closure_matches_reference_on_random_presentations(case):
-    pres, max_len, pad = case
-    part = enumerate_classes(pres, max_len, pad=pad)
-    assert part.degree_counts == reference_counts(pres, max_len, pad)
-    assert_counts_are_roots(part)
+    assert_partition_matches_reference(*case)
 
 
 @st.composite
@@ -184,22 +209,7 @@ def diagram_closures(draw):
 @given(diagram_closures())
 @settings(max_examples=60, deadline=None)
 def test_closure_matches_reference_on_diagram_presentations(case):
-    """Counts up to max_len, and the partition of the words of every degree
-    up to the horizon: the reference classes, each sorted, listed in colex
-    order of their colex-first words."""
-    pres, max_len, pad = case
-    part = enumerate_classes(pres, max_len, pad=pad)
-    root = reference_closure(pres, max_len + pad)
-    expected = []
-    for d in range(1, max_len + pad + 1):
-        classes: dict = {}
-        words = itertools.product(range(pres.alphabet_size), repeat=d)
-        for w in sorted(words, key=lambda w: w[::-1]):
-            classes.setdefault(root[w], []).append(w)
-        expected.append([sorted(c) for c in classes.values()])
-    assert part.degree_counts == tuple(len(c) for c in expected[:max_len])
-    assert_counts_are_roots(part)
-    assert [part.classes_at_degree(d) for d in range(1, max_len + pad + 1)] == expected
+    assert_partition_matches_reference(*case)
 
 
 def test_conway_counts_with_many_letters():
@@ -231,19 +241,34 @@ def test_hopf_counts_grow_by_one():
     assert part.degree_counts == tuple(d + 1 for d in range(1, 17))
 
 
-def test_closure_memory_per_node():
-    """The closure's peak traced memory per union-find node: a node is one
-    list slot holding a shared sentinel or a parent id, and the left rows
-    are stored once per class, not once per node."""
+def traced_bytes_per_node(pres, max_len):
+    """The closure's peak traced memory per union-find node."""
     tracemalloc.start()
     try:
-        part = enumerate_classes(Presentation(3, ()), 8)
+        part = enumerate_classes(pres, max_len, budget=10**13)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nodes = len(part._uf.parent)
+    return len(part._uf.parent), peak / len(part._uf.parent)
+
+
+def test_closure_memory_per_node():
+    """A node is one list slot holding a shared sentinel or a parent id; a
+    level that merges nothing keeps its births and slots as ranges, so a
+    free presentation stores nothing else per node (8.1 bytes, Python
+    3.11)."""
+    nodes, per_node = traced_bytes_per_node(Presentation(3, ()), 8)
     assert nodes == sum(3**d for d in range(1, 11))
-    assert peak / nodes <= 40
+    assert per_node <= 12
+
+
+def test_merging_closure_memory_per_node():
+    """A closure that merges at every level also stores births, slots and
+    left rows once per class, not once per node (47.3 bytes, Python 3.11)."""
+    pres = presentation_from_diagram(build_family(parse_family_spec("conway:5,5,5,5")))
+    nodes, per_node = traced_bytes_per_node(pres, 7)
+    assert nodes == 128740
+    assert per_node <= 56
 
 
 def test_trefoil_needs_padding_at_degree_two():

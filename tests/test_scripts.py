@@ -1,5 +1,6 @@
 """The report scripts, run as a user runs them."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -71,3 +72,15 @@ def test_growth_report():
     assert checks == ["match: True", "P*N == 1: True"] * 6
     assert lines[-2:] == ["   counts      (1, 2, 3, 4, 5, 6, 7, 8)",
                           "   growth exponent: 2 (method difference)"]
+
+
+def test_every_mutant_finds_its_text():
+    """Each edit of scripts/mutants.py still finds its old text once in a
+    program file; running the mutants is a CI job of its own."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    for name, path, old, new, tests in mutants.MUTANTS:
+        assert not path.startswith("tests/"), name
+        assert (ROOT / path).read_text().count(old) == 1, name
+        assert old != new and tests, name
