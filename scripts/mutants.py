@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Check that the tests kill a fixed list of mutants of the closure.
+"""Check that the tests kill a fixed list of mutants of the closure and
+the verification around it.
 
 Each mutant names a file, an exact text that must occur in it once, the
 text that replaces it, and the tests that must fail on the result.  For
@@ -61,6 +62,32 @@ MUTANTS = [
         "                if other != c:\n                    pass\n"
         "        # the roots",
         CLOSURE_TESTS,
+    ),
+    (
+        "the probe labels arcs from the anchors (0, 0): the constant map",
+        ORACLE,
+        "        anchors = {first: 0, second: 1}\n",
+        "        anchors = {first: 0, second: 0}\n",
+        ("tests/test_oracle.py::test_probe_letter_map_is_a_nonconstant_coloring",),
+    ),
+    (
+        "the letter map is checked before the closure's budget",
+        ORACLE,
+        "    partition = enumerate_classes(pres, max_len, pad=pad, budget=budget)\n"
+        "    hom = False\n"
+        "    if phi is not None:\n"
+        "        phi = tuple(phi)\n"
+        "        hom = verify_homomorphism(pres, phi, sg)\n"
+        "        if not hom:\n"
+        "            warnings += (\"the letter map does not respect the relations\",)\n",
+        "    hom = False\n"
+        "    if phi is not None:\n"
+        "        phi = tuple(phi)\n"
+        "        hom = verify_homomorphism(pres, phi, sg)\n"
+        "        if not hom:\n"
+        "            warnings += (\"the letter map does not respect the relations\",)\n"
+        "    partition = enumerate_classes(pres, max_len, pad=pad, budget=budget)\n",
+        ("tests/test_oracle.py::test_budget_is_checked_before_the_letter_map",),
     ),
 ]
 

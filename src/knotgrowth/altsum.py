@@ -263,47 +263,16 @@ def dtw_alphabet(n: int, l: int) -> DtwAlphabet:
     return DtwAlphabet(n, l)
 
 
-class ConjectureAlphabet:
-    """Conjectured generator set for the three-parameter pretzel-style family
-    with twist counts (m, l, n), inside the integers mod (ml+1)n + m.
-
-    The defining index ranges are taken literally:
+def conjecture_semigroup(m: int, l: int, n: int) -> AltSumSemigroup:
+    """The conjectured target for the three-twist-region diagram with twist
+    counts (m, l, n): alternating sums in the integers mod (ml+1)n + m on
+    the generator set taken literally from its defining index ranges,
 
         {0..n+1}  +  {jn+1 : 0 <= j <= l+1}  +  {(kl+1)n + k : 0 <= k < m}
 
-    all reduced mod (ml+1)n + m.  The correspondence is only expected to
-    make sense when the modulus is odd; ``modulus_is_odd`` flags that.
+    all reduced mod (ml+1)n + m.  The conjecture is stated for odd moduli.
     """
-
-    __slots__ = ("m", "l", "n")
-
-    def __init__(self, m: int, l: int, n: int):
-        if min(m, l, n) < 1:
-            raise ParameterError(f"twist counts must be positive, got ({m}, {l}, {n})")
-        self.m = m
-        self.l = l
-        self.n = n
-
-    @property
-    def modulus(self) -> int:
-        return (self.m * self.l + 1) * self.n + self.m
-
-    @property
-    def modulus_is_odd(self) -> bool:
-        return self.modulus % 2 == 1
-
-    @property
-    def elements(self) -> frozenset[int]:
-        mod = self.modulus
-        vals = set(range(self.n + 2))
-        vals.update((j * self.n + 1) % mod for j in range(self.l + 2))
-        vals.update(((k * self.l + 1) * self.n + k) % mod for k in range(self.m))
-        return frozenset(v % mod for v in vals)
-
-    def semigroup(self) -> AltSumSemigroup:
-        return AltSumSemigroup(Zmod(self.modulus), tuple(self.elements))
-
-
-def conjecture_alphabet(m: int, l: int, n: int) -> ConjectureAlphabet:
-    return ConjectureAlphabet(m, l, n)
-
+    modulus = (m * l + 1) * n + m
+    values = [*range(n + 2), *(j * n + 1 for j in range(l + 2))]
+    values += [(k * l + 1) * n + k for k in range(m)]
+    return AltSumSemigroup(Zmod(modulus), tuple(values))

@@ -98,21 +98,6 @@ def _emit_json(payload: dict) -> None:
         print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _poly_text(coeffs) -> str:
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        power = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
-        mag = abs(c)
-        body = power if (mag == 1 and power) else f"{mag}{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
-
-
 def _resolve_budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         budget = args.budget
@@ -333,7 +318,6 @@ def _cmd_probe(args) -> int:
         max_len=args.max_len,
         pad=args.pad,
         budget=budget,
-        search_anchors=not args.no_search,
     )
     _print_report(report, args.format)
     # the verdicts are findings; reaching a report is success
@@ -586,7 +570,6 @@ def _configure_probe(p):
     p.add_argument("--params", required=True, help="twist counts m,l,n")
     _add_closure_args(p, max_len_required=False)
     p.set_defaults(max_len=3)
-    p.add_argument("--no-search", action="store_true", help="only try the natural anchors")
     _add_format_arg(p, ("json", "text"), "json")
     p.set_defaults(run=_cmd_probe)
 

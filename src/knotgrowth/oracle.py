@@ -51,7 +51,7 @@ from bisect import bisect_left
 from itertools import compress, islice, product, repeat
 from operator import ge, lt
 
-from .altsum import AltSumSemigroup, conjecture_alphabet
+from .altsum import AltSumSemigroup, conjecture_semigroup
 from .diagrams import FAMILIES, build_family, conway_with_traces, parse_family_spec
 from .errors import (
     DomainError,
@@ -487,8 +487,9 @@ def verify_homomorphism(pres: Presentation, phi, sg: AltSumSemigroup) -> bool:
             f"letter map has {len(phi)} entries for an alphabet of size "
             f"{pres.alphabet_size}"
         )
+    generators = set(sg.generators)
     for image in phi:
-        if image not in sg.generators:
+        if image not in generators:
             raise ParameterError(f"letter image {image} is not a generator of {sg}")
     for lhs, rhs in pres.relations:
         left = sg.class_of(tuple(phi[x] for x in lhs))
@@ -596,16 +597,17 @@ def verify_isomorphism(
     of C, kept as a packed state from the degree below.
 
     With phi None there is no letter map: the homomorphism check is
-    skipped and every degree stays unresolved.
+    skipped and every degree stays unresolved.  The closure runs first, so
+    a case over the budget is refused before the letter map is checked.
     """
     warnings = tuple(warnings)
+    partition = enumerate_classes(pres, max_len, pad=pad, budget=budget)
     hom = False
     if phi is not None:
         phi = tuple(phi)
         hom = verify_homomorphism(pres, phi, sg)
         if not hom:
             warnings += ("the letter map does not respect the relations",)
-    partition = enumerate_classes(pres, max_len, pad=pad, budget=budget)
     onto = hom and set(phi) == set(sg.generators)
     if hom and not onto:
         warnings += (
@@ -751,66 +753,43 @@ def conjecture_probe(
     max_len: int = 3,
     pad: int = 2,
     budget: int = DEFAULT_WORD_BUDGET,
-    search_anchors: bool = True,
 ) -> VerificationReport:
     """Test the three-twist-region diagram against its conjectured semigroup.
 
     The diagram for twist counts (m, l, n) is compared with alternating sums
     on the conjectured generator set inside Z over (ml+1)n+m.  Arc labels are
     found by propagating the per-crossing constraint phi[x] + phi[z] =
-    2 phi[y] from an anchor pair on the last twist region; if the natural
-    anchors (0, 1) fail to produce generator values, every anchor pair from
-    the generator set is tried.
+    2 phi[y] from the natural anchors (0, 1) on the last twist region; when
+    they give no labeling by generators, the report has no letter map.
     """
     diagram, traces = conway_with_traces((m, l, n))
-    alphabet = conjecture_alphabet(m, l, n)
-    sg = alphabet.semigroup()
-    modulus = alphabet.modulus
-    generators = set(alphabet.elements)
+    sg = conjecture_semigroup(m, l, n)
+    modulus = sg.group.modulus
     pres = presentation_from_diagram(diagram)
 
     warnings = []
-    if not alphabet.modulus_is_odd:
+    if modulus % 2 == 0:
         warnings.append(
             f"modulus {modulus} is even; the conjecture is stated for odd moduli"
         )
-    if len(alphabet.elements) != diagram.arc_count:
+    if len(sg.generators) != diagram.arc_count:
         warnings.append(
-            f"generator set has {len(alphabet.elements)} values but the diagram "
+            f"generator set has {len(sg.generators)} values but the diagram "
             f"has {diagram.arc_count} arcs; no letter bijection can exist"
         )
 
-    last = traces[-1]
-    anchor_arcs = (last[0], last[1])
-    candidates = [(0 % modulus, 1 % modulus)]
-    if search_anchors:
-        candidates += [
-            (b0, b1)
-            for b0 in alphabet.elements
-            for b1 in alphabet.elements
-            if (b0, b1) != candidates[0]
-        ]
-
+    first, second = traces[-1][:2]
     phi = None
-    used = None
-    for b0, b1 in candidates:
-        if anchor_arcs[0] == anchor_arcs[1] and b0 != b1:
-            continue
-        anchors = {anchor_arcs[0]: b0, anchor_arcs[1]: b1}
+    if first != second:
+        anchors = {first: 0, second: 1}
         solved = _propagate_labels(diagram.crossings, diagram.arc_count, anchors, modulus)
-        if solved is None:
-            continue
-        if all(v in generators for v in solved.values()):
+        if solved is not None and set(solved.values()) <= set(sg.generators):
             phi = tuple(solved[a] for a in range(diagram.arc_count))
-            used = (b0, b1)
-            break
     if phi is None:
         warnings.append(
             "no arc labeling satisfies the crossing constraints with values in "
             "the generator set"
         )
-    elif used != (0 % modulus, 1 % modulus):
-        warnings.append(f"natural anchors failed; using anchor pair {used}")
     return verify_isomorphism(
         pres,
         phi,

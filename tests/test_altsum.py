@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotgrowth.altsum import AltSumSemigroup, Zmod, conjecture_alphabet, dtw_alphabet
+from knotgrowth.altsum import AltSumSemigroup, Zmod, conjecture_semigroup, dtw_alphabet
 from knotgrowth.errors import DomainError, InternalConsistencyError, ParameterError
+from knotgrowth.oracle import conjecture_probe
 
 AS_Z3 = AltSumSemigroup(Zmod(3), (0, 1, 2))
 AS_Z5 = AltSumSemigroup(Zmod(5), (0, 1, 2, 3, 4))
@@ -241,12 +242,8 @@ def test_dtw_alphabet_shapes():
 
 
 def test_conjecture_alphabet():
-    c = conjecture_alphabet(1, 1, 2)
-    assert c.modulus == 5
-    assert c.modulus_is_odd
-    assert c.elements == frozenset({0, 1, 2, 3})
-    c2 = conjecture_alphabet(2, 1, 2)
-    assert c2.modulus == 8
-    assert not c2.modulus_is_odd
+    assert conjecture_semigroup(1, 1, 2) == AltSumSemigroup(Zmod(5), (0, 1, 2, 3))
+    assert conjecture_semigroup(2, 1, 2) == AltSumSemigroup(Zmod(8), (0, 1, 2, 3, 5))
+    # twist counts are checked where the diagram is built
     with pytest.raises(ParameterError):
-        conjecture_alphabet(1, 0, 1)
+        conjecture_probe(1, 0, 1)

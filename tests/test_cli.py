@@ -276,9 +276,10 @@ def test_probe_verified_case(capsys):
 
 
 def test_probe_no_search(capsys):
+    # the natural anchors fail on cmln:2,1,2 and no other anchors are tried
     code, out, _ = run(
         capsys,
-        "probe", "--conjecture", "cmln", "--params", "2,1,2", "--no-search",
+        "probe", "--conjecture", "cmln", "--params", "2,1,2",
     )
     assert code == 0
     data = json.loads(out)
@@ -714,6 +715,9 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "present", "--family", "cmln:1,1,2")[0] == 2
     assert run(capsys, "present", "--family", "pd")[0] == 2
     assert run(capsys, "verify", "--theorem", "torus-link", "--params", "4")[0] == 2
+    # the probe labels arcs from the natural anchors only; there is no search to turn off
+    probe = ("probe", "--conjecture", "cmln", "--params", "2,1,2")
+    assert run(capsys, *probe, "--no-search")[0] == 2
 
 
 # -- the parser -----------------------------------------------------------------

@@ -16,12 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotgrowth import oracle
-from knotgrowth.altsum import AltSumSemigroup, Zmod, dtw_alphabet
+from knotgrowth.altsum import AltSumSemigroup, Zmod, conjecture_semigroup, dtw_alphabet
 from knotgrowth.diagrams import (
     build_double_twist,
     build_family,
     build_torus2,
     build_trivial,
+    conway_with_traces,
     parse_family_spec,
 )
 from knotgrowth.errors import (
@@ -398,6 +399,17 @@ def test_image_check_catches_over_merge(monkeypatch):
         verify_isomorphism(pres, (0, 0, 1), sg, 2)
 
 
+def test_budget_is_checked_before_the_letter_map(monkeypatch):
+    # the closure refuses an over-budget case before the letter map is
+    # checked, which for a large family costs more than the refusal
+    def fail(*args):
+        raise ParameterError("the letter map was checked before the budget")
+
+    monkeypatch.setattr(oracle, "verify_homomorphism", fail)
+    with pytest.raises(ResourceBudgetError):
+        verify_family("torus2:7", 5, budget=10)
+
+
 def image_of(phi, m, strong, word):
     """The alternating sum in Z_m and the even-letter count (0 unless
     strong) of a word's image under the letter map, from the definitions:
@@ -417,7 +429,13 @@ IMAGE_CASES = {
     "dtw:2,4": lambda: verify_family("dtw:2,4", 4),
     "twist:3": lambda: verify_family("twist:3", 4),
     "trivial": lambda: verify_family("trivial", 5),
-    "cmln:2,1,2": lambda: conjecture_probe(2, 1, 2, max_len=4),
+    # a homomorphism that is not onto: every letter to 0
+    "conway:2,1,2-constant": lambda: verify_isomorphism(
+        presentation_from_diagram(build_family(parse_family_spec("conway:2,1,2"))),
+        (0,) * 5,
+        conjecture_semigroup(2, 1, 2),
+        4,
+    ),
 }
 
 
@@ -538,30 +556,46 @@ def test_probe_verifies_smallest_odd_case():
 
 
 def test_probe_reports_findings_on_even_modulus():
+    # the natural anchors give no labeling by generators, which the probe
+    # notes after the even modulus
     report = conjecture_probe(2, 1, 2)
     assert not report.all_verified
-    assert any("even" in w for w in report.warnings)
-    # the anchor search found a labeling the natural anchors missed
-    assert report.homomorphism
-    assert any("anchor" in w for w in report.warnings)
-
-
-def test_probe_without_anchor_search():
-    report = conjecture_probe(2, 1, 2, search_anchors=False)
-    assert not report.all_verified
-    assert report.phi is None
-    assert not report.homomorphism
     assert report.warnings == (
         "modulus 8 is even; the conjecture is stated for odd moduli",
         "no arc labeling satisfies the crossing constraints with values in the "
         "generator set",
     )
+
+
+def test_probe_without_anchor_search():
+    # the probe tries only the natural anchors (0, 1); where they fail it
+    # reports no letter map rather than searching other anchor pairs
+    report = conjecture_probe(2, 1, 2)
+    assert report.phi is None
+    assert not report.homomorphism
     # with no letter map, every degree is unresolved and nothing is aligned
     assert [(d.class_count, d.element_count, d.aligned, d.verdict) for d in report.degrees] == [
         (5, 5, False, "unresolved"),
         (11, 8, False, "unresolved"),
         (16, 8, False, "unresolved"),
     ]
+
+
+@pytest.mark.parametrize(
+    "params", itertools.product(range(1, 5), repeat=3), ids=lambda p: "%d,%d,%d" % p
+)
+def test_probe_letter_map_is_a_nonconstant_coloring(params):
+    """A letter map the probe reports takes at least two values and solves
+    phi(x) + phi(z) = 2 phi(y) at every crossing; a constant map solves
+    every crossing but is no letter bijection."""
+    phi = conjecture_probe(*params, max_len=1).phi
+    if phi is None:
+        return
+    modulus = conjecture_semigroup(*params).group.modulus
+    assert len(set(phi)) >= 2
+    for c in conway_with_traces(params)[0].crossings:
+        x, z = c.under
+        assert (phi[x] + phi[z] - 2 * phi[c.over]) % modulus == 0, c
 
 
 def test_probe_agrees_with_direct_dtw_check():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from knotgrowth.altsum import AltSumSemigroup, ConjectureAlphabet, DtwAlphabet, Zmod
+from knotgrowth.altsum import AltSumSemigroup, DtwAlphabet, Zmod
 from knotgrowth.diagrams import (
     Crossing,
     Diagram,
@@ -89,7 +89,6 @@ KEYWORDS = [
     (Zmod, {"modulus": 3}),
     (AltSumSemigroup, {"group": Zmod(3), "generators": (0, 1), "strong": True}),
     (DtwAlphabet, {"n": 2, "l": 4}),
-    (ConjectureAlphabet, {"m": 1, "l": 1, "n": 2}),
     (Crossing, {"over": 0, "under": (1, 2)}),
     (Diagram, {"arc_count": 2, "crossings": (Crossing(0, (1, 1)),), "arc_names": ("p", "q")}),
     (Family, {"arity": 1, "build": build_trivial, "target": None}),

@@ -43,7 +43,7 @@ def test_run_verifications_table():
     assert proc.returncode == 0, proc.stderr
     rows = [m.groups() for m in map(ROW.match, proc.stdout.splitlines()) if m]
     assert rows == [row + ("VERIFIED",) for row in THEOREM_ROWS] + PROBE_ROWS
-    assert proc.stdout.count(" note: ") == 3
+    assert proc.stdout.count(" note: ") == 2
     assert proc.stdout.splitlines()[-1] == "theorem checks: all verified"
 
 
