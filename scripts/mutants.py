@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Check that the tests kill a fixed list of mutants of the closure and
-the verification around it.
+"""Check that the tests kill a fixed list of mutants of the closure, the
+verification around it, and the series.
 
 Each mutant names a file, an exact text that must occur in it once, the
 text that replaces it, and the tests that must fail on the result.  For
@@ -23,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/knotgrowth/oracle.py"
+GROWTH = "src/knotgrowth/growth.py"
 CLOSURE_TESTS = (
     "tests/test_oracle.py::test_closure_matches_reference",
     "tests/test_oracle.py::test_partition_queries",
@@ -88,6 +89,13 @@ MUTANTS = [
         "            warnings += (\"the letter map does not respect the relations\",)\n"
         "    partition = enumerate_classes(pres, max_len, pad=pad, budget=budget)\n",
         ("tests/test_oracle.py::test_budget_is_checked_before_the_letter_map",),
+    ),
+    (
+        "a series built from its form expands one coefficient too few",
+        GROWTH,
+        "            self._coefficients = self.rational.expand(self.terms)\n",
+        "            self._coefficients = self.rational.expand(self.terms - 1)\n",
+        ("tests/test_growth.py::test_form_backed_series_expands_terms_coefficients",),
     ),
 ]
 

@@ -328,16 +328,16 @@ def _growth_series(args) -> GrowthSeries:
     terms = args.terms + 1  # coefficients through degree --terms
     if args.counts is not None:
         series = growth_from_counts(_load_counts(args.counts))
+        given = series.terms - 1  # the degrees counted
+        if given < args.terms and series.rational is None:
+            _print_notes((f"the series stops at degree {given}, short of --terms {args.terms}",))
+        elif given < args.terms:
+            first, last = given + 1, args.terms
+            degrees = f"degree {last} is" if first == last else f"degrees {first}-{last} are"
+            _print_notes((f"{degrees} extrapolated from the settled tail of the counts",))
         if series.rational is None:
-            coefficients = series.coefficients[:terms]
-        else:
-            coefficients = series.rational.expand(terms)
-        return GrowthSeries(
-            coefficients,
-            rational=series.rational,
-            source=series.source,
-            warnings=series.warnings,
-        )
+            return GrowthSeries(series.coefficients[:terms], source=series.source)
+        return GrowthSeries.from_rational(series.rational, terms, source=series.source)
     spec = parse_family_spec(args.family)
     if FAMILIES[spec.kind].target is None:
         raise ParameterError(
@@ -347,8 +347,8 @@ def _growth_series(args) -> GrowthSeries:
     return growth_for_family(spec.kind, spec.params, terms=terms)
 
 
-def _print_notes(series: GrowthSeries) -> None:
-    for note in series.warnings:
+def _print_notes(notes) -> None:
+    for note in notes:
         print(f"# note: {note}", file=sys.stderr)
 
 
@@ -364,37 +364,37 @@ def _text_coefficients(series):
 
     # every step is exact, or raises instead of printing a rounded digit
     exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
-    coefficients = series.rational.iter_coefficients(len(series.coefficients), Decimal)
+    coefficients = series.rational.iter_coefficients(series.terms, Decimal)
     return coefficients, localcontext(exact)
 
 
 def _print_series_csv(series) -> None:
     """One line per coefficient, as `_text_coefficients` gives them."""
     coefficients, arithmetic = _text_coefficients(series)
-    print("degree,coefficient")
+    write = sys.stdout.write
+    write("degree,coefficient\n")
     with arithmetic:
         for degree, c in enumerate(coefficients):
-            print(f"{degree},{c}")
+            write(f"{degree},{c}\n")
 
 
 def _emit_series_json(series) -> None:
     """`_emit_json` of a growth or skew series, with the same bytes.  The
     other keys are dumped as usual and the coefficient list, never empty, is
     spliced in as `_text_coefficients` gives it, so a series with a rational
-    form prints in time linear in its text."""
-    payload = series.to_json_dict()
-    payload["coefficients"] = []
-    payload["schema_version"] = SCHEMA_VERSION
+    form prints in time linear in its text, and is never expanded in ints."""
+    payload = dict(series.json_fields(), coefficients=[], schema_version=SCHEMA_VERSION)
     empty = '"coefficients": []'
     head, tail = json.dumps(payload, sort_keys=True, indent=2).split(empty, 1)
     coefficients, arithmetic = _text_coefficients(series)
-    print(f'{head}"coefficients": [')
+    write = sys.stdout.write
+    write(f'{head}"coefficients": [')
     with arithmetic:
-        separator = ""
+        separator = "\n    "
         for c in coefficients:
-            print(f"{separator}    {c}", end="")
-            separator = ",\n"
-    print(f"\n  ]{tail}")
+            write(f"{separator}{c}")
+            separator = ",\n    "
+    write(f"\n  ]{tail}\n")
 
 
 def _cmd_growth(args) -> int:
@@ -404,7 +404,7 @@ def _cmd_growth(args) -> int:
         _emit_series_json(series)
         return 0
     _print_series_csv(series)
-    _print_notes(series)
+    _print_notes(series.warnings)
     if args.rational:
         if series.rational is None:
             print("null")
@@ -416,10 +416,8 @@ def _cmd_growth(args) -> int:
 def _cmd_skew(args) -> int:
     _check_window(args)
     series = _growth_series(args)
-    _print_notes(series)
-    terms = args.terms + 1
-    skew = skew_growth(series, terms=min(terms, len(series.coefficients))
-                       if series.rational is None else terms)
+    _print_notes(series.warnings)
+    skew = skew_growth(series, terms=series.terms)
     if args.format == "json":
         _emit_series_json(skew)
         return 0
@@ -438,7 +436,7 @@ def _cmd_gkdim(args) -> int:
         label = args.family
         if FAMILIES[spec.kind].target is not None:
             source = growth_for_family(spec.kind, spec.params, terms=args.terms + 1)
-            _print_notes(source)
+            _print_notes(source.warnings)
         else:
             if args.max_len is None:
                 raise ParameterError(

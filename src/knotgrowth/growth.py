@@ -2,9 +2,11 @@
 
 The growth series of a graded semigroup with an identity adjoined is
 P(t) = 1 + sum_d c_d t^d where c_d counts the elements of degree d.  The
-skew series is its formal reciprocal, N(t) = 1/P(t).  Both are represented
-here by their coefficient lists, with an exact rational form attached when
-one is known or detected.
+skew series is its formal reciprocal, N(t) = 1/P(t).  A series is held as
+its first `terms` coefficients, with an exact rational form attached when
+one is known or detected.  A series built from its form alone (the closed
+forms, and the skew of a series with a form) expands the coefficients only
+when they are first read; the CLI prints it straight from the form.
 
 Dimension estimates follow the usual pattern for graded growth: the
 cumulative dimension 1 + c_1 + ... + c_d grows like d^k exactly when P has
@@ -103,10 +105,44 @@ class RationalForm:
         return {"num": list(self.numerator), "den": list(self.denominator)}
 
 
-class GrowthSeries:
+class _Series:
+    """Coefficients given as a tuple, or the first `terms` of a rational form,
+    expanded on their first read and then kept: the CLI prints a form's
+    series from its recurrence and never needs them."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_rational(cls, rational: RationalForm, terms: int, **fields):
+        """The series of the first `terms` coefficients of `rational`, with
+        the constructor's other `fields`."""
+        if terms < 1:
+            raise ParameterError(f"need at least one term, got {terms}")
+        series = cls(rational.numerator[:1], **fields)  # checks the constant term
+        series._coefficients, series.rational, series.terms = None, rational, terms
+        return series
+
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        if self._coefficients is None:
+            self._coefficients = self.rational.expand(self.terms)
+        return self._coefficients
+
+    def json_fields(self) -> dict:
+        """`to_json_dict()` without the coefficients, which it leaves unexpanded."""
+        return {
+            "rational": self.rational.to_json_dict() if self.rational else None,
+            "source": self.source,
+        }
+
+    def to_json_dict(self) -> dict:
+        return {"coefficients": list(self.coefficients), **self.json_fields()}
+
+
+class GrowthSeries(_Series):
     """Coefficients of P(t), starting with the constant term 1."""
 
-    __slots__ = ("coefficients", "rational", "source", "warnings")
+    __slots__ = ("_coefficients", "terms", "rational", "source", "warnings")
 
     def __init__(
         self,
@@ -121,7 +157,8 @@ class GrowthSeries:
             raise InternalConsistencyError(
                 "rational form does not expand to the stated coefficients"
             )
-        self.coefficients = coefficients
+        self._coefficients = coefficients
+        self.terms = len(coefficients)
         self.rational = rational
         self.source = source
         self.warnings = warnings
@@ -129,19 +166,14 @@ class GrowthSeries:
     def counts(self) -> tuple[int, ...]:
         return self.coefficients[1:]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "coefficients": list(self.coefficients),
-            "rational": self.rational.to_json_dict() if self.rational else None,
-            "source": self.source,
-            "warnings": list(self.warnings),
-        }
+    def json_fields(self) -> dict:
+        return {**super().json_fields(), "warnings": list(self.warnings)}
 
 
-class SkewSeries:
+class SkewSeries(_Series):
     """Coefficients of N(t) = 1/P(t), starting with 1."""
 
-    __slots__ = ("coefficients", "rational", "source")
+    __slots__ = ("_coefficients", "terms", "rational", "source")
 
     def __init__(
         self,
@@ -149,16 +181,10 @@ class SkewSeries:
         rational: RationalForm | None = None,
         source: str = "counts",
     ):
-        self.coefficients = coefficients
+        self._coefficients = coefficients
+        self.terms = len(coefficients)
         self.rational = rational
         self.source = source
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coefficients": list(self.coefficients),
-            "rational": self.rational.to_json_dict() if self.rational else None,
-            "source": self.source,
-        }
 
 
 # The last this many counts must agree before a tail is called settled.
@@ -204,9 +230,7 @@ def torus_growth(n: int, terms: int = 10) -> GrowthSeries:
             "counts and undercounts the link case",
         )
     rational = RationalForm((1, n - 1), (1, -1))
-    return GrowthSeries(
-        rational.expand(terms), rational=rational, source=f"torus2:{n}", warnings=notes
-    )
+    return GrowthSeries.from_rational(rational, terms, source=f"torus2:{n}", warnings=notes)
 
 
 def dtw_growth(n_twists: int, l_twists: int, terms: int = 10) -> GrowthSeries:
@@ -228,9 +252,7 @@ def dtw_growth(n_twists: int, l_twists: int, terms: int = 10) -> GrowthSeries:
             "products",
         )
     rational = RationalForm((1, n + l - 1, n * l - n - l + 1), (1, -1))
-    return GrowthSeries(
-        rational.expand(terms), rational=rational, source=f"dtw:{n},{l}", warnings=notes
-    )
+    return GrowthSeries.from_rational(rational, terms, source=f"dtw:{n},{l}", warnings=notes)
 
 
 def semigroup_growth(sg: AltSumSemigroup, terms: int = 10, source: str | None = None) -> GrowthSeries:
@@ -248,18 +270,18 @@ def skew_growth(growth: GrowthSeries, terms: int | None = None) -> SkewSeries:
     the same.
     """
     if terms is None:
-        terms = len(growth.coefficients)
+        terms = growth.terms
     terms = max(terms, 1)  # n_0 is always given
     if growth.rational is None:
-        if terms > len(growth.coefficients):
+        if terms > growth.terms:
             raise ParameterError(
-                f"only {len(growth.coefficients)} growth coefficients known; "
+                f"only {growth.terms} growth coefficients known; "
                 f"cannot expand the reciprocal to {terms} terms"
             )
-        rational, form = None, RationalForm((1,), growth.coefficients[:terms])
-    else:
-        rational = form = RationalForm(growth.rational.denominator, growth.rational.numerator)
-    return SkewSeries(form.expand(terms), rational=rational, source=growth.source)
+        form = RationalForm((1,), growth.coefficients[:terms])
+        return SkewSeries(form.expand(terms), source=growth.source)
+    rational = RationalForm(growth.rational.denominator, growth.rational.numerator)
+    return SkewSeries.from_rational(rational, terms, source=growth.source)
 
 
 def cumulative_dimension(counts, degree: int) -> int:
@@ -339,7 +361,6 @@ def gk_dimension(source, method: str | None = None) -> GkEstimate:
     """
     if isinstance(source, GrowthSeries):
         series = source
-        counts = series.counts()
     else:
         counts = tuple(int(c) for c in source)
         series = None
@@ -364,6 +385,8 @@ def gk_dimension(source, method: str | None = None) -> GkEstimate:
             )
     if method == "rational":
         raise ParameterError("no rational form available for the rational method")
+    if series is not None:
+        counts = series.counts()  # only now: a form's series expands here
 
     cumulative = list(accumulate(counts, initial=1))
 
@@ -514,11 +537,8 @@ def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> Gr
     if kind == "twist":
         (n,) = params
         series = dtw_growth(n, 2, terms=terms)
-        return GrowthSeries(
-            series.coefficients,
-            rational=series.rational,
-            source=f"twist:{n}",
-            warnings=series.warnings,
+        return GrowthSeries.from_rational(
+            series.rational, terms, source=f"twist:{n}", warnings=series.warnings
         )
     if kind == "dtw":
         n, l = params

@@ -511,6 +511,84 @@ def test_counts_lines_may_end_in_a_comma(capsys, tmp_path):
     assert run(capsys, "growth", "--counts", str(path), "--terms", "3") == expected
 
 
+# (counts, --terms, coefficients printed, the note on stderr)
+COUNTS_NOTES = [
+    ("1,2,3,3,3", "8", 9,
+     "# note: degrees 6-8 are extrapolated from the settled tail of the counts\n"),
+    ("1,2,3,3,3", "6", 7,
+     "# note: degree 6 is extrapolated from the settled tail of the counts\n"),
+    ("1,2,3,3,3", "5", 6, ""),
+    ("1,2,3,3,3", "2", 3, ""),
+    ("1,2,3", "8", 4, "# note: the series stops at degree 3, short of --terms 8\n"),
+    ("1,2,3", "3", 4, ""),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["growth", "skew"])
+@pytest.mark.parametrize("counts, terms, printed, note", COUNTS_NOTES,
+                         ids=[f"{counts}-to-{terms}" for counts, terms, _, _ in COUNTS_NOTES])
+def test_counts_notes_name_extrapolated_and_missing_degrees(
+    capsys, command, fmt, counts, terms, printed, note
+):
+    """From --counts, degrees past the last count come from the settled-tail
+    form, or are missing when there is none; a note says which."""
+    code, out, err = run(capsys, command, "--counts", counts, "--terms", terms, "--format", fmt)
+    assert (code, err) == (0, note)
+    if fmt == "csv":
+        assert len(out.splitlines()) == 1 + printed
+    else:
+        assert len(json.loads(out)["coefficients"]) == printed
+
+
+@pytest.mark.parametrize("family", ["torus2:7", "dtw:2,4", "twist:3"])
+def test_closed_form_series_print_without_int_expansion(capsys, monkeypatch, family):
+    """The closed forms print, and their dimension is read, from the form's
+    recurrence alone: no series is expanded in ints along the way."""
+    argvs = [
+        (command, "--family", family, "--terms", "40", "--format", fmt)
+        for command, formats in (("growth", ("csv", "json")), ("skew", ("csv", "json")),
+                                 ("gkdim", ("json", "text")))
+        for fmt in formats
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(form, terms):
+        raise AssertionError(f"expanded {form.to_json_dict()} to {terms} terms in ints")
+
+    monkeypatch.setattr(RationalForm, "expand", refuse)
+    for argv, want in zip(argvs, expected):
+        assert run(capsys, *argv) == want, argv
+
+
+@given(
+    numerator=st.lists(_small, max_size=5),
+    denominator_tail=st.lists(_small, max_size=3),
+    terms=st.integers(min_value=1, max_value=300),
+)
+@settings(max_examples=100, deadline=None)
+def test_form_backed_series_match_expanded_ones(numerator, denominator_tail, terms):
+    """A series of order 0-3 built from its form reads and prints as the one
+    built from the form's expanded coefficients."""
+    form = RationalForm((1, *numerator), (1, *denominator_tail))
+    coefficients = form.expand(terms)
+    for cls in (GrowthSeries, SkewSeries):
+        backed = cls.from_rational(form, terms)
+        expanded = cls(coefficients, rational=form)
+        texts = []
+        for series in (backed, expanded):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                _print_series_csv(series)
+                cli._emit_series_json(series)
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1]
+        assert backed.to_json_dict() == expanded.to_json_dict()
+        assert backed.coefficients == expanded.coefficients == coefficients
+        if cls is GrowthSeries:
+            assert backed.counts() == expanded.counts()
+
+
 def test_gkdim_family(capsys):
     code, out, _ = run(capsys, "gkdim", "--family", "torus2:3")
     assert code == 0

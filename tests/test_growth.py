@@ -15,6 +15,7 @@ from knotgrowth.errors import InternalConsistencyError, ParameterError
 from knotgrowth.growth import (
     GrowthSeries,
     RationalForm,
+    SkewSeries,
     cumulative_dimension,
     dtw_growth,
     gk_dimension,
@@ -51,6 +52,28 @@ def test_growth_series_validation():
         GrowthSeries((1, 5, 5), rational=RationalForm((1, 2), (1, -1)))
     series = GrowthSeries((1, 3, 3))
     assert series.counts() == (3, 3)
+
+
+def test_form_backed_series_expands_terms_coefficients():
+    """A series built from its form holds `terms` coefficients, expanded on
+    the first read and kept; the constant term is checked without them."""
+    form = RationalForm((1, 2), (1, -1))
+    series = GrowthSeries.from_rational(form, 5, source="torus2:3", warnings=("w",))
+    assert (series.terms, series.rational, series.source, series.warnings) == (
+        5, form, "torus2:3", ("w",)
+    )
+    assert series.coefficients == (1, 3, 3, 3, 3)
+    assert series.coefficients is series.coefficients
+    assert series.counts() == (3, 3, 3, 3)
+    skew = SkewSeries.from_rational(RationalForm((1, -1), (1, 2)), 4, source="s")
+    assert (skew.terms, skew.coefficients, skew.source) == (4, (1, -3, 6, -12), "s")
+    assert GrowthSeries.from_rational(form, 1).coefficients == (1,)
+    with pytest.raises(AttributeError):
+        series.coefficients = (1, 3)
+    with pytest.raises(ParameterError, match="constant term 1"):
+        GrowthSeries.from_rational(RationalForm((2, 1), (1, -1)), 3)
+    with pytest.raises(ParameterError, match="at least one term"):
+        GrowthSeries.from_rational(form, 0)
 
 
 def test_growth_from_counts_rational_detection():
