@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Check that the tests kill a fixed list of mutants of the closure, the
-verification around it, and the series.
+verification around it, the series, and the CLI's start-up.
 
 Each mutant names a file, an exact text that must occur in it once, the
 text that replaces it, and the tests that must fail on the result.  For
@@ -24,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/knotgrowth/oracle.py"
 GROWTH = "src/knotgrowth/growth.py"
+CLI = "src/knotgrowth/cli.py"
 CLOSURE_TESTS = (
     "tests/test_oracle.py::test_closure_matches_reference",
     "tests/test_oracle.py::test_partition_queries",
@@ -96,6 +97,13 @@ MUTANTS = [
         "            self._coefficients = self.rational.expand(self.terms)\n",
         "            self._coefficients = self.rational.expand(self.terms - 1)\n",
         ("tests/test_growth.py::test_form_backed_series_expands_terms_coefficients",),
+    ),
+    (
+        "cli imports the closure at module level",
+        CLI,
+        "from .growth import (\n",
+        "from .oracle import enumerate_classes\nfrom .growth import (\n",
+        ("tests/test_records.py::test_import_loads_no_closure",),
     ),
 ]
 

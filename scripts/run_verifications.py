@@ -4,7 +4,8 @@
 Each row names a diagram family, the alternating-sum semigroup it is compared
 against, and the per-degree verdicts from the bounded congruence closure.
 Exit status is 0 when every theorem row verifies (probe rows are findings and
-do not affect the status).
+do not affect the status).  Each row's wall time goes to stderr, so stdout is
+the same on every run and can be diffed.
 """
 
 import argparse
@@ -36,7 +37,8 @@ def row(report, elapsed):
     counts = ",".join(str(d.class_count) for d in report.degrees)
     flag = "VERIFIED" if report.all_verified else "unresolved"
     print(f"{report.description:<14} {report.semigroup:<34} "
-          f"degrees 1..{report.max_len} counts [{counts}]  {flag}  ({elapsed:.2f}s)")
+          f"degrees 1..{report.max_len} counts [{counts}]  {flag}")
+    print(f"{report.description}: {elapsed:.2f}s", file=sys.stderr)
     for w in report.warnings:
         print(f"{'':14} note: {w}")
     return report.all_verified

@@ -9,7 +9,11 @@ and double twist families, `probe` tests the three-region conjecture, and
 that adds its arguments and handler.  A call builds only the parser of the
 subcommand it names, which takes about a sixth of the time of building all
 eight; help, a missing command and an unknown one get the full parser.
-Both print the same usage and errors.
+Both print the same usage and errors.  The closure modules, `presentation`
+and `oracle`, are imported inside the handlers that use them: `present`,
+`classes`, `verify`, `probe`, `rmove`, and `gkdim` on a family with no
+stated growth.  So `growth`, `skew` and the other `gkdim` calls never
+compile or load them.
 
 Exit codes: 0 success (for verify, a fully positive verdict; for rmove,
 equal dimensions), 1 verdict not fully positive, 2 bad arguments or input,
@@ -36,6 +40,7 @@ from .diagrams import (
     parse_family_spec,
 )
 from .errors import (
+    DEFAULT_WORD_BUDGET,
     InternalConsistencyError,
     KnotgrowthError,
     ParameterError,
@@ -49,8 +54,6 @@ from .growth import (
     reidemeister_dimension_check,
     skew_growth,
 )
-from .oracle import DEFAULT_WORD_BUDGET, conjecture_probe, enumerate_classes, verify_family
-from .presentation import presentation_from_diagram
 
 SCHEMA_VERSION = 1
 # Largest --terms for growth, skew and gkdim.  Level t of a strong
@@ -218,6 +221,8 @@ def _parse_site(text: str) -> dict:
 
 
 def _cmd_present(args) -> int:
+    from .presentation import presentation_from_diagram
+
     diagram, label = _diagram_from_args(args)
     pres = presentation_from_diagram(diagram)
     if args.format == "text":
@@ -233,6 +238,9 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_classes(args) -> int:
+    from .oracle import enumerate_classes
+    from .presentation import presentation_from_diagram
+
     _check_window(args)
     budget = _resolve_budget(args)
     diagram, label = _diagram_from_args(args)
@@ -255,6 +263,8 @@ def _cmd_classes(args) -> int:
 
 
 def _verify_report(args):
+    from .oracle import verify_family
+
     _check_window(args)
     budget = _resolve_budget(args)
     params = _parse_int_list(args.params, "--params")
@@ -305,6 +315,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .oracle import conjecture_probe
+
     _check_window(args)
     budget = _resolve_budget(args)
     params = _parse_int_list(args.params, "--params")
@@ -443,6 +455,9 @@ def _cmd_gkdim(args) -> int:
                     f"family {spec.kind!r} has no stated growth; give --max-len "
                     "to measure it through the congruence closure"
                 )
+            from .oracle import enumerate_classes
+            from .presentation import presentation_from_diagram
+
             budget = _resolve_budget(args)
             pres = presentation_from_diagram(build_family(spec))
             partition = enumerate_classes(pres, args.max_len, pad=args.pad, budget=budget)

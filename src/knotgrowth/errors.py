@@ -27,6 +27,11 @@ class MoveError(KnotgrowthError, ValueError):
     """A diagram rewrite does not apply at the given site."""
 
 
+# The closure's default cap on its word universe; here, beside the error
+# that enforces it, so the CLI and growth read it without loading the closure.
+DEFAULT_WORD_BUDGET = 5_000_000
+
+
 class ResourceBudgetError(KnotgrowthError, RuntimeError):
     """An enumeration would exceed the configured word budget."""
 

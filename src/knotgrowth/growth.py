@@ -22,9 +22,12 @@ from itertools import accumulate
 
 from .altsum import AltSumSemigroup
 from .diagrams import FAMILIES, Diagram, FamilySpec
-from .errors import InternalConsistencyError, ParameterError, refuse_assignment
-from .oracle import DEFAULT_WORD_BUDGET, enumerate_classes
-from .presentation import presentation_from_diagram
+from .errors import (
+    DEFAULT_WORD_BUDGET,
+    InternalConsistencyError,
+    ParameterError,
+    refuse_assignment,
+)
 
 # -- small polynomial helpers (ascending coefficient tuples) -----------------
 
@@ -504,6 +507,9 @@ def reidemeister_dimension_check(
     is expected to keep the Gelfand-Kirillov dimension, not every count:
     R2 on ``dtw:2,2`` gives 4, 5, 5, ... against 5, 5, 5, ....
     """
+    from .oracle import enumerate_classes
+    from .presentation import presentation_from_diagram
+
     lp = enumerate_classes(presentation_from_diagram(left), max_len, pad=pad, budget=budget)
     rp = enumerate_classes(presentation_from_diagram(right), max_len, pad=pad, budget=budget)
     left_cumulative = tuple(accumulate(lp.degree_counts, initial=1))

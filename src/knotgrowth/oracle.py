@@ -54,14 +54,13 @@ from operator import ge, lt
 from .altsum import AltSumSemigroup, conjecture_semigroup
 from .diagrams import FAMILIES, build_family, conway_with_traces, parse_family_spec
 from .errors import (
+    DEFAULT_WORD_BUDGET,
     DomainError,
     InternalConsistencyError,
     ParameterError,
     ResourceBudgetError,
 )
 from .presentation import Presentation, Word, presentation_from_diagram
-
-DEFAULT_WORD_BUDGET = 5_000_000
 
 
 class _UnionFind:

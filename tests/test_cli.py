@@ -779,7 +779,7 @@ def test_internal_inconsistency_exit_four(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise InternalConsistencyError("class count fell below the element count")
 
-    monkeypatch.setattr("knotgrowth.cli.verify_family", explode)
+    monkeypatch.setattr("knotgrowth.oracle.verify_family", explode)
     code, _, err = run(capsys, "verify", "--theorem", "torus", "--params", "3")
     assert code == 4
     assert "internal" in err.lower() or "class count" in err

@@ -3,6 +3,7 @@ or printed, construction by keyword, and what importing the package loads
 and exports."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import knotgrowth
 from knotgrowth.altsum import AltSumSemigroup, DtwAlphabet, Zmod
 from knotgrowth.diagrams import (
     Crossing,
@@ -144,13 +146,8 @@ def test_reprs_that_reach_messages():
         Diagram(2, (Crossing(0, (5, 1)),))
 
 
-def _loaded_by_import(modules):
-    """Which of the named modules `import knotgrowth, knotgrowth.cli` loads,
-    in a fresh interpreter without the site module."""
-    code = (
-        "import json, sys, knotgrowth, knotgrowth.cli; "
-        f"print(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))"
-    )
+def _fresh(code: str) -> str:
+    """The stdout of `code` in a fresh interpreter without the site module."""
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
@@ -158,7 +155,37 @@ def _loaded_by_import(modules):
         text=True,
         check=True,
     )
-    return json.loads(result.stdout)
+    return result.stdout
+
+
+def _loaded_by_import(modules, argv=None):
+    """Which of the named modules `import knotgrowth, knotgrowth.cli` loads,
+    in a fresh interpreter without the site module; with `argv`, once
+    `cli.main(argv)` has also run and returned 0."""
+    run = "" if argv is None else f"assert knotgrowth.cli.main({list(argv)!r}) == 0; "
+    code = (
+        f"import json, sys, knotgrowth, knotgrowth.cli; {run}"
+        f"print(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))"
+    )
+    return json.loads(_fresh(code).splitlines()[-1])
+
+
+CLOSURE_MODULES = ("knotgrowth.oracle", "knotgrowth.presentation")
+
+# each name the package exports -> the module that defines it
+EXPORTS = {
+    "dtw_alphabet": "altsum",
+    "build_double_twist": "diagrams",
+    "build_family": "diagrams",
+    "diagram_to_dict": "diagrams",
+    "parse_family_spec": "diagrams",
+    "gk_dimension": "growth",
+    "skew_growth": "growth",
+    "torus_growth": "growth",
+    "enumerate_classes": "oracle",
+    "verify_family": "oracle",
+    "presentation_from_diagram": "presentation",
+}
 
 
 def test_import_loads_no_code_generation_modules():
@@ -177,6 +204,59 @@ def test_import_loads_no_decimal():
     """Only the text of a long rational series uses decimals, and it imports
     them when it first needs them."""
     assert _loaded_by_import(("decimal", "numbers")) == []
+
+
+def test_import_loads_no_closure():
+    """The congruence closure is compiled and loaded only by the
+    subcommands that run it."""
+    assert _loaded_by_import(CLOSURE_MODULES) == []
+
+
+# (argv, the closure modules it loads in a fresh interpreter)
+STARTUP_CASES = [
+    (("growth", "--family", "torus2:7"), []),
+    (("skew", "--family", "dtw:2,2"), []),
+    (("gkdim", "--family", "hopf"), []),
+    (("classes", "--family", "torus2:3", "--max-len", "2"), list(CLOSURE_MODULES)),
+    (("verify", "--theorem", "torus", "--params", "3", "--max-len", "2"), list(CLOSURE_MODULES)),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", STARTUP_CASES, ids=[a[0] for a, _ in STARTUP_CASES])
+def test_subcommands_load_the_closure_only_to_run_it(argv, loaded):
+    assert _loaded_by_import(CLOSURE_MODULES, argv) == loaded
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_package_names_resolve_to_their_modules(name):
+    module = importlib.import_module(f"knotgrowth.{EXPORTS[name]}")
+    assert getattr(knotgrowth, name) is getattr(module, name)
+
+
+def test_package_lists_its_names():
+    """`dir` lists the names before any has resolved, in a fresh
+    interpreter, and `import *` binds exactly them."""
+    listed = json.loads(_fresh("import json, knotgrowth; print(json.dumps(dir(knotgrowth)))"))
+    assert set(EXPORTS) <= set(listed)
+    namespace: dict = {}
+    exec("from knotgrowth import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+
+
+def test_package_submodule_import_is_not_shadowed():
+    """A name the package does not export falls through to the import
+    system, so a fresh `from knotgrowth import oracle` gets the module."""
+    code = (
+        "import sys; from knotgrowth import oracle; "
+        "print(oracle is sys.modules['knotgrowth.oracle'])"
+    )
+    assert _fresh(code) == "True\n"
+
+
+def test_package_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        knotgrowth.nonesuch  # noqa: B018
+    assert not hasattr(knotgrowth, "nonesuch")
 
 
 def test_readme_library_example():

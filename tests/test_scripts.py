@@ -9,11 +9,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 ROW = re.compile(
-    r"^(\S+)\s+(.+?)\s+degrees 1\.\.(\d+) counts \[([\d,]*)\]\s+(VERIFIED|unresolved)"
-    r"\s+\(\d+\.\d+s\)$"
+    r"^(\S+)\s+(.+?)\s+degrees 1\.\.(\d+) counts \[([\d,]*)\]\s+(VERIFIED|unresolved)$"
 )
+# each row's wall time, on stderr
+ROW_TIME = re.compile(r"^\S+: \d+\.\d+s$", re.MULTILINE)
 
-# (description, target semigroup, max len, counts, flag); timings are not compared.
+# (description, target semigroup, max len, counts, flag)
 THEOREM_ROWS = [
     ("trivial", "AS(Zmod(1), {0})", "3", "1,1,1"),
     ("torus2:3", "AS(Zmod(3), {0, 1, 2})", "3", "3,3,3"),
@@ -45,6 +46,7 @@ def test_run_verifications_table():
     assert rows == [row + ("VERIFIED",) for row in THEOREM_ROWS] + PROBE_ROWS
     assert proc.stdout.count(" note: ") == 2
     assert proc.stdout.splitlines()[-1] == "theorem checks: all verified"
+    assert len(ROW_TIME.findall(proc.stderr)) == len(THEOREM_ROWS) + len(PROBE_ROWS) == 13
 
 
 GROWTH_SECTIONS = [
