@@ -75,7 +75,7 @@ MUTANTS = [
     (
         "the letter map is checked before the closure's budget",
         ORACLE,
-        "    partition = enumerate_classes(pres, max_len, pad=pad, budget=budget)\n"
+        "    _checked_horizon(pres, max_len, pad, budget)\n"
         "    hom = False\n"
         "    if phi is not None:\n"
         "        phi = tuple(phi)\n"
@@ -88,8 +88,37 @@ MUTANTS = [
         "        hom = verify_homomorphism(pres, phi, sg)\n"
         "        if not hom:\n"
         "            warnings += (\"the letter map does not respect the relations\",)\n"
-        "    partition = enumerate_classes(pres, max_len, pad=pad, budget=budget)\n",
+        "    _checked_horizon(pres, max_len, pad, budget)\n",
         ("tests/test_oracle.py::test_budget_is_checked_before_the_letter_map",),
+    ),
+    (
+        "the closure stops without the counts of degrees 1..n meeting their bounds",
+        ORACLE,
+        "        while n < min(top, max_len) and k * width[n + 1] - absorbed[n + 1]"
+        " == bounds[n]:\n",
+        "        while n < min(top, max_len):\n",
+        ("tests/test_oracle.py::test_counts_above_their_bounds_keep_the_pad",),
+    ),
+    (
+        "the certificate's letter column is checked against the level's nodes, not its roots",
+        ORACLE,
+        "            len(set(map(find, range(z, z + w)))) == roots for z in",
+        "            len(set(map(find, range(z, z + w)))) == k * w for z in",
+        ("tests/test_oracle.py::test_certificate_stops_a_deep_closure_at_level_three",),
+    ),
+    (
+        "join_merged does not count the roots it absorbs",
+        ORACLE,
+        "        if joined:\n            absorbed[d + 1] += joined\n",
+        "        if joined:\n",
+        CLOSURE_TESTS,
+    ),
+    (
+        "build_left builds only the level read, not the missing levels below it",
+        ORACLE,
+        "        for j in range(first, d + 1):\n            left[j] = left_rows(j)\n",
+        "        left[d] = left_rows(d)\n",
+        CLOSURE_TESTS,
     ),
     (
         "a series built from its form expands one coefficient too few",

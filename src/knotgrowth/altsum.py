@@ -135,7 +135,12 @@ class AltSumSemigroup:
     a letter map may use; ``class_of``, the state of a word, for the
     homomorphism check; ``extend_states``, one letter appended to many
     states, for the image check; ``count_elements``, the lower bound at a
-    degree; and ``repr``, which names the target in reports.
+    degree; and ``repr``, which names the target in reports.  The closure's
+    certificate also needs right multiplication by a letter's image to be
+    injective at each degree, so that the element counts never fall as the
+    degree grows: in AS and SAS it moves the alternating sum by plus or
+    minus that image (and in SAS the even count by 0 or 1), which is
+    injective on the words of one length.
     """
 
     __slots__ = ("group", "generators", "strong", "_members", "_levels", "_hash")

@@ -229,6 +229,13 @@ def conway_with_traces(twists: tuple[int, ...]) -> tuple[Diagram, list[list[int]
 # -- family specs and dispatch ----------------------------------------------
 
 
+def _build_twist(n: int) -> Diagram:
+    """The twist knot: the double twist diagram with (n, 2) twists."""
+    if n < 1:
+        raise ParameterError(f"twist needs n >= 1, got {n}")
+    return build_double_twist(n, 2)
+
+
 def _torus_target(n: int):
     """All of Z_n, letter i to i; the strong variant for even n, where the
     braid closes to a two-component link."""
@@ -265,7 +272,7 @@ FAMILIES = {
     "trivial": Family(0, build_trivial, lambda: (AltSumSemigroup(Zmod(1), (0,)), (0,), ())),
     "hopf": Family(0, lambda: build_torus2(2), lambda: _torus_target(2)),
     "torus2": Family(1, build_torus2, _torus_target),
-    "twist": Family(1, lambda n: build_double_twist(n, 2), lambda n: _dtw_target(n, 2)),
+    "twist": Family(1, _build_twist, lambda n: _dtw_target(n, 2)),
     "dtw": Family(2, build_double_twist, _dtw_target),
     "conway": Family(None, lambda *twists: conway_with_traces(twists)[0], None),
 }

@@ -542,6 +542,8 @@ def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> Gr
         return torus_growth(params[0], terms=terms)
     if kind == "twist":
         (n,) = params
+        if n < 1:
+            raise ParameterError(f"twist needs n >= 1, got {n}")
         series = dtw_growth(n, 2, terms=terms)
         return GrowthSeries.from_rational(
             series.rational, terms, source=f"twist:{n}", warnings=series.warnings

@@ -43,6 +43,9 @@ closure classes onto the semigroup's elements, so the element count is a
 lower bound; when the two counts agree, the degree is pinned exactly and
 the map is a bijection there.  Images go up the levels like the classes:
 R(C, a) maps to the image of C followed by that of a, one step per node.
+Given those lower bounds, the closure stops at the first level where the
+counts are final, or where a certificate settles every higher degree (see
+`enumerate_classes`).
 """
 
 from __future__ import annotations
@@ -107,7 +110,9 @@ def _walk(word: Word, find, slots: list, base: list[int], width: list[int]) -> i
 
 class CongruencePartition:
     """Result of the bounded closure: class structure on words up to the
-    horizon, with per-degree class counts over the requested window.
+    levels built, with per-degree class counts over the requested window.
+    The levels reach the horizon unless bounds let the closure stop below
+    it (see `enumerate_classes`).
 
     Words are not stored.  Level d holds k * _width[d] nodes from id
     _base[d] on; node _base[d] + a * _width[d] + i is R(C, a), the words of
@@ -121,7 +126,7 @@ class CongruencePartition:
     """
 
     __slots__ = (
-        "alphabet_size", "max_len", "horizon", "degree_counts",
+        "alphabet_size", "max_len", "horizon", "levels", "degree_counts",
         "_uf", "_base", "_width", "_births", "_slots",
     )
 
@@ -130,6 +135,7 @@ class CongruencePartition:
         alphabet_size: int,
         max_len: int,
         horizon: int,
+        levels: int,
         degree_counts: tuple[int, ...],
         _uf: _UnionFind,
         _base: list[int],
@@ -140,6 +146,7 @@ class CongruencePartition:
         self.alphabet_size = alphabet_size
         self.max_len = max_len
         self.horizon = horizon
+        self.levels = levels
         self.degree_counts = degree_counts
         self._uf = _uf
         self._base = _base
@@ -161,8 +168,8 @@ class CongruencePartition:
     def classes_at_degree(self, degree: int) -> list[list[Word]]:
         """All classes of words of the given length, each sorted, the list
         in colex order of the classes' colex-first words."""
-        if not 1 <= degree <= self.horizon:
-            raise DomainError(f"degree {degree} outside the closed range 1..{self.horizon}")
+        if not 1 <= degree <= self.levels:
+            raise DomainError(f"degree {degree} outside the closed range 1..{self.levels}")
         groups: dict[int, list[Word]] = {}
         find = self._uf.find
         for word in product(range(self.alphabet_size), repeat=degree):
@@ -171,18 +178,9 @@ class CongruencePartition:
         return [sorted(words) for root, words in sorted(groups.items())]
 
 
-def enumerate_classes(
-    pres: Presentation,
-    max_len: int,
-    pad: int = 2,
-    budget: int = DEFAULT_WORD_BUDGET,
-) -> CongruencePartition:
-    """Run the bounded closure and count classes per degree 1..max_len.
-
-    The budget caps the words up to the horizon, k + k**2 + ... + k**H,
-    although only class nodes are stored, and left rows only for levels
-    a merge reads.  Each count is the level's node count less its merges.
-    """
+def _checked_horizon(pres: Presentation, max_len: int, pad: int, budget: int) -> int:
+    """The closure's horizon max_len + pad, once the window is valid and the
+    words up to it, k + k**2 + ... + k**H, fit the budget."""
     if max_len < 1:
         raise ParameterError(f"max_len must be at least 1, got {max_len}")
     if pad < 0:
@@ -198,6 +196,45 @@ def enumerate_classes(
     total = sum(k**length for length in range(1, horizon + 1))
     if total > budget:
         raise ResourceBudgetError(total, budget)
+    return horizon
+
+
+def enumerate_classes(
+    pres: Presentation,
+    max_len: int,
+    pad: int = 2,
+    budget: int = DEFAULT_WORD_BUDGET,
+    bounds: tuple[int, ...] | None = None,
+) -> CongruencePartition:
+    """Run the bounded closure and count classes per degree 1..max_len.
+
+    The budget caps the words up to the horizon, k + k**2 + ... + k**H,
+    although only class nodes are stored, and left rows only for levels
+    a merge reads.  Each count is the level's node count less its merges.
+
+    bounds, if given, are lower bounds |T_d| on the counts of degrees
+    1..max_len in every cancellative semigroup the relations present, from
+    a target T that the letters map onto and in which right multiplication
+    by a letter's image is injective, so that |T_d| never falls as d
+    grows.  The closure then stops after the first settled top level h
+    below the horizon where, for n the largest degree up to min(h, max_len)
+    such that the counts of degrees 1..n all meet their bounds:
+
+    * n = max_len: no count up to max_len can fall any further; or
+    * c = min(n, h - 1) >= 1 and, for some letter z, the nodes of column z
+      at level c+1 reach every root of that level.  Then every class at
+      degree c+1 holds a word ending in z, and by left extension so does
+      every class above, so the counts never rise above m, the count at
+      degree c, which meets |T_c|; and |T_t| >= |T_c| for t > c.  So every
+      degree above c has exactly m classes, also in the closure to the
+      full horizon, and the degrees above h are counted as m.
+
+    Without bounds every level up to the horizon is built.
+    """
+    horizon = _checked_horizon(pres, max_len, pad, budget)
+    if bounds is not None and len(bounds) != max_len:
+        raise ParameterError(f"{len(bounds)} bounds for max_len {max_len}")
+    k = pres.alphabet_size
 
     uf = _UnionFind()
     find, parent = uf.find, uf.parent
@@ -448,18 +485,39 @@ def enumerate_classes(
         join_merged(d)
         seed(top)
 
+    def settled() -> bool:
+        """Whether the levels built fix every count up to max_len, by the
+        stop rule in the docstring."""
+        n = 0
+        while n < min(top, max_len) and k * width[n + 1] - absorbed[n + 1] == bounds[n]:
+            n += 1
+        if n == max_len:
+            return True
+        c = min(n, top - 1)
+        if c < 1:
+            return False
+        lo, w = base[c + 1], width[c + 1]
+        roots = k * w - absorbed[c + 1]
+        # a column holds w nodes, so it reaches at most w roots
+        return roots <= w and any(
+            len(set(map(find, range(z, z + w)))) == roots for z in range(lo, lo + k * w, w)
+        )
+
     uf.add(k)
     seed(1)
     settle()
-    while top < horizon:
+    while top < horizon and not (bounds is not None and settled()):
         grow()
         settle()
 
-    counts = tuple(k * width[d] - absorbed[d] for d in range(1, max_len + 1))
+    counts = tuple(k * width[d] - absorbed[d] for d in range(1, min(top, max_len) + 1))
+    # above a level the certificate stopped at, every count is the top's
+    counts += counts[-1:] * (max_len - top)
     return CongruencePartition(
         alphabet_size=k,
         max_len=max_len,
         horizon=horizon,
+        levels=top,
         degree_counts=counts,
         _uf=uf,
         _base=base,
@@ -582,25 +640,40 @@ def verify_isomorphism(
     """Squeeze the presentation against the target semigroup degree by degree.
 
     The bounded closure gives class counts from above; the target's element
-    counts bound from below once the letter map is a homomorphism.  A degree
-    comes out "verified" when the counts agree and the classes sit in
-    bijection with the elements, "unresolved" when the closure has not
-    merged enough within its horizon to settle the question.
+    counts bound from below once the letter map is a homomorphism onto the
+    generators.  A degree comes out "verified" when the counts agree and
+    the classes sit in bijection with the elements, "unresolved" when the
+    closure has not merged enough within its horizon to settle the
+    question.
 
-    The image check runs once per closure node, not once per word.  A word
-    w'a lies in the node R(C, a) for the class C of w', and the birth word
-    of R(C, a) is the birth word of C followed by a; every birth word is a
-    word of its class.  So, by induction on the degree, a class sends all
-    its words to one element if it sends its nodes' birth words to one.
-    No birth word is built: the image of R(C, a) is one step on from that
-    of C, kept as a packed state from the degree below.
+    With such a letter map the element counts go to the closure as bounds,
+    and it may stop below max_len + pad: once the counts of degrees 1..n
+    meet them, at n = max_len, or when every class one level above holds a
+    word ending in one letter z (see `enumerate_classes`).  In the second
+    case the three steps of the certificate settle every higher degree:
+    (a) the squeeze meets at degree n, so the cancellative semigroup S has
+    m elements there; (b) S_{t+1} = S_t z for every t >= n, so its counts
+    never rise; (c) right multiplication in the target is injective, so
+    its counts never fall.  Each degree above the levels built then
+    reports m classes, aligned and verified, as the closure to the full
+    horizon would; an element count other than m there is a bug.
+
+    The image check runs once per closure node, not once per word, on the
+    levels built.  A word w'a lies in the node R(C, a) for the class C of
+    w', and the birth word of R(C, a) is the birth word of C followed by
+    a; every birth word is a word of its class.  So, by induction on the
+    degree, a class sends all its words to one element if it sends its
+    nodes' birth words to one.  No birth word is built: the image of
+    R(C, a) is one step on from that of C, kept as a packed state from the
+    degree below.
 
     With phi None there is no letter map: the homomorphism check is
-    skipped and every degree stays unresolved.  The closure runs first, so
-    a case over the budget is refused before the letter map is checked.
+    skipped and every degree stays unresolved.  The closure's budget is
+    checked first, so a case over it is refused before the letter map is
+    checked.
     """
     warnings = tuple(warnings)
-    partition = enumerate_classes(pres, max_len, pad=pad, budget=budget)
+    _checked_horizon(pres, max_len, pad, budget)
     hom = False
     if phi is not None:
         phi = tuple(phi)
@@ -613,13 +686,28 @@ def verify_isomorphism(
             "the letter map does not cover all generators; element counts "
             "are not lower bounds and degrees stay unresolved",
         )
+    elements = tuple(sg.count_elements(degree) for degree in range(1, max_len + 1))
+    partition = enumerate_classes(
+        pres, max_len, pad=pad, budget=budget, bounds=elements if onto else None
+    )
 
     verdicts = []
     find, base, births = partition._uf.find, partition._base, partition._births
     states = [0]  # the empty word's: one column below level 1
     for degree in range(1, max_len + 1):
         class_count = partition.degree_counts[degree - 1]
-        element_count = sg.count_elements(degree)
+        element_count = elements[degree - 1]
+        if degree > partition.levels:
+            if element_count != class_count:
+                raise InternalConsistencyError(
+                    f"degree {degree}: the certificate gives {class_count} classes "
+                    f"above level {partition.levels} but the target has "
+                    f"{element_count} elements; its counts must not change there"
+                )
+            verdicts.append(
+                DegreeVerdict(degree, class_count, element_count, True, "verified")
+            )
+            continue
         aligned = False
         if hom:
             if degree > 1:

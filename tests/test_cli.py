@@ -251,6 +251,19 @@ def test_verify_arity_is_checked(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "twist", "--params", "0"),
+    ("classes", "--family", "twist:0", "--max-len", "2"),
+    ("growth", "--family", "twist:0"),
+    ("gkdim", "--family", "twist:0"),
+])
+def test_twist_rejects_zero_twists_in_its_own_terms(capsys, argv):
+    # the twist family is dtw:n,2 inside, but the message names only the n
+    # the user gave
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: twist needs n >= 1, got 0\n")
+
+
 def test_probe_exits_zero_even_when_unverified(capsys):
     code, out, _ = run(
         capsys,

@@ -447,7 +447,9 @@ def test_image_check_states_match_birth_words(monkeypatch, name):
     enumerate_real = oracle.enumerate_classes
     extend_real = AltSumSemigroup.extend_states
 
-    def enumerate_spy(*args, **kwargs):
+    def enumerate_spy(*args, bounds=None, **kwargs):
+        # the closure without bounds builds every level up to the horizon,
+        # so the states are compared at every degree up to max_len
         partitions.append(enumerate_real(*args, **kwargs))
         return partitions[-1]
 
@@ -533,6 +535,129 @@ def test_reach_beyond_the_word_universe():
     # closure, but only a few nodes per degree
     assert verify_family("torus2:7", max_len=12, budget=10**13).all_verified
     assert verify_family("dtw:2,4", max_len=10, budget=10**13).all_verified
+
+
+# -- stopping the closure on a certificate ------------------------------------
+
+
+def reports_with_and_without_bounds(run):
+    """run() as is, and with verify_isomorphism's closure given no bounds,
+    so that it builds every level up to the horizon; with the closures'
+    levels built."""
+    enumerate_real, levels = oracle.enumerate_classes, []
+
+    def closure(bounded):
+        def spy(*args, bounds=None, **kwargs):
+            partition = enumerate_real(*args, bounds=bounds if bounded else None, **kwargs)
+            levels.append(partition.levels)
+            return partition
+        return spy
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "enumerate_classes", closure(True))
+        certified = run()
+        m.setattr(oracle, "enumerate_classes", closure(False))
+        full = run()
+    return certified, full, levels
+
+
+TARGET_SPECS = (
+    ["trivial", "hopf"]
+    + [f"torus2:{n}" for n in range(1, 10)]
+    + [f"twist:{n}" for n in range(1, 7)]
+    + [f"dtw:{a},{b}" for a, b in itertools.product(range(1, 5), repeat=2)]
+)
+
+
+@pytest.mark.parametrize("spec", TARGET_SPECS)
+def test_certified_reports_match_the_full_closure(spec):
+    """Stopping the closure early changes no report of a family with a
+    stated target, at max len 8 and every pad from 0 to 3."""
+    for pad in range(4):
+        certified, full, _ = reports_with_and_without_bounds(
+            lambda: verify_family(spec, 8, pad=pad, budget=10**40)
+        )
+        assert certified.to_json_dict() == full.to_json_dict(), pad
+
+
+@pytest.mark.parametrize(
+    "params", itertools.product(range(1, 4), repeat=3), ids=lambda p: "%d,%d,%d" % p
+)
+def test_certified_probes_match_the_full_closure(params):
+    for pad in range(4):
+        certified, full, _ = reports_with_and_without_bounds(
+            lambda: conjecture_probe(*params, max_len=8, pad=pad, budget=10**40)
+        )
+        assert certified.to_json_dict() == full.to_json_dict(), pad
+
+
+@pytest.mark.parametrize("spec", ["dtw:1,1", "dtw:3,3"])
+def test_counts_above_their_bounds_keep_the_pad(spec):
+    """Where the counts do not meet the bounds, the closure builds its pad
+    levels: stopping at max_len would leave degree-2 merges undone."""
+    for max_len, pad in itertools.product(range(2, 5), range(4)):
+        certified, full, levels = reports_with_and_without_bounds(
+            lambda: verify_family(spec, max_len, pad=pad)
+        )
+        assert certified.to_json_dict() == full.to_json_dict(), (max_len, pad)
+        assert levels == [max_len + pad] * 2
+        assert [d.verdict for d in certified.degrees[1:]] == ["unresolved"] * (max_len - 1)
+
+
+@given(mapped_presentations())
+@settings(max_examples=60, deadline=None)
+def test_certified_reports_match_the_full_closure_on_random_presentations(case):
+    pres, phi, sg, max_len, pad = case
+    certified, full, _ = reports_with_and_without_bounds(
+        lambda: verify_isomorphism(pres, phi, sg, max_len + 4, pad=pad, budget=10**40)
+    )
+    assert certified.to_json_dict() == full.to_json_dict()
+
+
+def test_certificate_stops_a_deep_closure_at_level_three():
+    # every class at degree 3 holds a word ending in one letter, and the
+    # counts of degrees 1 and 2 meet the target's: degrees 4..40 follow
+    certified, full, levels = reports_with_and_without_bounds(
+        lambda: verify_family("torus2:7", 40, budget=10**40)
+    )
+    assert levels == [3, 42]
+    assert certified.all_verified
+    assert certified.to_json_dict() == full.to_json_dict()
+
+
+def test_link_counts_that_meet_their_bounds_skip_the_pad():
+    # a link's counts grow, so no letter column reaches every class, but
+    # counts that meet their lower bounds up to max_len are final
+    certified, full, levels = reports_with_and_without_bounds(
+        lambda: verify_family("hopf", 16)
+    )
+    assert levels == [16, 18]
+    assert certified.all_verified
+    assert certified.to_json_dict() == full.to_json_dict()
+
+
+def test_no_bounds_builds_every_level():
+    pres = presentation_from_diagram(build_torus2(7))
+    part = enumerate_classes(pres, 5)
+    assert (part.horizon, part.levels) == (7, 7)
+    bounded = enumerate_classes(pres, 5, bounds=(7,) * 5)
+    assert (bounded.horizon, bounded.levels) == (7, 3)
+    assert bounded.degree_counts == part.degree_counts == (7,) * 5
+    with pytest.raises(DomainError):
+        bounded.classes_at_degree(4)
+    with pytest.raises(ParameterError):
+        enumerate_classes(pres, 5, bounds=(7,) * 4)
+
+
+def test_certified_degree_off_the_target_count_is_internal_error(monkeypatch):
+    # above the levels built the class count is the certificate's; a target
+    # whose count changes there breaks step (c), which AS and SAS keep
+    count_real = AltSumSemigroup.count_elements
+    monkeypatch.setattr(
+        AltSumSemigroup, "count_elements", lambda sg, t: count_real(sg, t) + (t == 6)
+    )
+    with pytest.raises(InternalConsistencyError, match="certificate"):
+        verify_family("torus2:7", 6, budget=10**40)
 
 
 def test_report_json_shape():
