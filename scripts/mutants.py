@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Check that the tests kill a fixed list of mutants of the closure, the
-verification around it, the series, and the CLI's start-up.
+verification around it, the alternating-sum levels, the series, and the
+CLI's start-up.
 
 Each mutant names a file, an exact text that must occur in it once, the
 text that replaces it, and the tests that must fail on the result.  For
@@ -24,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/knotgrowth/oracle.py"
 GROWTH = "src/knotgrowth/growth.py"
+ALTSUM = "src/knotgrowth/altsum.py"
 CLI = "src/knotgrowth/cli.py"
 CLOSURE_TESTS = (
     "tests/test_oracle.py::test_closure_matches_reference",
@@ -119,6 +121,20 @@ MUTANTS = [
         "        for j in range(first, d + 1):\n            left[j] = left_rows(j)\n",
         "        left[d] = left_rows(d)\n",
         CLOSURE_TESTS,
+    ),
+    (
+        "a run of shifts is doubled without its remainder shift",
+        ALTSUM,
+        "        if span < count:\n            y |= y << step * (count - span)\n",
+        "",
+        ("tests/test_altsum.py::test_levels_of_symmetric_sets",),
+    ),
+    (
+        "every generator set takes the one-side path of a set closed under negation",
+        ALTSUM,
+        "        self.neg_runs = None if neg_shifts == pos_shifts else _runs(neg_shifts)\n",
+        "        self.neg_runs = None if True else _runs(neg_shifts)\n",
+        ("tests/test_altsum.py::test_levels_of_asymmetric_sets",),
     ),
     (
         "a series built from its form expands one coefficient too few",

@@ -22,10 +22,14 @@ For the strong variant the state also carries the even-letter count e,
 which a letter b raises by one when b is even.  Each level is packed into
 one integer: bit e*2m + a, the state, is set when some word of length t
 has sum a and e even letters.  Carrying -S_t beside S_t makes a step
-translations only: one shift per letter, by b (or -b mod m) plus 2m when
-the strong variant counts b as even, then one fold of bits m..2m-1 of
-every row back onto 0..m-1.  Levels are built on demand, iteratively,
-and each semigroup keeps only the last one built.
+translations only: one copy per letter, shifted by b (or -b mod m) plus 2m
+when the strong variant counts b as even, then one fold of bits m..2m-1
+of every row back onto 0..m-1.  The shifts are grouped into arithmetic
+runs, and the copies of a run of k shifts are ORed by doubling, in about
+log2 k shifts.  When B = -B the two shift sets are equal (negation keeps
+evenness), so S_t = -S_t at every level and one side is built.  Levels
+are built on demand, iteratively, and each semigroup keeps only the last
+one built.
 """
 
 from __future__ import annotations
@@ -76,14 +80,44 @@ class Zmod:
         return f"Zmod({self.modulus})"
 
 
+def _runs(shifts: list[int]) -> list[list[int]]:
+    """Ascending shifts grouped greedily into arithmetic runs [start, step, count]."""
+    runs: list[list[int]] = []
+    for s in shifts:
+        if runs and (runs[-1][2] == 1 or s == runs[-1][0] + runs[-1][1] * runs[-1][2]):
+            start, _, count = runs[-1]
+            runs[-1] = [start, (s - start) // count, count + 1]
+        else:
+            runs.append([s, 0, 1])
+    return runs
+
+
+def _spread(x: int, runs) -> int:
+    """The OR of x shifted by every shift of the runs."""
+    out = 0
+    for start, step, count in runs:
+        # after the doubling y holds offsets 0..span-1 of the run; one
+        # overlapping shift adds span..count-1
+        y, span = x, 1
+        while 2 * span <= count:
+            y |= y << step * span
+            span *= 2
+        if span < count:
+            y |= y << step * (count - span)
+        out |= y << start
+    return out
+
+
 class _Levels:
     """The packed state recurrence of one semigroup, extended on demand.
 
     ``pos`` packs S_t as described in the module docstring for the last
-    level built, t = ``t``, and ``neg`` packs -S_t.  Level 0 is the empty
-    word.  Only that level is kept, so memory stays linear in t.  A request
-    for an earlier level restarts from level 0; the image check and the
-    counts read levels in ascending order.
+    level built, t = ``t``, and ``neg`` packs -S_t.  ``pos_runs`` and
+    ``neg_runs`` are the two shift sets as arithmetic runs; ``neg_runs`` is
+    None when the generator set is closed under negation, and then ``neg``
+    is ``pos``.  Level 0 is the empty word.  Only that level is kept, so
+    memory stays linear in t.  A request for an earlier level restarts from
+    level 0; the image check and the counts read levels in ascending order.
     """
 
     def __init__(self, group: Zmod, generators: tuple[int, ...], strong: bool):
@@ -92,8 +126,10 @@ class _Levels:
         self.width = 2 * m
         self.strong = strong
         lifts = [self.width if strong and group.is_even(b) else 0 for b in generators]
-        self.pos_shifts = tuple(b + lift for b, lift in zip(generators, lifts))
-        self.neg_shifts = tuple((-b) % m + lift for b, lift in zip(generators, lifts))
+        pos_shifts = sorted(b + lift for b, lift in zip(generators, lifts))
+        neg_shifts = sorted((-b) % m + lift for b, lift in zip(generators, lifts))
+        self.pos_runs = _runs(pos_shifts)
+        self.neg_runs = None if neg_shifts == pos_shifts else _runs(neg_shifts)
         self.row = (1 << m) - 1
         self._restart()
 
@@ -107,19 +143,18 @@ class _Levels:
     def level(self, t: int) -> int:
         if t < self.t:
             self._restart()
-        m = self.modulus
+        m, pos_runs, neg_runs = self.modulus, self.pos_runs, self.neg_runs
         pos, neg, low = self.pos, self.neg, self.low
         for level in range(self.t + 1, t + 1):
             if self.strong:
                 low |= self.row << (self.width * level)
-            nxt = 0
-            for shift in self.pos_shifts:
-                nxt |= neg << shift
-            nxt_neg = 0
-            for shift in self.neg_shifts:
-                nxt_neg |= pos << shift
-            pos = (nxt & low) | ((nxt >> m) & low)
-            neg = (nxt_neg & low) | ((nxt_neg >> m) & low)
+            nxt = _spread(neg, pos_runs)
+            if neg_runs is None:
+                pos = neg = (nxt & low) | ((nxt >> m) & low)
+            else:
+                nxt_neg = _spread(pos, neg_runs)
+                pos = (nxt & low) | ((nxt >> m) & low)
+                neg = (nxt_neg & low) | ((nxt_neg >> m) & low)
         self.pos, self.neg, self.low, self.t = pos, neg, low, t
         return pos
 

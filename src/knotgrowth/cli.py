@@ -58,12 +58,14 @@ from .growth import (
 SCHEMA_VERSION = 1
 # Largest --terms for growth, skew and gkdim.  Level t of a strong
 # alternating-sum semigroup has one row per even count, so the state
-# recurrence takes time that grows with the square of the terms:
-# growth --family torus2:40 takes 21-26 s at this bound (and 17 MB).  So
-# does a skew series with no rational form, a power-series reciprocal:
-# skew --family torus2:4 takes 37-50 s and torus2:12 105-110 s.  A skew
-# with one prints in time linear in its text: skew --family torus2:7
-# writes 39 MB in 0.3 s.
+# recurrence takes time that grows with the square of the terms, even at
+# about log2 k shifts per run of k letters: growth --family torus2:40
+# takes 1.8 s at this bound, against 9.2 s at one shift per letter (17 MB
+# both, medians of 3 on a 2-vCPU host).  A skew series with no rational
+# form, a power-series reciprocal, is still quadratic and slower: skew
+# --family torus2:4 takes 37-50 s and torus2:12 105-110 s.  A skew with
+# one prints in time linear in its text: skew --family torus2:7 writes
+# 39 MB in 0.3 s.
 MAX_TERMS = 10_000
 # The --site keys each Reidemeister move reads, as the flag is written.
 SITE_KEYS = {

@@ -538,8 +538,12 @@ def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> Gr
     ``diagrams.FAMILIES``.  Other families have no stated growth and must be
     measured through the congruence closure instead.
     """
-    if kind == "torus2" and params[0] % 2 == 1:
-        return torus_growth(params[0], terms=terms)
+    if kind == "torus2":
+        (n,) = params
+        if n < 1:
+            raise ParameterError(f"torus2 needs n >= 1, got {n}")
+        if n % 2 == 1:
+            return torus_growth(n, terms=terms)
     if kind == "twist":
         (n,) = params
         if n < 1:

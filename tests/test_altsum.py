@@ -60,24 +60,33 @@ def decode(sg, level):
     return frozenset((i % width, i // width) if sg.strong else i for i in bits)
 
 
-def reference_states(sg, t):
-    """S_t by the set recurrence S_1 = B, S_{t+1} = {b - a : b in B, a in S_t},
-    carrying the even-letter count in the strong variant."""
+def reference_levels(sg):
+    """S_1, S_2, ... by the set recurrence S_1 = B, S_{t+1} = {b - a : b in B,
+    a in S_t}, carrying the even-letter count in the strong variant."""
     g = sg.group
     states = {(b, int(sg.strong and g.is_even(b))) for b in sg.generators}
-    for _ in range(t - 1):
+    while True:
+        yield frozenset(states if sg.strong else {a for a, _ in states})
         states = {
             (g.reduce(b - a), e + int(sg.strong and g.is_even(b)))
             for b in sg.generators
             for (a, e) in states
         }
-    return frozenset(states if sg.strong else {a for a, _ in states})
+
+
+def reference_states(sg, t):
+    """S_t of the set recurrence."""
+    return next(itertools.islice(reference_levels(sg), t - 1, None))
 
 
 @st.composite
 def semigroups_and_degrees(draw):
     m = draw(st.integers(min_value=1, max_value=16))
     generators = draw(st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1))
+    if draw(st.booleans()):
+        # random sets are almost never closed under negation, which the
+        # levels treat apart
+        generators |= {(-b) % m for b in generators}
     sg = AltSumSemigroup(Zmod(m), tuple(generators), strong=draw(st.booleans()))
     degrees = draw(st.permutations(range(1, draw(st.integers(1, 30)) + 1)))
     return sg, degrees[: draw(st.integers(1, len(degrees)))]
@@ -105,9 +114,56 @@ def test_levels_read_out_of_order():
         ]
 
 
+def assert_levels_match_reference(sg, depth=30):
+    """Every level 1..depth of sg, built one after another, against the set
+    recurrence."""
+    for t, expected in zip(range(1, depth + 1), reference_levels(sg)):
+        assert decode(sg, sg._levels.level(t)) == expected, t
+
+
+SYMMETRIC_SETS = [
+    # all of Z_m: runs of m shifts (plain), or of m/2 odd and m/2 lifted
+    # even letters (strong, m even), lengths such as 20, 6 and 7 that are
+    # not powers of two
+    *((m, tuple(range(m))) for m in range(1, 41)),
+    # closed under negation but not all of Z_m
+    *((m, generators) for m in range(4, 41) for generators in ((1, m - 1), (0, 2, m - 2))),
+]
+ASYMMETRIC_SETS = [
+    *((dtw_alphabet(n, l).modulus, tuple(dtw_alphabet(n, l).elements))
+      for n in range(2, 5) for l in range(2, 5)),
+    # the dtw sets above fill Z_m from level 2 on, where B + S and B - S
+    # agree; these keep levels that only the -S_t side gets right
+    (6, (0, 1, 3)), (11, (1, 4, 9)), (7, (1,)), (8, (2, 3)),
+]
+
+
+def plain_and_strong(sets):
+    return [AltSumSemigroup(Zmod(m), g, strong=s) for m, g in sets for s in (False, True)]
+
+
+@pytest.mark.parametrize("sg", plain_and_strong(SYMMETRIC_SETS), ids=repr)
+def test_levels_of_symmetric_sets(sg):
+    # B = -B, so one side is built
+    assert sg._levels.neg_runs is None
+    assert_levels_match_reference(sg)
+
+
+@pytest.mark.parametrize("sg", plain_and_strong(ASYMMETRIC_SETS), ids=repr)
+def test_levels_of_asymmetric_sets(sg):
+    # not closed under negation (dtw sets with n = 1 or l = 1 are all of
+    # Z_m), so both sides are built, from runs whose steps differ between
+    # the sides
+    assert_levels_match_reference(sg)
+
+
 def test_cold_deep_level():
     # semigroups built here only, so no earlier call has filled their levels
     assert AltSumSemigroup(Zmod(2), (0, 1), strong=True).count_elements(3000) == 3001
+    # SAS(Z_40, Z_40) at length t: for each even count e = 0..t, the 20
+    # alts whose parity is that of the t - e odd letters
+    sas40 = AltSumSemigroup(Zmod(40), tuple(range(40)), strong=True)
+    assert sas40.count_elements(200) == 20 * 201
     sg = AltSumSemigroup(Zmod(3), (0, 1, 2))
     assert sg.class_of((1,) + (0,) * 2499) == 1
 

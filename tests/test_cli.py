@@ -264,6 +264,21 @@ def test_twist_rejects_zero_twists_in_its_own_terms(capsys, argv):
     assert (code, out, err) == (2, "", "error: twist needs n >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("n", ["0", "-2", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "torus", "--max-len", "2", "--params"),
+    ("classes", "--max-len", "2", "--family"),
+    ("growth", "--family"),
+    ("skew", "--family"),
+    ("gkdim", "--family"),
+])
+def test_torus2_rejects_nonpositive_n_in_its_own_terms(capsys, argv, n):
+    # even torus2 counts come from a target semigroup mod n, but the message
+    # names the n the user gave, not a modulus
+    code, out, err = run(capsys, *argv, n if argv[0] == "verify" else f"torus2:{n}")
+    assert (code, out, err) == (2, "", f"error: torus2 needs n >= 1, got {n}\n")
+
+
 def test_probe_exits_zero_even_when_unverified(capsys):
     code, out, _ = run(
         capsys,
