@@ -144,6 +144,20 @@ MUTANTS = [
         ("tests/test_growth.py::test_form_backed_series_expands_terms_coefficients",),
     ),
     (
+        "a family's form is built from one count too few",
+        GROWTH,
+        "            _constant_tail(counts), terms,",
+        "            _constant_tail(counts[:-1]), terms,",
+        ("tests/test_growth.py::test_paper_forms_from_settled_levels",),
+    ),
+    (
+        "a family's levels are read only through its last coefficient",
+        GROWTH,
+        "    counts, settled = sg.level_counts(terms)\n",
+        "    counts, settled = sg.level_counts(terms - 1)\n",
+        ("tests/test_growth.py::test_paper_forms_from_settled_levels",),
+    ),
+    (
         "cli imports the closure at module level",
         CLI,
         "from .growth import (\n",

@@ -257,6 +257,30 @@ class AltSumSemigroup:
                     "state disagrees with the level recurrence"
                 )
 
+    def level_counts(self, last: int) -> tuple[tuple[int, ...], bool]:
+        """The element counts at lengths 0, 1, ..., `last`, where length 0
+        holds the empty word alone, read in one pass over the levels, and
+        whether the levels settle on the way.
+
+        The pass stops at the first level equal to the one before it, S_t
+        and -S_t both, and returns the counts through that earlier level
+        and True.  A step reads nothing but the level before it, so every
+        later level is that level again, and the last count returned is the
+        count at every greater length.  Levels that cycle with a longer
+        period, as those of {1} in Z_5 do, never settle; nor do those of a
+        strong variant with an even generator, whose even counts grow.
+        """
+        levels = self._levels
+        before = (levels.level(0), levels.neg)
+        counts = [1]
+        for t in range(1, last + 1):
+            level = (levels.level(t), levels.neg)
+            if level == before:
+                return tuple(counts), True
+            counts.append(level[0].bit_count())
+            before = level
+        return tuple(counts), False
+
     def count_elements(self, t: int) -> int:
         """Number of distinct elements of length exactly t."""
         if t < 1:

@@ -138,9 +138,15 @@ def build_trivial() -> Diagram:
     return Diagram(1, (), arc_names=("a",))
 
 
-def build_torus2(n: int) -> Diagram:
+def _check_n(kind: str, n: int) -> None:
+    """Refuse a count below 1 for a one-parameter family, in its builder and
+    its target alike."""
     if n < 1:
-        raise ParameterError(f"torus2 needs n >= 1, got {n}")
+        raise ParameterError(f"{kind} needs n >= 1, got {n}")
+
+
+def build_torus2(n: int) -> Diagram:
+    _check_n("torus2", n)
     crossings = tuple(crossing((i + 1) % n, i, (i + 2) % n) for i in range(n))
     return Diagram(n, crossings, arc_names=_default_names(n))
 
@@ -231,14 +237,14 @@ def conway_with_traces(twists: tuple[int, ...]) -> tuple[Diagram, list[list[int]
 
 def _build_twist(n: int) -> Diagram:
     """The twist knot: the double twist diagram with (n, 2) twists."""
-    if n < 1:
-        raise ParameterError(f"twist needs n >= 1, got {n}")
+    _check_n("twist", n)
     return build_double_twist(n, 2)
 
 
 def _torus_target(n: int):
     """All of Z_n, letter i to i; the strong variant for even n, where the
     braid closes to a two-component link."""
+    _check_n("torus2", n)
     return AltSumSemigroup(Zmod(n), tuple(range(n)), strong=n % 2 == 0), tuple(range(n)), ()
 
 
@@ -253,6 +259,12 @@ def _dtw_target(n: int, l: int):
             "for even products",
         )
     return alphabet.semigroup(), phi, notes
+
+
+def _twist_target(n: int):
+    """The double twist target with (n, 2) twists."""
+    _check_n("twist", n)
+    return _dtw_target(n, 2)
 
 
 class Family:
@@ -272,7 +284,7 @@ FAMILIES = {
     "trivial": Family(0, build_trivial, lambda: (AltSumSemigroup(Zmod(1), (0,)), (0,), ())),
     "hopf": Family(0, lambda: build_torus2(2), lambda: _torus_target(2)),
     "torus2": Family(1, build_torus2, _torus_target),
-    "twist": Family(1, _build_twist, lambda n: _dtw_target(n, 2)),
+    "twist": Family(1, _build_twist, _twist_target),
     "dtw": Family(2, build_double_twist, _dtw_target),
     "conway": Family(None, lambda *twists: conway_with_traces(twists)[0], None),
 }

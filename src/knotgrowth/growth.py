@@ -4,9 +4,11 @@ The growth series of a graded semigroup with an identity adjoined is
 P(t) = 1 + sum_d c_d t^d where c_d counts the elements of degree d.  The
 skew series is its formal reciprocal, N(t) = 1/P(t).  A series is held as
 its first `terms` coefficients, with an exact rational form attached when
-one is known or detected.  A series built from its form alone (the closed
-forms, and the skew of a series with a form) expands the coefficients only
-when they are first read; the CLI prints it straight from the form.
+one is known or detected.  A family's series is read off the levels of its
+target semigroup in ``diagrams.FAMILIES``, and carries the form num/(1 - t)
+where those levels settle.  A series built from its form alone (a settled
+family's, and the skew of a series with a form) expands the coefficients
+only when they are first read; the CLI prints it straight from the form.
 
 Dimension estimates follow the usual pattern for graded growth: the
 cumulative dimension 1 + c_1 + ... + c_d grows like d^k exactly when P has
@@ -20,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 from itertools import accumulate
 
-from .altsum import AltSumSemigroup
 from .diagrams import FAMILIES, Diagram, FamilySpec
 from .errors import (
     DEFAULT_WORD_BUDGET,
@@ -190,6 +191,12 @@ class SkewSeries(_Series):
         self.source = source
 
 
+def _constant_tail(coefficients) -> RationalForm:
+    """num/(1 - t) for a series whose last coefficient holds at every greater
+    degree: num is the coefficients times 1 - t, cut after the last one."""
+    return RationalForm(_mul(coefficients, (1, -1))[:-1], (1, -1))
+
+
 # The last this many counts must agree before a tail is called settled.
 STABLE_WINDOW = 3
 
@@ -197,9 +204,9 @@ STABLE_WINDOW = 3
 def growth_from_counts(counts, source: str = "counts") -> GrowthSeries:
     """Wrap per-degree counts; attach num/(1-t) when the tail has settled.
 
-    The rational form asserts the counts continue at their last value, which
-    is sound for the families here (their counts are eventually constant) and
-    is only claimed when the last STABLE_WINDOW counts agree.
+    The rational form asserts the counts continue at their last value.  That
+    is an extrapolation from the counts alone, claimed only when the last
+    STABLE_WINDOW counts agree.
     """
     counts = tuple(int(c) for c in counts)
     if not counts:
@@ -209,58 +216,8 @@ def growth_from_counts(counts, source: str = "counts") -> GrowthSeries:
     coefficients = (1,) + counts
     rational = None
     if len(counts) >= STABLE_WINDOW and len(set(counts[-STABLE_WINDOW:])) == 1:
-        q = _mul(coefficients, (1, -1))
-        num = _trim(q[:-1])
-        rational = RationalForm(num, (1, -1))
+        rational = _constant_tail(coefficients)
     return GrowthSeries(coefficients, rational=rational, source=source)
-
-
-def torus_growth(n: int, terms: int = 10) -> GrowthSeries:
-    """Closed form (1 + (n-1)t)/(1 - t) for the n-crossing closed 2-braid.
-
-    Exact for odd n (the knot case, where the degree counts are constant n).
-    For even n the diagram closes to a two-component link whose counts grow,
-    so the closed form is only a floor; a note in ``warnings`` marks that case.
-    """
-    if n < 1:
-        raise ParameterError(f"torus parameter must be positive, got {n}")
-    if terms < 2:
-        raise ParameterError("need at least two terms")
-    notes = ()
-    if n % 2 == 0:
-        notes = (
-            f"crossing count {n} is even; the closed form is stated for odd "
-            "counts and undercounts the link case",
-        )
-    rational = RationalForm((1, n - 1), (1, -1))
-    return GrowthSeries.from_rational(rational, terms, source=f"torus2:{n}", warnings=notes)
-
-
-def dtw_growth(n_twists: int, l_twists: int, terms: int = 10) -> GrowthSeries:
-    """Closed form for the double twist: quadratic numerator over 1 - t.
-
-    The degree counts are n+l, then nl+1, constant from degree 2 on, giving
-    (1 + (n+l-1)t + (nl-n-l+1)t^2)/(1-t).  Stated for even twist products;
-    odd products get a note in ``warnings``.
-    """
-    n, l = n_twists, l_twists
-    if n < 1 or l < 1:
-        raise ParameterError(f"twist counts must be positive, got ({n}, {l})")
-    if terms < 3:
-        raise ParameterError("need at least three terms")
-    notes = ()
-    if (n * l) % 2 == 1:
-        notes = (
-            f"twist product {n}*{l} is odd; the closed form is stated for even "
-            "products",
-        )
-    rational = RationalForm((1, n + l - 1, n * l - n - l + 1), (1, -1))
-    return GrowthSeries.from_rational(rational, terms, source=f"dtw:{n},{l}", warnings=notes)
-
-
-def semigroup_growth(sg: AltSumSemigroup, terms: int = 10, source: str | None = None) -> GrowthSeries:
-    counts = tuple(sg.count_elements(t) for t in range(1, terms))
-    return growth_from_counts(counts, source=source if source is not None else repr(sg))
 
 
 def skew_growth(growth: GrowthSeries, terms: int | None = None) -> SkewSeries:
@@ -285,15 +242,6 @@ def skew_growth(growth: GrowthSeries, terms: int | None = None) -> SkewSeries:
         return SkewSeries(form.expand(terms), source=growth.source)
     rational = RationalForm(growth.rational.denominator, growth.rational.numerator)
     return SkewSeries.from_rational(rational, terms, source=growth.source)
-
-
-def cumulative_dimension(counts, degree: int) -> int:
-    """1 + c_1 + ... + c_degree: elements of degree at most `degree`, plus
-    the adjoined identity."""
-    counts = tuple(counts)
-    if degree < 0 or degree > len(counts):
-        raise ParameterError(f"degree {degree} outside the known range 0..{len(counts)}")
-    return 1 + sum(counts[:degree])
 
 
 # -- dimension estimation -----------------------------------------------------
@@ -531,30 +479,19 @@ def reidemeister_dimension_check(
 
 
 def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> GrowthSeries:
-    """Growth series for the families with a stated target semigroup.
+    """The first `terms` coefficients of the growth series of a family with a
+    target semigroup in ``diagrams.FAMILIES``, from one pass over its levels.
 
-    Odd torus2, twist and dtw use their closed forms; trivial, hopf and even
-    torus2 go through the state recurrence of their target semigroups in
-    ``diagrams.FAMILIES``.  Other families have no stated growth and must be
-    measured through the congruence closure instead.
+    The pass reads the levels up to length `terms`, one past the last
+    coefficient, and stops where they settle (``level_counts``): every later
+    count is the last one read, so the form num/(1 - t) is exact.  The
+    targets of odd torus2:n, twist:n and dtw:n,l settle by length 3, and
+    give the paper's forms (1 + (n-1)t)/(1 - t) and
+    (1 + (n+l-1)t + (nl-n-l+1)t^2)/(1 - t), twist:n being dtw:n,2.  The
+    strong targets of hopf and even torus2 never settle, and their series
+    is their counts alone, with no form.  Other families have no stated
+    growth and must be measured through the congruence closure.
     """
-    if kind == "torus2":
-        (n,) = params
-        if n < 1:
-            raise ParameterError(f"torus2 needs n >= 1, got {n}")
-        if n % 2 == 1:
-            return torus_growth(n, terms=terms)
-    if kind == "twist":
-        (n,) = params
-        if n < 1:
-            raise ParameterError(f"twist needs n >= 1, got {n}")
-        series = dtw_growth(n, 2, terms=terms)
-        return GrowthSeries.from_rational(
-            series.rational, terms, source=f"twist:{n}", warnings=series.warnings
-        )
-    if kind == "dtw":
-        n, l = params
-        return dtw_growth(n, l, terms=terms)
     target = FAMILIES[kind].target if kind in FAMILIES else None
     if target is None:
         raise ParameterError(
@@ -562,4 +499,16 @@ def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> Gr
             "congruence closure and pass them explicitly"
         )
     sg = target(*params)[0]
-    return semigroup_growth(sg, terms=terms, source=str(FamilySpec(kind, params)))
+    source = str(FamilySpec(kind, params))
+    notes = ()
+    if kind == "dtw" and params[0] * params[1] % 2:
+        notes = (
+            f"twist product {params[0]}*{params[1]} is odd; the closed form is "
+            "stated for even products",
+        )
+    counts, settled = sg.level_counts(terms)
+    if settled:
+        return GrowthSeries.from_rational(
+            _constant_tail(counts), terms, source=source, warnings=notes
+        )
+    return GrowthSeries(counts[:terms], source=source, warnings=notes)

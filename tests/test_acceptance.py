@@ -13,13 +13,12 @@ from knotgrowth.altsum import AltSumSemigroup, Zmod, dtw_alphabet
 from knotgrowth.cli import main
 from knotgrowth.diagrams import ReidemeisterMove, apply_reidemeister, build_torus2
 from knotgrowth.growth import (
-    dtw_growth,
+    RationalForm,
     gk_dimension,
+    growth_for_family,
     growth_from_counts,
     reidemeister_dimension_check,
-    semigroup_growth,
     skew_growth,
-    torus_growth,
 )
 from knotgrowth.oracle import enumerate_classes, verify_family
 from knotgrowth.presentation import Presentation
@@ -109,19 +108,23 @@ def test_criterion_05_twist_alphabet():
 
 
 def growth_fixtures():
+    """Name, the paper's closed form, the family's 21-term series, and its
+    target semigroup."""
     for n in (3, 5, 7):
-        closed = torus_growth(n, terms=21)
+        closed = RationalForm((1, n - 1), (1, -1))
         sg = AltSumSemigroup(Zmod(n), tuple(range(n)))
-        yield f"torus{n}", closed, sg
+        yield f"torus{n}", closed, growth_for_family("torus2", (n,), terms=21), sg
     for n, l in ((2, 2), (3, 2), (2, 4)):
-        yield f"dtw{n}{l}", dtw_growth(n, l, terms=21), dtw_alphabet(n, l).semigroup()
+        closed = RationalForm((1, n + l - 1, n * l - n - l + 1), (1, -1))
+        series = growth_for_family("dtw", (n, l), terms=21)
+        yield f"dtw{n}{l}", closed, series, dtw_alphabet(n, l).semigroup()
 
 
 def test_criterion_06_growth_closed_forms():
     mismatches = []
-    for name, closed, sg in growth_fixtures():
-        measured = semigroup_growth(sg, terms=10)
-        if closed.coefficients[:10] != measured.coefficients:
+    for name, closed, series, sg in growth_fixtures():
+        counts = (1,) + tuple(sg.count_elements(t) for t in range(1, 10))
+        if series.rational != closed or closed.expand(10) != counts:
             mismatches.append(name)
     ok = not mismatches
     report(6, ok, "closed forms match 10-term count series for "
@@ -132,9 +135,9 @@ def test_criterion_06_growth_closed_forms():
 def test_criterion_07_skew_reciprocal():
     bad = []
     unit = (1,) + (0,) * 20
-    for name, closed, _sg in growth_fixtures():
-        skew = skew_growth(closed, terms=21)
-        p, q = closed.coefficients, skew.coefficients
+    for name, _closed, series, _sg in growth_fixtures():
+        skew = skew_growth(series, terms=21)
+        p, q = series.coefficients, skew.coefficients
         conv = tuple(sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(21))
         if conv != unit:
             bad.append(name)
@@ -224,7 +227,7 @@ def test_criterion_10_property_suites():
 
     # exhaustive enumeration equals count_elements for t <= 5, all fixtures
     count_ok = True
-    fixtures = [sg for _n, _c, sg in growth_fixtures()] + [
+    fixtures = [sg for _n, _c, _s, sg in growth_fixtures()] + [
         sas44,
         AltSumSemigroup(Zmod(2), (0, 1), strong=True),
     ]

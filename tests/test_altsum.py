@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotgrowth.altsum import AltSumSemigroup, Zmod, conjecture_semigroup, dtw_alphabet
+from knotgrowth.diagrams import FAMILIES
 from knotgrowth.errors import DomainError, InternalConsistencyError, ParameterError
 from knotgrowth.oracle import conjecture_probe
 
@@ -166,6 +167,60 @@ def test_cold_deep_level():
     assert sas40.count_elements(200) == 20 * 201
     sg = AltSumSemigroup(Zmod(3), (0, 1, 2))
     assert sg.class_of((1,) + (0,) * 2499) == 1
+
+
+FAMILY_PARAMS = {
+    "trivial": [()],
+    "hopf": [()],
+    "torus2": [(n,) for n in range(1, 13)],
+    "twist": [(n,) for n in range(1, 7)],
+    "dtw": [(n, l) for n in range(1, 6) for l in range(1, 6)],
+}
+
+
+@pytest.mark.parametrize("kind", [kind for kind in FAMILIES if FAMILIES[kind].target])
+def test_plain_targets_of_every_family_settle(kind):
+    """The plain variant of each family's target settles by length 3, and
+    the last count it reads is the count at every greater length."""
+    for params in FAMILY_PARAMS[kind]:
+        target = FAMILIES[kind].target(*params)[0]
+        sg = AltSumSemigroup(target.group, target.generators)
+        counts, settled = sg.level_counts(3)
+        assert settled, (kind, params)
+        assert counts[1:] == tuple(sg.count_elements(t) for t in range(1, len(counts)))
+        assert {sg.count_elements(t) for t in range(len(counts), 20)} == {counts[-1]}
+
+
+@pytest.mark.parametrize("spec", [("hopf", ()), ("torus2", (4,)), ("torus2", (40,))])
+def test_strong_family_targets_never_settle(spec):
+    kind, params = spec
+    sg = FAMILIES[kind].target(*params)[0]
+    assert sg.strong
+    counts, settled = sg.level_counts(200)
+    assert not settled
+    assert counts == (1,) + tuple(sg.count_elements(t) for t in range(1, 201))
+
+
+def test_levels_of_period_two_never_settle():
+    # {1} in Z_5: the levels alternate between {1} and {0}, so no level
+    # equals the one before it, though every count is 1
+    sg = AltSumSemigroup(Zmod(5), (1,))
+    assert sg.level_counts(200) == ((1,) * 201, False)
+    assert [sg._levels.level(t) for t in (1, 2, 3, 4)] == [1 << 1, 1, 1 << 1, 1]
+
+
+@given(semigroups_and_degrees())
+@settings(max_examples=300, deadline=None)
+def test_settled_levels_hold_their_last_count(case):
+    sg, _ = case
+    counts, settled = sg.level_counts(12)
+    last = len(counts) - 1
+    assert counts[1:] == tuple(sg.count_elements(t) for t in range(1, last + 1))
+    if settled:
+        assert last < 12
+        assert {sg.count_elements(t) for t in range(last + 1, 30)} == {counts[-1]}
+    else:
+        assert last == 12
 
 
 def test_known_count_sequences():

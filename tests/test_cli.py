@@ -359,6 +359,15 @@ def test_growth_json_format(capsys):
     assert data["schema_version"] == 1
 
 
+def test_trivial_growth_form_is_certified_at_two_terms(capsys):
+    # the levels of AS(Z_1, {0}) settle at length 1, so two terms carry the
+    # form that three equal counts would only extrapolate
+    code, out, _ = run(capsys, "growth", "--family", "trivial", "--terms", "2", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["coefficients"], data["rational"]) == ([1, 1, 1], {"num": [1], "den": [1, -1]})
+
+
 ODD_PRODUCT_NOTE = "# note: twist product 3*3 is odd; the closed form is stated for even products"
 
 

@@ -1,11 +1,14 @@
 """Growth series, skew growth, dimension estimates, and rewrite checks."""
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotgrowth.altsum import AltSumSemigroup, Zmod, dtw_alphabet
 from knotgrowth.diagrams import (
+    FAMILIES,
     ReidemeisterMove,
     apply_reidemeister,
     build_torus2,
@@ -16,16 +19,27 @@ from knotgrowth.growth import (
     GrowthSeries,
     RationalForm,
     SkewSeries,
-    cumulative_dimension,
-    dtw_growth,
     gk_dimension,
     growth_for_family,
     growth_from_counts,
     reidemeister_dimension_check,
-    semigroup_growth,
     skew_growth,
-    torus_growth,
 )
+
+
+def torus_form(n):
+    """The paper's growth form of the odd torus2:n, (1 + (n-1)t)/(1 - t)."""
+    return RationalForm((1, n - 1), (1, -1))
+
+
+def dtw_form(n, l):
+    """The paper's growth form of dtw:n,l, (1 + (n+l-1)t + (nl-n-l+1)t^2)/(1 - t)."""
+    return RationalForm((1, n + l - 1, n * l - n - l + 1), (1, -1))
+
+
+def counted(sg, terms):
+    """1 and the target's element counts at lengths 1 .. terms-1."""
+    return (1,) + tuple(sg.count_elements(t) for t in range(1, terms))
 
 
 def convolve(p, q, terms):
@@ -91,54 +105,68 @@ def test_growth_from_counts_rational_detection():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_torus_closed_form_matches_counts(n):
-    closed = torus_growth(n, terms=10)
-    measured = semigroup_growth(AltSumSemigroup(Zmod(n), tuple(range(n))), terms=10)
-    assert closed.coefficients == measured.coefficients
-    assert closed.rational == RationalForm((1, n - 1), (1, -1))
-    assert closed.warnings == ()
-
-
-def test_torus_closed_form_warns_on_even():
-    series = torus_growth(4)
-    assert len(series.warnings) == 1 and "even" in series.warnings[0]
-    # the even case genuinely departs from the closed form
-    measured = semigroup_growth(
-        AltSumSemigroup(Zmod(4), (0, 1, 2, 3), strong=True), terms=6
-    )
-    assert series.coefficients[:6] != measured.coefficients
+    series = growth_for_family("torus2", (n,), terms=10)
+    assert series.rational == torus_form(n)
+    assert series.coefficients == torus_form(n).expand(10)
+    assert series.coefficients == counted(AltSumSemigroup(Zmod(n), tuple(range(n))), 10)
+    assert series.warnings == ()
 
 
 @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (2, 4)])
 def test_dtw_closed_form_matches_counts(n, l):
-    closed = dtw_growth(n, l, terms=10)
-    measured = semigroup_growth(dtw_alphabet(n, l).semigroup(), terms=10)
-    assert closed.coefficients == measured.coefficients
-    assert closed.rational == RationalForm((1, n + l - 1, n * l - n - l + 1), (1, -1))
+    series = growth_for_family("dtw", (n, l), terms=10)
+    assert series.rational == dtw_form(n, l)
+    assert series.coefficients == dtw_form(n, l).expand(10)
+    assert series.coefficients == counted(dtw_alphabet(n, l).semigroup(), 10)
 
 
 def test_dtw_closed_form_warns_on_odd_product():
-    series = dtw_growth(3, 3)
-    assert len(series.warnings) == 1 and "odd" in series.warnings[0]
+    series = growth_for_family("dtw", (3, 3))
+    assert series.warnings == (
+        "twist product 3*3 is odd; the closed form is stated for even products",
+    )
+    assert growth_for_family("dtw", (3, 2)).warnings == ()
+
+
+PAPER_FORMS = (
+    [(("torus2", (n,)), torus_form(n)) for n in range(1, 26, 2)]
+    + [(("twist", (n,)), dtw_form(n, 2)) for n in range(1, 12)]
+    + [(("dtw", (n, l)), dtw_form(n, l)) for n in range(1, 12) for l in range(1, 12)]
+)
+
+
+@pytest.mark.parametrize(
+    "family,form", PAPER_FORMS, ids=[f"{k}:{','.join(map(str, p))}" for (k, p), _ in PAPER_FORMS]
+)
+def test_paper_forms_from_settled_levels(family, form):
+    """Every odd torus2, twist and dtw target settles by length 3, so its
+    series carries the paper's form at every length from 3 terms on."""
+    kind, params = family
+    for terms in (3, 4, 5, 6, 12):
+        series = growth_for_family(kind, params, terms=terms)
+        assert (series.rational, series.terms) == (form, terms)
+        assert series.source == f"{kind}:{','.join(map(str, params))}"
+    assert series.coefficients == counted(FAMILIES[kind].target(*params)[0], 12)
 
 
 def test_skew_growth_values():
-    torus = skew_growth(torus_growth(3), terms=4)
+    torus = skew_growth(growth_for_family("torus2", (3,)), terms=4)
     assert torus.coefficients == (1, -3, 6, -12)
     assert torus.rational == RationalForm((1, -1), (1, 2))
-    dtw = skew_growth(dtw_growth(2, 2), terms=4)
+    dtw = skew_growth(growth_for_family("dtw", (2, 2)), terms=4)
     assert dtw.coefficients == (1, -4, 11, -29)
 
 
 def test_skew_torus7_to_2000_terms():
     # the reciprocal of (1 + 6t)/(1 - t) is 1 - 7t/(1 + 6t)
-    skew = skew_growth(torus_growth(7, terms=2000), terms=2000)
+    skew = skew_growth(growth_for_family("torus2", (7,), terms=2000), terms=2000)
     assert skew.coefficients == (1,) + tuple(-7 * (-6) ** (k - 1) for k in range(1, 2000))
 
 
 @pytest.mark.parametrize(
     "series",
-    [torus_growth(n, terms=21) for n in (3, 5, 7)]
-    + [dtw_growth(n, l, terms=21) for n, l in ((2, 2), (3, 2), (2, 4))],
+    [growth_for_family("torus2", (n,), terms=21) for n in (3, 5, 7)]
+    + [growth_for_family("dtw", (n, l), terms=21) for n, l in ((2, 2), (3, 2), (2, 4))],
     ids=["torus3", "torus5", "torus7", "dtw22", "dtw32", "dtw24"],
 )
 def test_skew_is_reciprocal_to_order_20(series):
@@ -166,23 +194,14 @@ def test_skew_reciprocal_property(counts):
     assert convolve(series.coefficients, skew.coefficients, terms) == (1,) + (0,) * (terms - 1)
 
 
-def test_cumulative_dimension():
-    counts = (3, 3, 3)
-    assert [cumulative_dimension(counts, d) for d in range(4)] == [1, 4, 7, 10]
-    with pytest.raises(ParameterError):
-        cumulative_dimension(counts, 4)
-    with pytest.raises(ParameterError):
-        cumulative_dimension(counts, -1)
-
-
 # -- dimension estimation ------------------------------------------------------
 
 
 def test_gk_from_rational_pole_order():
-    est = gk_dimension(torus_growth(3))
+    est = gk_dimension(growth_for_family("torus2", (3,)))
     assert (est.value, est.infinite, est.method) == (1, False, "rational")
     assert est.label() == "1"
-    assert gk_dimension(dtw_growth(2, 2)).value == 1
+    assert gk_dimension(growth_for_family("dtw", (2, 2))).value == 1
     assert gk_dimension(growth_for_family("trivial", (), terms=10)).value == 1
 
 
@@ -193,9 +212,7 @@ def test_gk_from_differences():
     # plain counts take the same route: no rational form is attached
     est2 = gk_dimension((1,) * 10)
     assert (est2.value, est2.method) == (1, "difference")
-    assert est.evidence["cumulative"] == [
-        cumulative_dimension(hopf.counts(), d) for d in range(len(hopf.counts()) + 1)
-    ]
+    assert est.evidence["cumulative"] == list(accumulate(hopf.counts(), initial=1))
 
 
 def test_gk_ratio_test_flags_exponential_growth():
@@ -224,7 +241,7 @@ def test_gk_method_overrides_and_unresolved():
 
 
 def test_gk_json_shape():
-    data = gk_dimension(torus_growth(3)).to_json_dict()
+    data = gk_dimension(growth_for_family("torus2", (3,))).to_json_dict()
     assert data["gk"] == "1"
     assert data["method"] == "rational"
     assert data["evidence"]["pole_order"] == 1
@@ -257,10 +274,10 @@ def test_growth_for_family_dispatch():
     assert growth_for_family("hopf", (), terms=5).counts() == (2, 3, 4, 5)
     assert growth_for_family("torus2", (5,), terms=5).counts() == (5, 5, 5, 5)
     even = growth_for_family("torus2", (4,), terms=5)
-    assert even.counts() == (4, 6, 8, 10)
+    assert (even.counts(), even.rational, even.warnings) == ((4, 6, 8, 10), None, ())
     twist = growth_for_family("twist", (3,), terms=5)
     assert twist.source == "twist:3"
-    assert twist.coefficients == dtw_growth(3, 2, terms=5).coefficients
+    assert twist.coefficients == dtw_form(3, 2).expand(5) == (1, 5, 7, 7, 7)
     assert growth_for_family("dtw", (2, 4), terms=4).counts() == (6, 9, 9)
     with pytest.raises(ParameterError):
         growth_for_family("conway", (3,))

@@ -180,8 +180,8 @@ EXPORTS = {
     "diagram_to_dict": "diagrams",
     "parse_family_spec": "diagrams",
     "gk_dimension": "growth",
+    "growth_for_family": "growth",
     "skew_growth": "growth",
-    "torus_growth": "growth",
     "enumerate_classes": "oracle",
     "verify_family": "oracle",
     "presentation_from_diagram": "presentation",
