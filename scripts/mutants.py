@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the tests kill a fixed list of mutants of the closure, the
 verification around it, the alternating-sum levels, the series, and the
-CLI's start-up.
+CLI's start-up, parser and series text.
 
 Each mutant names a file, an exact text that must occur in it once, the
 text that replaces it, and the tests that must fail on the result.  For
@@ -123,6 +123,27 @@ MUTANTS = [
         CLOSURE_TESTS,
     ),
     (
+        "a merge-free top level stops the closure below the longest relation",
+        ORACLE,
+        "    floor = max([max_len, *(len(lhs) for lhs, _ in pres.relations)])\n",
+        "    floor = max_len\n",
+        ("tests/test_oracle.py::test_relation_longer_than_max_len_keeps_the_pad",),
+    ),
+    (
+        "the closure stops at max_len whatever its top level merged",
+        ORACLE,
+        "        and (top < floor or absorbed[top])\n",
+        "        and top < floor\n",
+        ("tests/test_oracle.py::test_trefoil_needs_padding_at_degree_two",),
+    ),
+    (
+        "the closure builds the pad levels above a merge-free top level",
+        ORACLE,
+        "        and (top < floor or absorbed[top])\n",
+        "",
+        ("tests/test_oracle.py::test_merge_free_top_level_stops_the_closure",),
+    ),
+    (
         "a run of shifts is doubled without its remainder shift",
         ALTSUM,
         "        if span < count:\n            y |= y << step * (count - span)\n",
@@ -156,6 +177,34 @@ MUTANTS = [
         "    counts, settled = sg.level_counts(terms)\n",
         "    counts, settled = sg.level_counts(terms - 1)\n",
         ("tests/test_growth.py::test_paper_forms_from_settled_levels",),
+    ),
+    (
+        "a rational form's recurrence keeps its window oldest-first",
+        GROWTH,
+        "            recent.appendleft(c)\n",
+        "            recent.append(c)\n",
+        ("tests/test_growth.py::test_rational_form_order_two_recurrence",),
+    ),
+    (
+        "series text runs its decimal recurrence at 28 digits",
+        CLI,
+        "    exact = Context(prec=MAX_PREC,",
+        "    exact = Context(prec=28,",
+        ("tests/test_cli.py::test_order_two_skew_text_matches_int_text",),
+    ),
+    (
+        "the one-subcommand parser names no subcommands in its usage",
+        CLI,
+        "    subs = parser.add_subparsers(dest=\"command\", required=True, metavar=metavar)\n",
+        "    subs = parser.add_subparsers(dest=\"command\", required=True)\n",
+        ("tests/test_cli.py::test_one_subcommand_parser_reads_as_the_full_one",),
+    ),
+    (
+        "gkdim --counts reads counts past --terms",
+        CLI,
+        "        source = growth_from_counts(_load_counts(args.counts)[: args.terms])\n",
+        "        source = growth_from_counts(_load_counts(args.counts))\n",
+        ("tests/test_cli.py::test_gkdim_counts_respect_terms",),
     ),
     (
         "cli imports the closure at module level",

@@ -35,7 +35,12 @@ Every merge is forced in any cancellative semigroup satisfying the
 relations, so the class counts per degree are upper bounds for the true
 counts in the cancellative quotient.  The padding degrees give cancellation
 room to act above the window being counted: a typical derivation multiplies
-by a letter, rewrites at the longer length, and cancels back down.
+by a letter, rewrites at the longer length, and cancels back down.  They
+are not built above a settled top level t at or past max_len and the
+longest relation where no node merged: level t+1 could merge only by a
+relation of length t+1, or by joining or extending a level-t merge, and
+there is neither.  So every level above t settles with no merge, and no
+cancellation reaches back below it.
 
 Verification then squeezes from both sides.  A letter map into an
 alternating-sum semigroup that respects the relations induces a map from
@@ -111,8 +116,9 @@ def _walk(word: Word, find, slots: list, base: list[int], width: list[int]) -> i
 class CongruencePartition:
     """Result of the bounded closure: class structure on words up to the
     levels built, with per-degree class counts over the requested window.
-    The levels reach the horizon unless bounds let the closure stop below
-    it (see `enumerate_classes`).
+    The levels may stop below the horizon, with or without bounds: at a
+    merge-free top level, or where bounds settle the counts (see
+    `enumerate_classes`); `classes_at_degree` raises above them.
 
     Words are not stored.  Level d holds k * _width[d] nodes from id
     _base[d] on; node _base[d] + a * _width[d] + i is R(C, a), the words of
@@ -229,7 +235,20 @@ def enumerate_classes(
       degree above c has exactly m classes, also in the closure to the
       full horizon, and the degrees above h are counted as m.
 
-    Without bounds every level up to the horizon is built.
+    With or without bounds, the closure also stops at the first settled top
+    level t >= max(max_len, longest relation) where no node merged
+    (absorbed[t] == 0).  A merge at level t+1 has three sources, each empty:
+
+    * seed(t+1): no relation is longer than t;
+    * join_merged(t): no node of level t was merged;
+    * extension (drain) of a level-t merge: there is none, and settle left
+      the queue empty.
+
+    So level t+1 settles with no merge, and by induction so does every
+    level up to the horizon; no cancellation reaches below t.  The counts
+    and the partition of every degree up to t are those of the closure to
+    the full horizon.  Only a presentation that never merges stops here.
+    Otherwise every level up to the horizon is built.
     """
     horizon = _checked_horizon(pres, max_len, pad, budget)
     if bounds is not None and len(bounds) != max_len:
@@ -503,10 +522,17 @@ def enumerate_classes(
             len(set(map(find, range(z, z + w)))) == roots for z in range(lo, lo + k * w, w)
         )
 
+    # past every relation and max_len, a top level that merged nothing
+    # settles every level above it with no merge
+    floor = max([max_len, *(len(lhs) for lhs, _ in pres.relations)])
     uf.add(k)
     seed(1)
     settle()
-    while top < horizon and not (bounds is not None and settled()):
+    while (
+        top < horizon
+        and (top < floor or absorbed[top])
+        and not (bounds is not None and settled())
+    ):
         grow()
         settle()
 

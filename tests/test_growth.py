@@ -59,6 +59,13 @@ def test_rational_form():
         RationalForm((1,), (2, -1))
 
 
+def test_rational_form_order_two_recurrence():
+    # c_i = 2 c_{i-1} - c_{i-2} for 1/(1 - t)^2 and c_i = c_{i-1} + 2 c_{i-2}
+    # for 1/(1 - t - 2t^2): the window must hold c_{i-1} first
+    assert RationalForm((1,), (1, -2, 1)).expand(6) == (1, 2, 3, 4, 5, 6)
+    assert RationalForm((1,), (1, -1, -2)).expand(6) == (1, 1, 3, 5, 11, 21)
+
+
 def test_growth_series_validation():
     with pytest.raises(ParameterError):
         GrowthSeries((2, 3, 3))

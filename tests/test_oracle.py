@@ -109,13 +109,17 @@ def reference_partition(pres, horizon):
 
 
 def assert_partition_matches_reference(pres, max_len, pad):
-    """Counts up to max_len, and the partition of the words of every degree
-    up to the horizon."""
+    """Counts up to max_len, the partition of the words of every degree up
+    to the levels built, and, above a merge-free top level where the
+    closure stops short of the horizon, only singleton classes."""
     part = enumerate_classes(pres, max_len, pad=pad)
     expected = reference_partition(pres, max_len + pad)
+    assert max_len <= part.levels <= max_len + pad
     assert part.degree_counts == tuple(len(c) for c in expected[:max_len])
     assert_counts_are_roots(part)
-    assert [part.classes_at_degree(d) for d in range(1, max_len + pad + 1)] == expected
+    levels = part.levels
+    assert [part.classes_at_degree(d) for d in range(1, levels + 1)] == expected[:levels]
+    assert all(len(c) == 1 for classes in expected[levels:] for c in classes)
 
 
 def reference_counts(pres, max_len, pad):
@@ -242,11 +246,11 @@ def test_hopf_counts_grow_by_one():
     assert part.degree_counts == tuple(d + 1 for d in range(1, 17))
 
 
-def traced_bytes_per_node(pres, max_len):
+def traced_bytes_per_node(pres, max_len, pad=2):
     """The closure's peak traced memory per union-find node."""
     tracemalloc.start()
     try:
-        part = enumerate_classes(pres, max_len, budget=10**13)
+        part = enumerate_classes(pres, max_len, pad=pad, budget=10**13)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -257,8 +261,8 @@ def test_closure_memory_per_node():
     """A node is one list slot holding a shared sentinel or a parent id; a
     level that merges nothing keeps its births and slots as ranges, so a
     free presentation stores nothing else per node (8.1 bytes, Python
-    3.11)."""
-    nodes, per_node = traced_bytes_per_node(Presentation(3, ()), 8)
+    3.11).  With no pad its ten levels are all built."""
+    nodes, per_node = traced_bytes_per_node(Presentation(3, ()), 10, pad=0)
     assert nodes == sum(3**d for d in range(1, 11))
     assert per_node <= 12
 
@@ -279,6 +283,27 @@ def test_trefoil_needs_padding_at_degree_two():
     assert enumerate_classes(pres, 2, pad=0).degree_counts == (3, 5)
     assert enumerate_classes(pres, 2, pad=1).degree_counts == (3, 3)
     assert enumerate_classes(pres, 2, pad=2).degree_counts == (3, 3)
+
+
+def test_merge_free_top_level_stops_the_closure():
+    """A top level at or past max_len and every relation, where nothing
+    merged, settles every level above it with no merge: the two pad levels
+    of a free presentation are not built."""
+    part = enumerate_classes(Presentation(3, ()), 10)
+    assert (part.horizon, part.levels) == (12, 10)
+    assert len(part._uf.parent) == sum(3**d for d in range(1, 11)) == 88572
+    assert part.degree_counts == tuple(3**d for d in range(1, 11))
+    with pytest.raises(DomainError):
+        part.classes_at_degree(11)
+
+
+def test_relation_longer_than_max_len_keeps_the_pad():
+    """aaa ~ aba merges nothing at degrees 1 and 2, but seeded at degree 3
+    it cancels down to a ~ b: a merge-free top level below the longest
+    relation does not stop the closure."""
+    part = enumerate_classes(Presentation(2, (((0, 0, 0), (0, 1, 0)),)), 2, pad=1)
+    assert (part.horizon, part.levels) == (3, 3)
+    assert part.degree_counts == (1, 1)
 
 
 def test_partition_queries():
@@ -448,8 +473,8 @@ def test_image_check_states_match_birth_words(monkeypatch, name):
     extend_real = AltSumSemigroup.extend_states
 
     def enumerate_spy(*args, bounds=None, **kwargs):
-        # the closure without bounds builds every level up to the horizon,
-        # so the states are compared at every degree up to max_len
+        # the closure without bounds builds every level up to max_len, so
+        # the states are compared at every degree up to max_len
         partitions.append(enumerate_real(*args, **kwargs))
         return partitions[-1]
 
@@ -542,8 +567,8 @@ def test_reach_beyond_the_word_universe():
 
 def reports_with_and_without_bounds(run):
     """run() as is, and with verify_isomorphism's closure given no bounds,
-    so that it builds every level up to the horizon; with the closures'
-    levels built."""
+    so that it builds every level up to the horizon, or up to a merge-free
+    top level; with the closures' levels built."""
     enumerate_real, levels = oracle.enumerate_classes, []
 
     def closure(bounded):
