@@ -160,9 +160,26 @@ MUTANTS = [
     (
         "a series built from its form expands one coefficient too few",
         GROWTH,
-        "            self._coefficients = self.rational.expand(self.terms)\n",
-        "            self._coefficients = self.rational.expand(self.terms - 1)\n",
+        "            self._coefficients = self._recurrence.expand(self.terms)\n",
+        "            self._coefficients = self._recurrence.expand(self.terms - 1)\n",
         ("tests/test_growth.py::test_form_backed_series_expands_terms_coefficients",),
+    ),
+    (
+        "the skew of a series with no form keeps the numerator 1 over P (1 - t)^j",
+        GROWTH,
+        "                num, den = power, q\n",
+        "                den = q\n",
+        ("tests/test_growth.py::test_formless_skew_is_the_reciprocal",),
+    ),
+    (
+        "the skew of a series with no form reports its recurrence as its rational form",
+        GROWTH,
+        "        return SkewSeries._from_recurrence(RationalForm(num, den), terms,",
+        "        return SkewSeries.from_rational(RationalForm(num, den), terms,",
+        (
+            "tests/test_growth.py::test_formless_skew_is_the_reciprocal",
+            "tests/test_cli.py::test_formless_skew_prints_the_int_reciprocal",
+        ),
     ),
     (
         "a family's form is built from one count too few",

@@ -61,11 +61,13 @@ SCHEMA_VERSION = 1
 # recurrence takes time that grows with the square of the terms, even at
 # about log2 k shifts per run of k letters: growth --family torus2:40
 # takes 1.8 s at this bound, against 9.2 s at one shift per letter (17 MB
-# both, medians of 3 on a 2-vCPU host).  A skew series with no rational
-# form, a power-series reciprocal, is still quadratic and slower: skew
-# --family torus2:4 takes 37-50 s and torus2:12 105-110 s.  A skew with
-# one prints in time linear in its text: skew --family torus2:7 writes
-# 39 MB in 0.3 s.
+# both, medians of 3 on a 2-vCPU host).  Every skew series prints from a
+# recurrence, in time linear in its text: skew --family torus2:7 writes
+# 39 MB in 0.3 s.  The skews of hopf and even torus2, whose growth has no
+# rational form, expand from a denominator of at most 3 terms: at this
+# bound skew --family torus2:4 takes 0.19 s, torus2:12 0.51 s and hopf
+# 0.09 s (17.8 s, 44.7 s and 1.1 s as a power-series reciprocal printed
+# from ints, one run each on the same host).
 MAX_TERMS = 10_000
 # The --site keys each Reidemeister move reads, as the flag is written.
 SITE_KEYS = {
@@ -80,10 +82,11 @@ SITE_KEYS = {
 class _no_digit_limit:
     """Lift Python's int-to-str digit limit inside the block and restore it
     on leaving.  The limit is there because that conversion is quadratic in
-    the digits.  The CSV and JSON of a series with a rational form print
-    exact decimals, but skews with no rational form print ints, and skew
-    coefficients pass 4300 digits near 5600 terms.  Input is parsed
-    outside, under the limit.  Python 3.10.0-3.10.6 have none."""
+    the digits.  The CSV and JSON of every growth and skew series that the
+    CLI builds print exact decimals from a recurrence; a series given by
+    its coefficients alone prints ints, and a JSON payload may hold ints of
+    any length.  Input is parsed outside, under the limit.  Python
+    3.10.0-3.10.6 have none."""
 
     def __enter__(self):
         self.set_limit = getattr(sys, "set_int_max_str_digits", None)
@@ -368,17 +371,20 @@ def _print_notes(notes) -> None:
 
 def _text_coefficients(series):
     """The coefficients to print and the context to print them in.  A series
-    with a rational form streams them from its recurrence in exact decimals,
-    whose str() is linear in the digits where an int's is quadratic, so the
-    text takes time linear in its length."""
-    if series.rational is None:
+    with a recurrence (a rational form, or the quotient that expands a skew
+    with none) streams them from it in exact decimals, whose str() is
+    linear in the digits where an int's is quadratic, so the text takes
+    time linear in its length.  Only a series given by its coefficients
+    alone prints ints: the growth series of hopf, of even torus2, and of
+    unsettled counts, whose coefficients are short."""
+    if series._recurrence is None:
         return series.coefficients, _no_digit_limit()
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
     from decimal import localcontext
 
     # every step is exact, or raises instead of printing a rounded digit
     exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
-    coefficients = series.rational.iter_coefficients(series.terms, Decimal)
+    coefficients = series._recurrence.iter_coefficients(series.terms, Decimal)
     return coefficients, localcontext(exact)
 
 
@@ -389,14 +395,15 @@ def _print_series_csv(series) -> None:
     write("degree,coefficient\n")
     with arithmetic:
         for degree, c in enumerate(coefficients):
-            write(f"{degree},{c}\n")
+            write(f"{degree},{c!s}\n")
 
 
 def _emit_series_json(series) -> None:
     """`_emit_json` of a growth or skew series, with the same bytes.  The
     other keys are dumped as usual and the coefficient list, never empty, is
-    spliced in as `_text_coefficients` gives it, so a series with a rational
-    form prints in time linear in its text, and is never expanded in ints."""
+    spliced in as `_text_coefficients` gives it, so a series with a
+    recurrence prints in time linear in its text, and is never expanded in
+    ints."""
     payload = dict(series.json_fields(), coefficients=[], schema_version=SCHEMA_VERSION)
     empty = '"coefficients": []'
     head, tail = json.dumps(payload, sort_keys=True, indent=2).split(empty, 1)
@@ -406,7 +413,7 @@ def _emit_series_json(series) -> None:
     with arithmetic:
         separator = "\n    "
         for c in coefficients:
-            write(f"{separator}{c}")
+            write(f"{separator}{c!s}")
             separator = ",\n    "
     write(f"\n  ]{tail}\n")
 

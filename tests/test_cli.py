@@ -477,6 +477,42 @@ def test_trivial_skew_text_has_no_negative_zero(capsys):
     _assert_int_csv(out, (1, -1, 0, 0, 0, 0, 0))
 
 
+# (source flags, the growth coefficients they give); none has a rational form
+FORMLESS_SKEWS = {
+    "hopf": (["--family", "hopf", "--terms", "300"],
+             lambda: growth_for_family("hopf", (), terms=301).coefficients),
+    "torus2:4": (["--family", "torus2:4", "--terms", "2000"],
+                 lambda: growth_for_family("torus2", (4,), terms=2001).coefficients),
+    "quadratic counts": (["--counts", "2,6,12,20,30,42,56,72", "--terms", "8"],
+                         lambda: (1, 2, 6, 12, 20, 30, 42, 56, 72)),
+    "exponential counts": (["--counts", "3,9,27,81,243,729", "--terms", "4"],
+                           lambda: (1, 3, 9, 27, 81)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(FORMLESS_SKEWS))
+def test_formless_skew_prints_the_int_reciprocal(capsys, name, fmt):
+    """A skew whose growth has no rational form prints str() of each int of
+    the power-series reciprocal n_k = -(p_1 n_{k-1} + ... + p_k n_0), and
+    its JSON claims no form."""
+    flags, growth = FORMLESS_SKEWS[name]
+    p = growth()
+    expected = [1]
+    for k in range(1, len(p)):
+        expected.append(-sum(p[i] * expected[k - i] for i in range(1, k + 1)))
+    code, out, err = run(capsys, "skew", *flags, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "csv":
+        _assert_int_csv(out, expected)
+        return
+    source = "counts" if flags[0] == "--counts" else flags[1]
+    payload = {"coefficients": expected, "rational": None, "source": source,
+               "schema_version": cli.SCHEMA_VERSION}
+    with _no_digit_limit():
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 SERIES_JSON_CASES = {
     # order 1, 262 digits at the end
     "skew torus2:7": lambda: skew_growth(growth_for_family("torus2", (7,), terms=301)),

@@ -201,6 +201,48 @@ def test_skew_reciprocal_property(counts):
     assert convolve(series.coefficients, skew.coefficients, terms) == (1,) + (0,) * (terms - 1)
 
 
+def reciprocal(p, terms):
+    """The power-series reciprocal of p, n_k = -(p_1 n_{k-1} + ... + p_k n_0)."""
+    n = [1]
+    for k in range(1, terms):
+        n.append(-sum(p[i] * n[k - i] for i in range(1, min(k, len(p) - 1) + 1)))
+    return tuple(n)
+
+
+@given(
+    prefix=st.lists(st.integers(min_value=-9, max_value=9), max_size=5),
+    tail=st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4),
+    length=st.integers(min_value=1, max_value=30),
+    extra=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_formless_skew_is_the_reciprocal(prefix, tail, length, extra):
+    """Counts of a prefix and then a polynomial of degree 0..3: the skew of
+    their series with no form is its power-series reciprocal, through every
+    coefficient known, and still claims no form.  A tail of degree below 3
+    runs past the prefix on a denominator of a few terms only."""
+    counts = prefix + [sum(a * d**i for i, a in enumerate(tail)) for d in range(length)]
+    series = GrowthSeries((1, *counts))
+    terms = max(series.terms - extra, 1)
+    skew = skew_growth(series, terms=terms)
+    assert skew.coefficients == reciprocal(series.coefficients, terms)
+    assert (skew.terms, skew.rational, skew.source) == (terms, None, "counts")
+    degree = len(tail) - 1
+    if degree < 3:
+        assert len(skew._recurrence.denominator) <= len(prefix) + degree + 3
+
+
+def test_even_torus_skew_expands_from_a_short_denominator():
+    """torus2:12 counts 6(t + 1) from degree 1 on, with no settled form:
+    its skew expands from (1 - t)^2 over a denominator of at most 4 terms."""
+    growth = growth_for_family("torus2", (12,), terms=151)
+    assert growth.rational is None
+    skew = skew_growth(growth)
+    assert skew.rational is None
+    assert len(skew._recurrence.denominator) <= 4
+    assert skew.coefficients == reciprocal(growth.coefficients, 151)
+
+
 # -- dimension estimation ------------------------------------------------------
 
 
