@@ -158,6 +158,34 @@ MUTANTS = [
         ("tests/test_altsum.py::test_levels_of_asymmetric_sets",),
     ),
     (
+        "a checked shift is checked at the residue j = 0 only",
+        ALTSUM,
+        "            if any(\n",
+        "            if j == 0 and any(\n",
+        ("tests/test_altsum.py::test_every_residue_is_checked",),
+    ),
+    (
+        "a checked shift lets F^P(B_j) leave B_j | sh^s(B_j)",
+        ALTSUM,
+        "                side >> bits != old or fp & below != x or fp >> bits & ~x\n",
+        "                side >> bits != old or fp & below != x\n",
+        ("tests/test_altsum.py::test_shift_check_bounds_the_image_of_b",),
+    ),
+    (
+        "an appended letter's sign ignores the parity of its degree",
+        ALTSUM,
+        "            step = b if degree % 2 else -b\n",
+        "            step = -b if degree % 2 else b\n",
+        ("tests/test_altsum.py::test_extend_states_appends_letters",),
+    ),
+    (
+        "the strong levels lift every letter a row, odd letters too",
+        ALTSUM,
+        "        lifts = [self.width if strong and group.is_even(b) else 0 for b in generators]\n",
+        "        lifts = [self.width if strong else 0 for b in generators]\n",
+        ("tests/test_altsum.py::test_count_elements_matches_exhaustive_enumeration",),
+    ),
+    (
         "a series built from its form expands one coefficient too few",
         GROWTH,
         "            self._coefficients = self._recurrence.expand(self.terms)\n",

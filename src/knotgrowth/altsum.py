@@ -29,10 +29,14 @@ runs, and the copies of a run of k shifts are ORed by doubling, in about
 log2 k shifts.  When B = -B the two shift sets are equal (negation keeps
 evenness), so S_t = -S_t at every level and one side is built.  Levels
 are built on demand, iteratively, and each semigroup keeps only the last
-one built.
+one built.  A run of counts stops building levels at a checked shift,
+where each level is the one P before it moved up s rows plus fixed low
+rows, and adds the rest of its counts up (``level_counts``).
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .errors import (
     DomainError,
@@ -44,6 +48,9 @@ from .errors import (
 Word = tuple[int, ...]
 
 _set = object.__setattr__
+
+# The longest period level_counts checks a shift for.
+_MAX_PERIOD = 4
 
 
 class Zmod:
@@ -118,6 +125,8 @@ class _Levels:
     is ``pos``.  Level 0 is the empty word.  Only that level is kept, so
     memory stays linear in t.  A request for an earlier level restarts from
     level 0; the image check and the counts read levels in ascending order.
+    ``step`` is one step of the recurrence on any pair of packed sets, and
+    ``shift`` checks the shift of ``level_counts`` on the levels it is given.
     """
 
     def __init__(self, group: Zmod, generators: tuple[int, ...], strong: bool):
@@ -140,23 +149,53 @@ class _Levels:
         self.t = 0
         self.pos = self.neg = 1
 
+    def step(self, pos: int, neg: int, low: int) -> tuple[int, int]:
+        """F: the level after the pair (pos, neg), each row folded under the
+        row mask low, which must cover the rows of the result."""
+        m = self.modulus
+        nxt = _spread(neg, self.pos_runs)
+        nxt_pos = (nxt & low) | ((nxt >> m) & low)
+        if self.neg_runs is None:
+            return nxt_pos, nxt_pos
+        nxt = _spread(pos, self.neg_runs)
+        return nxt_pos, (nxt & low) | ((nxt >> m) & low)
+
     def level(self, t: int) -> int:
         if t < self.t:
             self._restart()
-        m, pos_runs, neg_runs = self.modulus, self.pos_runs, self.neg_runs
         pos, neg, low = self.pos, self.neg, self.low
         for level in range(self.t + 1, t + 1):
             if self.strong:
                 low |= self.row << (self.width * level)
-            nxt = _spread(neg, pos_runs)
-            if neg_runs is None:
-                pos = neg = (nxt & low) | ((nxt >> m) & low)
-            else:
-                nxt_neg = _spread(pos, neg_runs)
-                pos = (nxt & low) | ((nxt >> m) & low)
-                neg = (nxt_neg & low) | ((nxt_neg >> m) & low)
+            pos, neg = self.step(pos, neg, low)
         self.pos, self.neg, self.low, self.t = pos, neg, low, t
         return pos
+
+    def shift(self, seen, period: int) -> tuple[int, list[int]] | None:
+        """(s, [|B_0|, ..., |B_{P-1}|]) where the last 2P levels in seen,
+        pairs (S, -S) ending at the level last built, meet the checked shift
+        of period P (``level_counts``), else None."""
+        # (a) at j = P - 1 puts the top row of the level last built s rows
+        # above that of the level P before it, so s <= P, and F^P(B_j) has
+        # rows below 2P, within the mask of that level
+        bits = seen[-1][0].bit_length() - seen[-1 - period][0].bit_length()
+        if bits < 0 or bits % self.width:
+            return None
+        below = (1 << bits) - 1
+        gains = []
+        for j in range(period):
+            level, earlier = seen[j - period], seen[j - 2 * period]
+            b = image = (level[0] & below, level[1] & below)
+            for _ in range(period):
+                image = self.step(*image, self.low)
+            # (a), (b) and (c), on S and on -S
+            if any(
+                side >> bits != old or fp & below != x or fp >> bits & ~x
+                for side, old, fp, x in zip(level, earlier, image, b)
+            ):
+                return None
+            gains.append(b[0].bit_count())
+        return bits // self.width, gains
 
 
 class AltSumSemigroup:
@@ -259,26 +298,58 @@ class AltSumSemigroup:
 
     def level_counts(self, last: int) -> tuple[tuple[int, ...], bool]:
         """The element counts at lengths 0, 1, ..., `last`, where length 0
-        holds the empty word alone, read in one pass over the levels, and
-        whether the levels settle on the way.
+        holds the empty word alone, and whether the levels settle.
 
-        The pass stops at the first level equal to the one before it, S_t
-        and -S_t both, and returns the counts through that earlier level
-        and True.  A step reads nothing but the level before it, so every
-        later level is that level again, and the last count returned is the
-        count at every greater length.  Levels that cycle with a longer
-        period, as those of {1} in Z_5 do, never settle; nor do those of a
-        strong variant with an even generator, whose even counts grow.
+        One pass reads the levels L_t = (S_t, -S_t) in order and stops at
+        the first checked shift.  Let F be one level step and sh the shift
+        by one even-count row; F(X | Y) = F(X) | F(Y), F commutes with sh,
+        and a step raises a state by at most one row.  At the level t0 + 2P
+        - 1 just read, for a period P <= _MAX_PERIOD and t0 >= 0, let s be
+        the rows L_{t0+2P-1} has above L_{t0+P-1}, and for each residue j =
+        0..P-1 let B_j be the rows below s of L_{t0+j+P}.  The check asks,
+        on S and on -S, for every j:
+
+            (a) L_{t0+j+P} = sh^s(L_{t0+j}) | B_j;
+            (b) the rows below s of F^P(B_j) are B_j;
+            (c) F^P(B_j) is within B_j | sh^s(B_j).
+
+        Then L_{t+P} = sh^s(L_t) | B_j for every t >= t0, j = (t - t0) mod
+        P, by induction on t: (a) is the case t < t0 + P, and if it holds
+        at t, then L_{t+2P} = F^P(sh^s(L_t) | B_j) = sh^s(L_{t+P}) |
+        F^P(B_j) = sh^s(L_{t+P}) | B_j, since F^P(B_j) holds B_j by (b),
+        and the rest of it lies in sh^s(B_j) by (c), within sh^s(L_{t+P})
+        since L_{t+P} holds B_j at t.  So c_{t+P} = c_t + |B_j| for t >=
+        t0, counting S alone, and the counts past the levels read are exact
+        integer sums.  The check reads t0 + 2P - 1 levels and makes P steps
+        on each B_j.  Every residue needs its check: SAS(Z_12, {0, 1, 5, 7,
+        9}) meets (a)-(c) at t0 = 0, P = s = 2 for j = 0 alone, and c_3 -
+        c_1 = 14, not |B_0| = 12.
+
+        Where s = 0 every B_j is empty and the levels cycle.  With P = 1
+        they settle: every later level is L_{t0}, the pass returns the
+        counts through length t0 and True, and the last count returned is
+        the count at every greater length.  Otherwise it returns all the
+        counts and False, as it does where no shift is found by `last`.
+        The levels of {1} in Z_5 cycle with period 2; those of a strong
+        variant with an even generator gain one row per step, and the
+        strong targets of hopf and even torus2 shift by s = P = 2.
         """
         levels = self._levels
-        before = (levels.level(0), levels.neg)
+        seen = deque([(levels.level(0), levels.neg)], maxlen=2 * _MAX_PERIOD)
         counts = [1]
         for t in range(1, last + 1):
-            level = (levels.level(t), levels.neg)
-            if level == before:
-                return tuple(counts), True
-            counts.append(level[0].bit_count())
-            before = level
+            seen.append((levels.level(t), levels.neg))
+            counts.append(seen[-1][0].bit_count())
+            for period in range(1, min(_MAX_PERIOD, (t + 1) // 2) + 1):
+                found = levels.shift(seen, period)
+                if found is None:
+                    continue
+                rows, gains = found
+                if period == 1 and not rows:
+                    return tuple(counts[:-1]), True
+                for u in range(t + 1, last + 1):
+                    counts.append(counts[u - period] + gains[(u - t - 1) % period])
+                return tuple(counts), False
         return tuple(counts), False
 
     def count_elements(self, t: int) -> int:

@@ -57,17 +57,18 @@ from .growth import (
 
 SCHEMA_VERSION = 1
 # Largest --terms for growth, skew and gkdim.  Level t of a strong
-# alternating-sum semigroup has one row per even count, so the state
-# recurrence takes time that grows with the square of the terms, even at
-# about log2 k shifts per run of k letters: growth --family torus2:40
-# takes 1.8 s at this bound, against 9.2 s at one shift per letter (17 MB
-# both, medians of 3 on a 2-vCPU host).  Every skew series prints from a
+# alternating-sum semigroup has one row per even count, so building one
+# level per term takes time that grows with the square of the terms.  The
+# family targets stop at a checked shift within 4 levels and add the rest
+# of their counts up: at this bound growth --family torus2:40 takes 0.05 s,
+# against 1.55 s at one level per term.  Every skew series prints from a
 # recurrence, in time linear in its text: skew --family torus2:7 writes
 # 39 MB in 0.3 s.  The skews of hopf and even torus2, whose growth has no
 # rational form, expand from a denominator of at most 3 terms: at this
-# bound skew --family torus2:4 takes 0.19 s, torus2:12 0.51 s and hopf
-# 0.09 s (17.8 s, 44.7 s and 1.1 s as a power-series reciprocal printed
-# from ints, one run each on the same host).
+# bound skew --family torus2:4 takes 0.10 s, torus2:12 0.16 s and hopf
+# 0.06 s (0.18, 0.48 and 0.09 s at one level per term, and 17.8 s, 44.7 s
+# and 1.1 s as a power-series reciprocal printed from ints).  Medians of 3
+# on a 2-vCPU host, except the reciprocal's one run each.
 MAX_TERMS = 10_000
 # The --site keys each Reidemeister move reads, as the flag is written.
 SITE_KEYS = {

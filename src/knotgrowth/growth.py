@@ -6,7 +6,9 @@ skew series is its formal reciprocal, N(t) = 1/P(t).  A series is held as
 its first `terms` coefficients, with an exact rational form attached when
 one is known or detected.  A family's series is read off the levels of its
 target semigroup in ``diagrams.FAMILIES``, and carries the form num/(1 - t)
-where those levels settle.  A series built from a recurrence alone (a
+where those levels settle; where they shift instead, its counts past the
+levels read are exact sums, with no form claimed.  A series built from a
+recurrence alone (a
 settled family's form, the skew of a series with a form, and the skew of
 one without, from a quotient that agrees with 1/P through its terms)
 expands the coefficients only when they are first read; the CLI prints it
@@ -522,14 +524,17 @@ def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> Gr
     target semigroup in ``diagrams.FAMILIES``, from one pass over its levels.
 
     The pass reads the levels up to length `terms`, one past the last
-    coefficient, and stops where they settle (``level_counts``): every later
-    count is the last one read, so the form num/(1 - t) is exact.  The
-    targets of odd torus2:n, twist:n and dtw:n,l settle by length 3, and
-    give the paper's forms (1 + (n-1)t)/(1 - t) and
+    coefficient, and stops at a checked shift (``level_counts``).  Where
+    they settle, every later count is the last one read, so the form
+    num/(1 - t) is exact.  The targets of odd torus2:n, twist:n and dtw:n,l
+    settle by length 3, and give the paper's forms (1 + (n-1)t)/(1 - t) and
     (1 + (n+l-1)t + (nl-n-l+1)t^2)/(1 - t), twist:n being dtw:n,2.  The
-    strong targets of hopf and even torus2 never settle, and their series
-    is their counts alone, with no form.  Other families have no stated
-    growth and must be measured through the congruence closure.
+    strong targets of hopf and even torus2 never settle: their levels shift
+    by two rows every two steps from length 0 or 1, so 4 levels give every
+    count, each later one the count two before it plus a fixed gain.  Their
+    series is those counts alone, with no form claimed.  Other families
+    have no stated growth and must be measured through the congruence
+    closure.
     """
     target = FAMILIES[kind].target if kind in FAMILIES else None
     if target is None:

@@ -211,6 +211,60 @@ def test_levels_of_period_two_never_settle():
 
 @given(semigroups_and_degrees())
 @settings(max_examples=300, deadline=None)
+def test_shifted_levels_give_every_count(case):
+    """Counts past a checked shift are sums, not levels; they must be the
+    levels' counts all the same."""
+    sg, _ = case
+    counts, settled = sg.level_counts(60)
+    if not settled:
+        assert counts == (1, *(sg.count_elements(t) for t in range(1, 61)))
+
+
+def test_every_residue_is_checked():
+    """SAS(Z_12, {0, 1, 5, 7, 9}) meets the shift check at t0 = 0, P = s = 2
+    for the residue j = 0 alone: |B_0| = 12, but c_3 - c_1 = 14.  The pass
+    rejects that shift and stops at the one from t0 = 2, at level 5."""
+    sg = AltSumSemigroup(Zmod(12), (0, 1, 5, 7, 9), strong=True)
+    levels = sg._levels
+    seen = [(levels.level(t), levels.neg) for t in range(4)]
+    assert (seen[2][0] & (1 << 2 * 24) - 1).bit_count() == 12
+    assert levels.shift(seen, 2) is None
+    counts, settled = sg.level_counts(60)
+    assert levels.t == 5
+    assert (counts, settled) == ((1, 5, *(6 * t + 1 for t in range(2, 61))), False)
+    assert counts == (1, *(sg.count_elements(t) for t in range(1, 61)))
+
+
+def test_shift_check_bounds_the_image_of_b():
+    """Condition (c) on hand-made levels L_0 = B, L_1 = sh(B) | B, with B
+    the states 0 and 3 in row 0 of Z_6 (-B = B), checked at P = s = 1.
+    The odd letter 3 maps B onto itself, so (a) and (b) hold; the even
+    letter 0 maps B into B, and 2 maps it onto {2, 5}, outside B.  No
+    target tried reaches such levels, so the checker is tested on them
+    directly."""
+    b = 1 | 1 << 3
+    seen = [(b, b), (b | b << 12, b | b << 12)]
+    for generators, gains in (((0, 3), (1, [2])), ((2, 3), None)):
+        levels = AltSumSemigroup(Zmod(6), generators, strong=True)._levels
+        levels.level(1)
+        assert levels.shift(seen, 1) == gains
+
+
+@pytest.mark.parametrize(
+    "spec, levels", [(("hopf", ()), 3), (("torus2", (40,)), 4)], ids=["hopf", "torus2:40"]
+)
+def test_strong_family_levels_stop_at_their_shift(spec, levels):
+    """hopf shifts from t0 = 0 and torus2:40 from t0 = 1, by P = s = 2, so
+    10 000 counts take 3 and 4 level steps."""
+    kind, params = spec
+    sg = FAMILIES[kind].target(*params)[0]
+    counts, settled = sg.level_counts(10_000)
+    assert len(counts) == 10_001 and not settled
+    assert sg._levels.t <= levels
+
+
+@given(semigroups_and_degrees())
+@settings(max_examples=300, deadline=None)
 def test_settled_levels_hold_their_last_count(case):
     sg, _ = case
     counts, settled = sg.level_counts(12)
