@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the tests kill a fixed list of mutants of the closure, the
-verification around it, the alternating-sum levels, the series, and the
-CLI's start-up, parser and series text.
+verification around it, the family targets, the alternating-sum levels, the
+series, and the CLI's start-up, parser and series text.
 
 Each mutant names a file, an exact text that must occur in it once, the
 text that replaces it, and the tests that must fail on the result.  For
@@ -24,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/knotgrowth/oracle.py"
+DIAGRAMS = "src/knotgrowth/diagrams.py"
 GROWTH = "src/knotgrowth/growth.py"
 ALTSUM = "src/knotgrowth/altsum.py"
 CLI = "src/knotgrowth/cli.py"
@@ -142,6 +143,20 @@ MUTANTS = [
         "        and (top < floor or absorbed[top])\n",
         "",
         ("tests/test_oracle.py::test_merge_free_top_level_stops_the_closure",),
+    ),
+    (
+        "the target of an even modulus is the plain variant",
+        DIAGRAMS,
+        "    return AltSumSemigroup(Zmod(m), phi, strong=m % 2 == 0), phi\n",
+        "    return AltSumSemigroup(Zmod(m), phi, strong=False), phi\n",
+        ("tests/test_diagrams.py::test_fox_targets_are_the_hand_written_targets",),
+    ),
+    (
+        "the coloring modulus is read from the last crossing, not the gcd of all",
+        DIAGRAMS,
+        "    return labels, gcd(*residuals)\n",
+        "    return labels, gcd(*residuals[-1:])\n",
+        ("tests/test_diagrams.py::test_fox_coloring_modulus_is_the_gcd_of_every_residual",),
     ),
     (
         "a run of shifts is doubled without its remainder shift",

@@ -376,7 +376,7 @@ def _text_coefficients(series):
     with none) streams them from it in exact decimals, whose str() is
     linear in the digits where an int's is quadratic, so the text takes
     time linear in its length.  Only a series given by its coefficients
-    alone prints ints: the growth series of hopf, of even torus2, and of
+    alone prints ints: the growth series of strong (link) targets and of
     unsettled counts, whose coefficients are short."""
     if series._recurrence is None:
         return series.coefficients, _no_digit_limit()

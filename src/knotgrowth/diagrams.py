@@ -26,15 +26,16 @@ Families
 
 ``FAMILIES`` holds each family kind once: its parameter count, its builder
 and, where the paper states an isomorphism, its target alternating-sum
-semigroup and letter map.
+semigroup and letter map, both from one Fox coloring of its diagram.
 """
 
 from __future__ import annotations
 
 import json
+from math import gcd
 
-from .altsum import AltSumSemigroup, Zmod, dtw_alphabet
-from .errors import MoveError, ParameterError, refuse_assignment
+from .altsum import AltSumSemigroup, Zmod
+from .errors import InternalConsistencyError, MoveError, ParameterError, refuse_assignment
 
 _set = object.__setattr__
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -139,8 +140,7 @@ def build_trivial() -> Diagram:
 
 
 def _check_n(kind: str, n: int) -> None:
-    """Refuse a count below 1 for a one-parameter family, in its builder and
-    its target alike."""
+    """Refuse a count below 1 for a one-parameter family."""
     if n < 1:
         raise ParameterError(f"{kind} needs n >= 1, got {n}")
 
@@ -155,8 +155,9 @@ def double_twist_arc_values(n: int, l: int) -> tuple[int, ...]:
     """Subscript labels of the double twist arcs, in arc-index order.
 
     Arc i <= n carries subscript i; arc n+j carries subscript jn+1 for
-    1 <= j < l.  These values, read mod ln+1, are the letter images under
-    the natural map into the alternating-sum semigroup.
+    1 <= j < l.  The builder places the crossings by these subscripts, and
+    read mod ln+1 they are the labels of the family's Fox coloring, so its
+    letter map into the alternating-sum semigroup.
     """
     if n < 1 or l < 1:
         raise ParameterError(f"twist counts must be positive, got ({n}, {l})")
@@ -241,36 +242,73 @@ def _build_twist(n: int) -> Diagram:
     return build_double_twist(n, 2)
 
 
-def _torus_target(n: int):
-    """All of Z_n, letter i to i; the strong variant for even n, where the
-    braid closes to a two-component link."""
-    _check_n("torus2", n)
-    return AltSumSemigroup(Zmod(n), tuple(range(n)), strong=n % 2 == 0), tuple(range(n)), ()
+def fox_coloring(diagram: Diagram, anchors: dict[int, int]) -> tuple[list[int], int] | None:
+    """The integer Fox coloring of a diagram from its anchor labels.
+
+    Whenever a crossing has its over arc y and one under arc x labeled, the
+    other under arc z gets 2y - x, until no crossing labels a new arc.  The
+    modulus m is the gcd over all crossings of x + z - 2y, 0 when each one
+    holds over the integers.  Mod any divisor d of m the labels hold
+    x + z = 2y, so as a letter map they respect each relation xy = yz in
+    AS(Z_d, labels), and in SAS for an even d, where x and z share a parity
+    (Fox 1962; Przytycki 1998).  Returns the labels by arc and m, or None
+    when some arc stays unlabeled.
+    """
+    labels = [anchors.get(arc) for arc in range(diagram.arc_count)]
+    progress = True
+    while progress:
+        progress = False
+        for c in diagram.crossings:
+            x, z = c.under
+            if labels[c.over] is None or (labels[x] is None) == (labels[z] is None):
+                continue
+            if labels[x] is None:
+                x, z = z, x
+            labels[z] = 2 * labels[c.over] - labels[x]
+            progress = True
+    if None in labels:
+        return None
+    residuals = [
+        labels[c.under[0]] + labels[c.under[1]] - 2 * labels[c.over] for c in diagram.crossings
+    ]
+    return labels, gcd(*residuals)
 
 
-def _dtw_target(n: int, l: int):
-    """The double twist alphabet in Z_(ln+1), each arc to its subscript."""
-    alphabet = dtw_alphabet(n, l)
-    phi = tuple(v % alphabet.modulus for v in double_twist_arc_values(n, l))
-    notes = ()
-    if (n * l) % 2 == 1:
-        notes = (
-            f"twist product {n}*{l} is odd; the isomorphism is only asserted "
-            "for even products",
-        )
-    return alphabet.semigroup(), phi, notes
+# The largest target modulus.  MAX_ARCS does not bound it: it grows like
+# the product of the twist counts, and each level is a bitset 2m bits
+# wide, one per even count in the strong variant.  growth --terms 3 on the
+# plain targets of dtw:50000,50000 (m = 2.5e9) ran 53 s and peaked at
+# 4.8 GB, and on dtw:10000,10000 (m = 1e8) 0.7 s and 286 MB.  The link
+# dtw:3163,3163 (m = 1e7) took 0.11 s and 45 MB with a plain target, and
+# 3.4 s and 325 MB with its strong one at --terms 40 (2-vCPU host).
+MAX_MODULUS = 10**7
 
 
-def _twist_target(n: int):
-    """The double twist target with (n, 2) twists."""
-    _check_n("twist", n)
-    return _dtw_target(n, 2)
+def _fox_target(diagram: Diagram) -> tuple[AltSumSemigroup, tuple[int, ...]]:
+    """The target and letter map of a diagram's Fox coloring from arc 0 to
+    0 and arc 1 to 1 (arc 0 alone for a one-arc diagram): AS(Z_m, labels),
+    strong for an even m, with the labels mod m as the letter map and
+    m = 1 when the coloring holds over the integers."""
+    coloring = fox_coloring(diagram, {a: a for a in range(min(2, diagram.arc_count))})
+    if coloring is None:
+        raise InternalConsistencyError("a family's Fox coloring left an arc unlabeled")
+    labels, m = coloring
+    m = m or 1
+    if m > MAX_MODULUS:
+        raise ParameterError(f"target modulus {m} is above the bound {MAX_MODULUS}")
+    phi = tuple(v % m for v in labels)
+    return AltSumSemigroup(Zmod(m), phi, strong=m % 2 == 0), phi
+
+
+def _odd_product_note(n: int, l: int) -> tuple[str, ...]:
+    note = f"twist product {n}*{l} is odd; the isomorphism is only asserted for even products"
+    return (note,) if n * l % 2 else ()
 
 
 class Family:
     """One family kind.  ``arity`` is its parameter count (None: any number).
     ``target``, where the paper states an isomorphism, maps the parameters
-    to (alternating-sum semigroup, letter map indexed by arc, notes)."""
+    to (its diagram's Fox target, letter map indexed by arc, notes)."""
 
     __slots__ = ("arity", "build", "target")
 
@@ -280,12 +318,17 @@ class Family:
         self.target = target
 
 
+def _stated(arity: int, build, notes=lambda *params: ()) -> Family:
+    """A family with a stated isomorphism: its diagram's Fox target, with notes."""
+    return Family(arity, build, lambda *params: (*_fox_target(build(*params)), notes(*params)))
+
+
 FAMILIES = {
-    "trivial": Family(0, build_trivial, lambda: (AltSumSemigroup(Zmod(1), (0,)), (0,), ())),
-    "hopf": Family(0, lambda: build_torus2(2), lambda: _torus_target(2)),
-    "torus2": Family(1, build_torus2, _torus_target),
-    "twist": Family(1, _build_twist, _twist_target),
-    "dtw": Family(2, build_double_twist, _dtw_target),
+    "trivial": _stated(0, build_trivial),
+    "hopf": _stated(0, lambda: build_torus2(2)),
+    "torus2": _stated(1, build_torus2),
+    "twist": _stated(1, _build_twist),
+    "dtw": _stated(2, build_double_twist, _odd_product_note),
     "conway": Family(None, lambda *twists: conway_with_traces(twists)[0], None),
 }
 

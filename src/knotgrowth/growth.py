@@ -526,15 +526,16 @@ def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> Gr
     The pass reads the levels up to length `terms`, one past the last
     coefficient, and stops at a checked shift (``level_counts``).  Where
     they settle, every later count is the last one read, so the form
-    num/(1 - t) is exact.  The targets of odd torus2:n, twist:n and dtw:n,l
-    settle by length 3, and give the paper's forms (1 + (n-1)t)/(1 - t) and
-    (1 + (n+l-1)t + (nl-n-l+1)t^2)/(1 - t), twist:n being dtw:n,2.  The
-    strong targets of hopf and even torus2 never settle: their levels shift
-    by two rows every two steps from length 0 or 1, so 4 levels give every
-    count, each later one the count two before it plus a fixed gain.  Their
-    series is those counts alone, with no form claimed.  Other families
-    have no stated growth and must be measured through the congruence
-    closure.
+    num/(1 - t) is exact.  The targets with an odd modulus settle by length
+    3, and give the paper's forms (1 + (n-1)t)/(1 - t) for odd torus2:n and
+    (1 + (n+l-1)t + (nl-n-l+1)t^2)/(1 - t) for dtw:n,l with nl even,
+    twist:n being dtw:n,2.  The strong targets, those with an even modulus
+    (hopf, even torus2 and dtw with nl odd), never settle: their levels
+    shift by two rows every two steps from length 0 or 1, so 4 levels give
+    every count, each later one the count two before it plus a fixed gain.
+    Their series is those counts alone, with no form claimed.  Every series
+    carries its family's notes.  Other families have no stated growth and
+    must be measured through the congruence closure.
     """
     target = FAMILIES[kind].target if kind in FAMILIES else None
     if target is None:
@@ -542,14 +543,8 @@ def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> Gr
             f"no stated growth for family {kind!r}; compute counts with the "
             "congruence closure and pass them explicitly"
         )
-    sg = target(*params)[0]
+    sg, _, notes = target(*params)
     source = str(FamilySpec(kind, params))
-    notes = ()
-    if kind == "dtw" and params[0] * params[1] % 2:
-        notes = (
-            f"twist product {params[0]}*{params[1]} is odd; the closed form is "
-            "stated for even products",
-        )
     counts, settled = sg.level_counts(terms)
     if settled:
         return GrowthSeries.from_rational(

@@ -60,7 +60,7 @@ from itertools import compress, islice, product, repeat
 from operator import ge, lt
 
 from .altsum import AltSumSemigroup, conjecture_semigroup
-from .diagrams import FAMILIES, build_family, conway_with_traces, parse_family_spec
+from .diagrams import FAMILIES, build_family, conway_with_traces, fox_coloring, parse_family_spec
 from .errors import (
     DEFAULT_WORD_BUDGET,
     DomainError,
@@ -816,49 +816,6 @@ def verify_family(
 # -- probing the three-parameter conjecture -----------------------------------
 
 
-def _propagate_labels(
-    crossings, arc_count: int, anchors: dict[int, int], modulus: int
-) -> dict[int, int] | None:
-    """Solve phi[x] + phi[z] = 2 phi[y] per crossing from anchor values.
-
-    Returns the full labeling, or None if the constraints are inconsistent
-    or leave an arc undetermined.
-    """
-    half = pow(2, -1, modulus) if modulus % 2 == 1 else None
-    phi: dict[int, int] = dict(anchors)
-    progress = True
-    while progress:
-        progress = False
-        for c in crossings:
-            x, z = c.under
-            y = c.over
-            if x == z:
-                if y in phi and x not in phi and half is not None:
-                    phi[x] = phi[y]
-                    progress = True
-                elif x in phi and y not in phi and half is not None:
-                    phi[y] = phi[x]
-                    progress = True
-                continue
-            if x in phi and y in phi and z not in phi:
-                phi[z] = (2 * phi[y] - phi[x]) % modulus
-                progress = True
-            elif z in phi and y in phi and x not in phi:
-                phi[x] = (2 * phi[y] - phi[z]) % modulus
-                progress = True
-            elif x in phi and z in phi and y not in phi and half is not None:
-                phi[y] = (phi[x] + phi[z]) * half % modulus
-                progress = True
-    if len(phi) < arc_count:
-        return None
-    for c in crossings:
-        x, z = c.under
-        y = c.over
-        if (phi[x] + phi[z]) % modulus != (2 * phi[y]) % modulus:
-            return None
-    return phi
-
-
 def conjecture_probe(
     m: int,
     l: int,
@@ -870,10 +827,12 @@ def conjecture_probe(
     """Test the three-twist-region diagram against its conjectured semigroup.
 
     The diagram for twist counts (m, l, n) is compared with alternating sums
-    on the conjectured generator set inside Z over (ml+1)n+m.  Arc labels are
-    found by propagating the per-crossing constraint phi[x] + phi[z] =
-    2 phi[y] from the natural anchors (0, 1) on the last twist region; when
-    they give no labeling by generators, the report has no letter map.
+    on the conjectured generator set inside Z over (ml+1)n+m.  The arc labels
+    are the diagram's Fox coloring (``diagrams.fox_coloring``) from the
+    natural anchors (0, 1) on the last twist region; they hold mod the
+    conjectured modulus exactly when it divides the coloring's.  When they
+    leave an arc unlabeled, fail mod the modulus, or are not all
+    generators, the report has no letter map.
     """
     diagram, traces = conway_with_traces((m, l, n))
     sg = conjecture_semigroup(m, l, n)
@@ -895,9 +854,11 @@ def conjecture_probe(
     phi = None
     if first != second:
         anchors = {first: 0, second: 1}
-        solved = _propagate_labels(diagram.crossings, diagram.arc_count, anchors, modulus)
-        if solved is not None and set(solved.values()) <= set(sg.generators):
-            phi = tuple(solved[a] for a in range(diagram.arc_count))
+        coloring = fox_coloring(diagram, anchors)
+        if coloring is not None and coloring[1] % modulus == 0:
+            labels = tuple(v % modulus for v in coloring[0])
+            if set(labels) <= set(sg.generators):
+                phi = labels
     if phi is None:
         warnings.append(
             "no arc labeling satisfies the crossing constraints with values in "

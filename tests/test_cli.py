@@ -231,16 +231,25 @@ def test_verify_torus_link_text(capsys):
 
 
 def test_verify_failure_exits_one(capsys):
-    # the double twist statement assumes an even twist product; (1,1) is
-    # outside it and the degree-2 counts genuinely disagree
+    # without pad levels the closure leaves degree-2 merges undone: 24
+    # classes against the 15 elements of SAS(Z_10, ...), so dtw:3,3 stays
+    # unresolved there, and carries the odd-product note
     code, out, _ = run(
-        capsys, "verify", "--theorem", "dtw", "--params", "1,1", "--max-len", "2"
+        capsys, "verify", "--theorem", "dtw", "--params", "3,3", "--max-len", "2", "--pad", "0"
     )
     assert code == 1
     data = json.loads(out)
     assert data["all_verified"] is False
     assert data["degrees"][1]["verdict"] == "unresolved"
     assert data["warnings"]
+
+
+def test_target_modulus_above_its_bound_exits_two(capsys):
+    # dtw:2000,5000 has 7 000 arcs, well within MAX_ARCS, but its target
+    # modulus 2000 * 5000 + 1 is one past MAX_MODULUS
+    code, out, err = run(capsys, "growth", "--family", "dtw:2000,5000", "--terms", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: target modulus 10000001 is above the bound 10000000\n"
 
 
 def test_verify_arity_is_checked(capsys):
@@ -368,7 +377,9 @@ def test_trivial_growth_form_is_certified_at_two_terms(capsys):
     assert (data["coefficients"], data["rational"]) == ([1, 1, 1], {"num": [1], "den": [1, -1]})
 
 
-ODD_PRODUCT_NOTE = "# note: twist product 3*3 is odd; the closed form is stated for even products"
+ODD_PRODUCT_NOTE = (
+    "# note: twist product 3*3 is odd; the isomorphism is only asserted for even products"
+)
 
 
 def _series_notes(capsys, *argv):

@@ -5,11 +5,15 @@ from collections import Counter
 
 import pytest
 
+from knotgrowth.altsum import AltSumSemigroup, Zmod, dtw_alphabet
 from knotgrowth.diagrams import (
+    FAMILIES,
     MAX_ARCS,
+    MAX_MODULUS,
     Crossing,
     Diagram,
     ReidemeisterMove,
+    _fox_target,
     _merge_arcs,
     apply_reidemeister,
     build_double_twist,
@@ -21,10 +25,11 @@ from knotgrowth.diagrams import (
     diagram_from_dict,
     diagram_to_dict,
     double_twist_arc_values,
+    fox_coloring,
     load_pd,
     parse_family_spec,
 )
-from knotgrowth.errors import MoveError, ParameterError
+from knotgrowth.errors import InternalConsistencyError, MoveError, ParameterError
 from knotgrowth.presentation import presentation_from_diagram
 
 
@@ -139,6 +144,70 @@ def test_build_family_dispatch():
     assert build_family(parse_family_spec("twist:3")).arc_names == ("a0", "a1", "a2", "a3", "a4")
     assert build_family(parse_family_spec("conway:3")) == build_torus2(3)
     assert build_family(parse_family_spec("conway:2,1,2")) == conway_with_traces((2, 1, 2))[0]
+
+
+def test_fox_coloring_of_the_trefoil_has_modulus_three():
+    assert fox_coloring(build_torus2(3), {0: 0, 1: 1}) == ([0, 1, 2], 3)
+
+
+def test_fox_coloring_without_crossings_leaves_arcs_unlabeled():
+    assert fox_coloring(Diagram(3, ()), {0: 0, 1: 1}) is None
+    with pytest.raises(InternalConsistencyError, match="unlabeled"):
+        _fox_target(Diagram(3, ()))
+
+
+def test_fox_coloring_of_the_unknot_holds_over_the_integers():
+    # modulus 0: the target is read mod 1
+    assert fox_coloring(build_trivial(), {0: 0}) == ([0], 0)
+    assert FAMILIES["trivial"].target() == (AltSumSemigroup(Zmod(1), (0,)), (0,), ())
+
+
+def test_fox_coloring_modulus_is_the_gcd_of_every_residual():
+    """A chain labels arcs 0..5 as 0..5 with residual 0; two more crossings
+    over arc 0 have residuals 1 + 5 = 6 and 4 + 5 = 9, so m = gcd(6, 9) = 3,
+    which no single crossing gives."""
+    chain = tuple(crossing(i, i - 1, i + 1) for i in range(1, 5))
+    d = Diagram(6, chain + (crossing(0, 1, 5), crossing(0, 4, 5)))
+    assert fox_coloring(d, {0: 0, 1: 1}) == ([0, 1, 2, 3, 4, 5], 3)
+
+
+def hand_written_target(kind, params):
+    """The targets as the paper states them: all of Z_n for torus2:n, strong
+    for even n, with letter i to i; and the double twist alphabet in
+    Z_(ln+1), each arc to its subscript (twist:n being dtw:n,2)."""
+    if kind == "trivial":
+        return AltSumSemigroup(Zmod(1), (0,)), (0,)
+    if kind in ("hopf", "torus2"):
+        (n,) = params or (2,)
+        return AltSumSemigroup(Zmod(n), tuple(range(n)), strong=n % 2 == 0), tuple(range(n))
+    n, l = params if kind == "dtw" else (*params, 2)
+    alphabet = dtw_alphabet(n, l)
+    return alphabet.semigroup(), tuple(v % alphabet.modulus for v in double_twist_arc_values(n, l))
+
+
+STATED_SPECS = (
+    [("trivial", ()), ("hopf", ())]
+    + [("torus2", (n,)) for n in range(1, 60)]
+    + [("twist", (n,)) for n in range(1, 30)]
+    + [("dtw", (n, l)) for n in range(1, 15) for l in range(1, 15) if n * l % 2 == 0]
+)
+
+
+def test_fox_targets_are_the_hand_written_targets():
+    """Every stated family with a knot, or an even-product dtw link, gets the
+    target and letter map that the paper writes by hand."""
+    for kind, params in STATED_SPECS:
+        sg, phi, _ = FAMILIES[kind].target(*params)
+        assert (sg, phi) == hand_written_target(kind, params), (kind, params)
+
+
+def test_target_modulus_is_bounded():
+    # torus2 and twist reach MAX_ARCS with moduli far below the bound
+    assert FAMILIES["twist"].target(MAX_ARCS)[0].group.modulus == 2 * MAX_ARCS + 1
+    assert FAMILIES["torus2"].target(MAX_ARCS)[0].group.modulus == MAX_ARCS
+    # dtw:n,l has modulus ln + 1
+    with pytest.raises(ParameterError, match=f"modulus {MAX_MODULUS + 1} is above"):
+        FAMILIES["dtw"].target(2_000, MAX_MODULUS // 2_000)
 
 
 def test_merge_arcs_joins_overlapping_groups():

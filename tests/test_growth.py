@@ -13,6 +13,7 @@ from knotgrowth.diagrams import (
     apply_reidemeister,
     build_torus2,
     build_trivial,
+    double_twist_arc_values,
 )
 from knotgrowth.errors import InternalConsistencyError, ParameterError
 from knotgrowth.growth import (
@@ -130,7 +131,7 @@ def test_dtw_closed_form_matches_counts(n, l):
 def test_dtw_closed_form_warns_on_odd_product():
     series = growth_for_family("dtw", (3, 3))
     assert series.warnings == (
-        "twist product 3*3 is odd; the closed form is stated for even products",
+        "twist product 3*3 is odd; the isomorphism is only asserted for even products",
     )
     assert growth_for_family("dtw", (3, 2)).warnings == ()
 
@@ -138,22 +139,60 @@ def test_dtw_closed_form_warns_on_odd_product():
 PAPER_FORMS = (
     [(("torus2", (n,)), torus_form(n)) for n in range(1, 26, 2)]
     + [(("twist", (n,)), dtw_form(n, 2)) for n in range(1, 12)]
-    + [(("dtw", (n, l)), dtw_form(n, l)) for n in range(1, 12) for l in range(1, 12)]
+    + [
+        (("dtw", (n, l)), dtw_form(n, l))
+        for n in range(1, 12)
+        for l in range(1, 12)
+        if n * l % 2 == 0
+    ]
 )
+# dtw:n,l with nl odd is a two-component link, and the paper states no form
+ODD_PRODUCT_DTW = [("dtw", (n, l)) for n in range(1, 12, 2) for l in range(1, 12, 2)]
+SERIES_FORMS = PAPER_FORMS + [(family, None) for family in ODD_PRODUCT_DTW]
+
+
+def family_id(family):
+    kind, params = family
+    return f"{kind}:{','.join(map(str, params))}"
 
 
 @pytest.mark.parametrize(
-    "family,form", PAPER_FORMS, ids=[f"{k}:{','.join(map(str, p))}" for (k, p), _ in PAPER_FORMS]
+    "family,form", SERIES_FORMS, ids=[family_id(family) for family, _ in SERIES_FORMS]
 )
 def test_paper_forms_from_settled_levels(family, form):
-    """Every odd torus2, twist and dtw target settles by length 3, so its
-    series carries the paper's form at every length from 3 terms on."""
+    """Every odd torus2, twist and even-product dtw target settles by length
+    3, so its series carries the paper's form at every length from 3 terms
+    on.  An odd-product dtw series carries no form (None here)."""
     kind, params = family
     for terms in (3, 4, 5, 6, 12):
         series = growth_for_family(kind, params, terms=terms)
         assert (series.rational, series.terms) == (form, terms)
         assert series.source == f"{kind}:{','.join(map(str, params))}"
     assert series.coefficients == counted(FAMILIES[kind].target(*params)[0], 12)
+
+
+@pytest.mark.parametrize("family", ODD_PRODUCT_DTW, ids=[family_id(f) for f in ODD_PRODUCT_DTW])
+def test_odd_product_dtw_targets_are_strong(family):
+    """The Fox target of dtw:n,l with nl odd is SAS on the arc subscripts in
+    Z_(ln+1), whose levels never settle, so the series has no form and
+    its counts are the target's."""
+    kind, (n, l) = family
+    sg, phi, _ = FAMILIES[kind].target(n, l)
+    generators = dtw_alphabet(n, l).semigroup().generators
+    assert sg == AltSumSemigroup(Zmod(l * n + 1), generators, strong=True)
+    assert phi == tuple(v % (l * n + 1) for v in double_twist_arc_values(n, l))
+    assert sg.level_counts(12)[1] is False
+    series = growth_for_family(kind, (n, l), terms=12)
+    assert series.rational is None
+    assert series.coefficients == counted(sg, 12)
+
+
+def test_dtw_one_one_is_the_hopf_link():
+    """dtw:1,1 is the Hopf link: the same target, letter map and series."""
+    assert FAMILIES["dtw"].target(1, 1)[:2] == FAMILIES["hopf"].target()[:2]
+    assert growth_for_family("dtw", (1, 1), terms=40).coefficients == (
+        growth_for_family("hopf", (), terms=40).coefficients
+    )
 
 
 def test_skew_growth_values():

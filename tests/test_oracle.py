@@ -23,6 +23,7 @@ from knotgrowth.diagrams import (
     build_torus2,
     build_trivial,
     conway_with_traces,
+    double_twist_arc_values,
     parse_family_spec,
 )
 from knotgrowth.errors import (
@@ -619,10 +620,16 @@ def test_certified_probes_match_the_full_closure(params):
 @pytest.mark.parametrize("spec", ["dtw:1,1", "dtw:3,3"])
 def test_counts_above_their_bounds_keep_the_pad(spec):
     """Where the counts do not meet the bounds, the closure builds its pad
-    levels: stopping at max_len would leave degree-2 merges undone."""
+    levels: stopping at max_len would leave degree-2 merges undone.  The
+    plain AS target of an odd-product double twist link, on the arc
+    subscripts, keeps its counts above their bounds from degree 2 on."""
+    n, l = parse_family_spec(spec).params
+    pres = presentation_from_diagram(build_double_twist(n, l))
+    phi = tuple(v % (l * n + 1) for v in double_twist_arc_values(n, l))
+    sg = dtw_alphabet(n, l).semigroup()
     for max_len, pad in itertools.product(range(2, 5), range(4)):
         certified, full, levels = reports_with_and_without_bounds(
-            lambda: verify_family(spec, max_len, pad=pad)
+            lambda: verify_isomorphism(pres, phi, sg, max_len, pad=pad)
         )
         assert certified.to_json_dict() == full.to_json_dict(), (max_len, pad)
         assert levels == [max_len + pad] * 2
