@@ -76,6 +76,13 @@ MUTANTS = [
         ("tests/test_oracle.py::test_probe_letter_map_is_a_nonconstant_coloring",),
     ),
     (
+        "the word universe is counted one power short",
+        ORACLE,
+        "    total = horizon if k == 1 else (k ** (horizon + 1) - k) // (k - 1)\n",
+        "    total = horizon if k == 1 else (k ** horizon - k) // (k - 1)\n",
+        ("tests/test_oracle.py::test_closure_argument_validation",),
+    ),
+    (
         "the letter map is checked before the closure's budget",
         ORACLE,
         "    _checked_horizon(pres, max_len, pad, budget)\n"
@@ -157,6 +164,16 @@ MUTANTS = [
         "    return labels, gcd(*residuals)\n",
         "    return labels, gcd(*residuals[-1:])\n",
         ("tests/test_diagrams.py::test_fox_coloring_modulus_is_the_gcd_of_every_residual",),
+    ),
+    (
+        "a target's modulus is not bounded",
+        ALTSUM,
+        "        if (m := group.modulus) > MAX_MODULUS:\n",
+        "        if False:\n",
+        (
+            "tests/test_altsum.py::test_modulus_above_the_bound_is_refused",
+            "tests/test_cli.py::test_probe_target_modulus_above_its_bound_exits_two",
+        ),
     ),
     (
         "a run of shifts is doubled without its remainder shift",
@@ -265,6 +282,16 @@ MUTANTS = [
         "        source = growth_from_counts(_load_counts(args.counts)[: args.terms])\n",
         "        source = growth_from_counts(_load_counts(args.counts))\n",
         ("tests/test_cli.py::test_gkdim_counts_respect_terms",),
+    ),
+    (
+        "the probe's params are parsed without the family grammar",
+        CLI,
+        "    params = parse_family_spec(f\"conway:{args.params}\").params\n",
+        "    params = tuple(int(x) for x in args.params.split(\",\"))\n",
+        (
+            "tests/test_cli.py::test_malformed_params_exit_two_through_the_family_grammar",
+            "tests/test_cli.py::test_probe_params_over_max_arcs_exit_two",
+        ),
     ),
     (
         "cli imports the closure at module level",

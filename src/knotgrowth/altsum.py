@@ -52,6 +52,15 @@ _set = object.__setattr__
 # The longest period level_counts checks a shift for.
 _MAX_PERIOD = 4
 
+# The largest target modulus.  MAX_ARCS does not bound it: it grows like
+# the product of the twist counts, and each level is a bitset 2m bits
+# wide, one per even count in the strong variant.  growth --terms 3 on the
+# plain targets of dtw:50000,50000 (m = 2.5e9) ran 53 s and peaked at
+# 4.8 GB, and on dtw:10000,10000 (m = 1e8) 0.7 s and 286 MB.  The link
+# dtw:3163,3163 (m = 1e7) took 0.11 s and 45 MB with a plain target, and
+# 3.4 s and 325 MB with its strong one at --terms 40 (2-vCPU host).
+MAX_MODULUS = 10**7
+
 
 class Zmod:
     """The cyclic group of integers modulo a positive modulus."""
@@ -214,7 +223,8 @@ class AltSumSemigroup:
     injective at each degree, so that the element counts never fall as the
     degree grows: in AS and SAS it moves the alternating sum by plus or
     minus that image (and in SAS the even count by 0 or 1), which is
-    injective on the words of one length.
+    injective on the words of one length.  A modulus above ``MAX_MODULUS``
+    is refused before any level is allocated, so every target is bounded.
     """
 
     __slots__ = ("group", "generators", "strong", "_members", "_levels", "_hash")
@@ -223,6 +233,8 @@ class AltSumSemigroup:
     def __init__(self, group: Zmod, generators: tuple[int, ...], strong: bool = False):
         if len(generators) == 0:
             raise ParameterError("generator set must be nonempty")
+        if (m := group.modulus) > MAX_MODULUS:
+            raise ParameterError(f"target modulus {m} is above the bound {MAX_MODULUS}")
         members = frozenset(group.reduce(b) for b in generators)
         reduced = tuple(sorted(members))
         _set(self, "group", group)

@@ -15,11 +15,15 @@ and `oracle`, are imported inside the handlers that use them: `present`,
 stated growth.  So `growth`, `skew` and the other `gkdim` calls never
 compile or load them.
 
+`--family`, `verify --params P` (as `torus2:P`, `twist:P` or `dtw:P`) and
+`probe --params P` (as `conway:P`) all go through `parse_family_spec`.
+
 Exit codes: 0 success (for verify, a fully positive verdict; for rmove,
-equal dimensions), 1 verdict not fully positive, 2 bad arguments or input,
-3 word budget exceeded, 4 internal consistency failure.  The default word
-budget can be overridden with the KNOTGROWTH_BUDGET environment variable or
-the --budget flag, the flag winning.
+equal dimensions), 1 verdict not fully positive, 2 bad arguments or input
+(MAX_ARCS and MAX_MODULUS included), 3 word budget exceeded, 4 internal
+consistency failure.  The default word budget can be overridden with the
+KNOTGROWTH_BUDGET environment variable or the --budget flag, the flag
+winning.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import sys
 from .diagrams import (
     FAMILIES,
     Diagram,
-    FamilySpec,
     ReidemeisterMove,
     apply_reidemeister,
     build_family,
@@ -141,14 +144,6 @@ def _diagram_from_args(args) -> tuple[Diagram, str]:
         return load_pd(args.pd), f"pd:{args.pd}"
     spec = parse_family_spec(args.family)
     return build_family(spec), args.family
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ParameterError(f"{flag} needs a comma-separated integer list, got {text!r}") from None
-    return values
 
 
 def _load_counts(arg: str) -> tuple[int, ...]:
@@ -273,19 +268,14 @@ def _verify_report(args):
 
     _check_window(args)
     budget = _resolve_budget(args)
-    params = _parse_int_list(args.params, "--params")
     kind = "torus2" if args.theorem == "torus" else args.theorem
-    arity = FAMILIES[kind].arity
-    if len(params) != arity:
-        raise ParameterError(
-            f"theorem {args.theorem!r} takes {arity} parameter(s), got {len(params)}"
-        )
+    spec = parse_family_spec(f"{kind}:{args.params}")
+    params = spec.params
     default_len = 3 if args.theorem in ("twist", "dtw") else 4
     max_len = args.max_len if args.max_len is not None else default_len
     description = f"torus:{params[0]}" if args.theorem == "torus" else None
     report = verify_family(
-        str(FamilySpec(kind, params)), max_len, pad=args.pad, budget=budget,
-        description=description,
+        str(spec), max_len, pad=args.pad, budget=budget, description=description
     )
     if args.theorem == "torus" and params[0] % 2 == 0:
         note = f"n = {params[0]} is even: the braid closes to a two-component link"
@@ -325,18 +315,10 @@ def _cmd_probe(args) -> int:
 
     _check_window(args)
     budget = _resolve_budget(args)
-    params = _parse_int_list(args.params, "--params")
+    params = parse_family_spec(f"conway:{args.params}").params
     if len(params) != 3:
         raise ParameterError(f"the cmln conjecture takes 3 parameters, got {len(params)}")
-    m, l, n = params
-    report = conjecture_probe(
-        m,
-        l,
-        n,
-        max_len=args.max_len,
-        pad=args.pad,
-        budget=budget,
-    )
+    report = conjecture_probe(*params, max_len=args.max_len, pad=args.pad, budget=budget)
     _print_report(report, args.format)
     # the verdicts are findings; reaching a report is success
     return 0

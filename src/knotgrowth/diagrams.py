@@ -27,6 +27,8 @@ Families
 ``FAMILIES`` holds each family kind once: its parameter count, its builder
 and, where the paper states an isomorphism, its target alternating-sum
 semigroup and letter map, both from one Fox coloring of its diagram.
+``parse_family_spec`` is the one grammar for them, `verify` and `probe`
+``--params`` included; ``AltSumSemigroup`` bounds every target's modulus.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import json
 from math import gcd
 
-from .altsum import AltSumSemigroup, Zmod
+from .altsum import MAX_MODULUS, AltSumSemigroup, Zmod  # noqa: F401 (MAX_MODULUS re-exported)
 from .errors import InternalConsistencyError, MoveError, ParameterError, refuse_assignment
 
 _set = object.__setattr__
@@ -120,16 +122,16 @@ class Diagram:
                     out.append((ci, slot))
         return out
 
-    def name_of(self, arc: int) -> str:
-        if self.arc_names is not None:
-            return self.arc_names[arc]
-        return _default_names(self.arc_count)[arc]
-
 
 def _default_names(k: int) -> tuple[str, ...]:
     if k <= len(_LETTERS):
         return tuple(_LETTERS[:k])
     return tuple(f"x{i}" for i in range(k))
+
+
+def _arc_names(d: Diagram) -> tuple[str, ...]:
+    """The diagram's arc names, or the default names of its arc count."""
+    return d.arc_names if d.arc_names is not None else _default_names(d.arc_count)
 
 
 # -- family builders --------------------------------------------------------
@@ -274,16 +276,6 @@ def fox_coloring(diagram: Diagram, anchors: dict[int, int]) -> tuple[list[int], 
     return labels, gcd(*residuals)
 
 
-# The largest target modulus.  MAX_ARCS does not bound it: it grows like
-# the product of the twist counts, and each level is a bitset 2m bits
-# wide, one per even count in the strong variant.  growth --terms 3 on the
-# plain targets of dtw:50000,50000 (m = 2.5e9) ran 53 s and peaked at
-# 4.8 GB, and on dtw:10000,10000 (m = 1e8) 0.7 s and 286 MB.  The link
-# dtw:3163,3163 (m = 1e7) took 0.11 s and 45 MB with a plain target, and
-# 3.4 s and 325 MB with its strong one at --terms 40 (2-vCPU host).
-MAX_MODULUS = 10**7
-
-
 def _fox_target(diagram: Diagram) -> tuple[AltSumSemigroup, tuple[int, ...]]:
     """The target and letter map of a diagram's Fox coloring from arc 0 to
     0 and arc 1 to 1 (arc 0 alone for a one-arc diagram): AS(Z_m, labels),
@@ -294,8 +286,6 @@ def _fox_target(diagram: Diagram) -> tuple[AltSumSemigroup, tuple[int, ...]]:
         raise InternalConsistencyError("a family's Fox coloring left an arc unlabeled")
     labels, m = coloring
     m = m or 1
-    if m > MAX_MODULUS:
-        raise ParameterError(f"target modulus {m} is above the bound {MAX_MODULUS}")
     phi = tuple(v % m for v in labels)
     return AltSumSemigroup(Zmod(m), phi, strong=m % 2 == 0), phi
 
@@ -483,8 +473,7 @@ class ReidemeisterMove:
 
 
 def _extended_names(d: Diagram, extra: int) -> tuple[str, ...]:
-    base = d.arc_names if d.arc_names is not None else _default_names(d.arc_count)
-    return tuple(base) + tuple(f"n{d.arc_count + i}" for i in range(extra))
+    return tuple(_arc_names(d)) + tuple(f"n{d.arc_count + i}" for i in range(extra))
 
 
 def _require_arc(d: Diagram, arc: int | None, role: str) -> int:

@@ -33,7 +33,8 @@ DEFAULT_WORD_BUDGET = 5_000_000
 
 
 class ResourceBudgetError(KnotgrowthError, RuntimeError):
-    """An enumeration would exceed the configured word budget."""
+    """An enumeration would exceed the configured word budget.  ``required``
+    is the count, or its closed form as text past 4 300 digits."""
 
     def __init__(self, required: int, budget: int):
         self.required = required

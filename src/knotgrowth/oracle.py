@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import compress, islice, product, repeat
+from math import log2
 from operator import ge, lt
 
 from .altsum import AltSumSemigroup, conjecture_semigroup
@@ -184,9 +185,17 @@ class CongruencePartition:
         return [sorted(words) for root, words in sorted(groups.items())]
 
 
+# The least int that str() refuses under Python's default 4 300-digit limit.
+_UNPRINTABLE = 10**4300
+
+
 def _checked_horizon(pres: Presentation, max_len: int, pad: int, budget: int) -> int:
     """The closure's horizon max_len + pad, once the window is valid and the
-    words up to it, k + k**2 + ... + k**H, fit the budget."""
+    words up to it, k + k**2 + ... + k**H, fit the budget.
+
+    That is (k**(H+1) - k)/(k - 1), or H for one letter, and at least k**H:
+    an over-budget count that does not print is named in that closed form,
+    and not built at all when H log2 k alone puts it past the budget."""
     if max_len < 1:
         raise ParameterError(f"max_len must be at least 1, got {max_len}")
     if pad < 0:
@@ -199,9 +208,12 @@ def _checked_horizon(pres: Presentation, max_len: int, pad: int, budget: int) ->
             f"horizon {horizon} is shorter than the longest relation "
             f"({longest_relation}); raise max_len or pad"
         )
-    total = sum(k**length for length in range(1, horizon + 1))
+    closed_form = f"({k}^{horizon + 1} - {k})/{k - 1}"
+    if k > 1 and horizon * log2(k) > max(budget, _UNPRINTABLE).bit_length() + 1:
+        raise ResourceBudgetError(closed_form, budget)
+    total = horizon if k == 1 else (k ** (horizon + 1) - k) // (k - 1)
     if total > budget:
-        raise ResourceBudgetError(total, budget)
+        raise ResourceBudgetError(total if total < _UNPRINTABLE else closed_form, budget)
     return horizon
 
 

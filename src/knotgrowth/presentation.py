@@ -10,7 +10,7 @@ is graded by word length.
 
 from __future__ import annotations
 
-from .diagrams import Diagram
+from .diagrams import Diagram, _arc_names
 from .errors import ParameterError
 
 Word = tuple[int, ...]
@@ -104,6 +104,5 @@ def presentation_from_diagram(d: Diagram) -> Presentation:
         else:
             relations.append(((x, y), (y, z)))
             relations.append(((y, x), (z, y)))
-    names = tuple(d.name_of(a) for a in range(d.arc_count))
-    return Presentation(d.arc_count, tuple(relations), letter_names=names)
+    return Presentation(d.arc_count, tuple(relations), letter_names=tuple(_arc_names(d)))
 

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotgrowth.altsum import AltSumSemigroup, Zmod, conjecture_semigroup, dtw_alphabet
+from knotgrowth import diagrams
+from knotgrowth.altsum import (
+    MAX_MODULUS,
+    AltSumSemigroup,
+    Zmod,
+    conjecture_semigroup,
+    dtw_alphabet,
+)
 from knotgrowth.diagrams import FAMILIES
 from knotgrowth.errors import DomainError, InternalConsistencyError, ParameterError
 from knotgrowth.oracle import conjecture_probe
@@ -302,6 +309,18 @@ def test_generators_are_normalized():
     assert sg.generators == (2, 3)
     with pytest.raises(ParameterError):
         AltSumSemigroup(Zmod(5), ())
+
+
+def test_modulus_above_the_bound_is_refused():
+    # before any level is allocated, for a target built by hand, the
+    # probe's and a family's alike
+    message = f"^target modulus {MAX_MODULUS + 1} is above the bound {MAX_MODULUS}$"
+    with pytest.raises(ParameterError, match=message):
+        AltSumSemigroup(Zmod(MAX_MODULUS + 1), (1,))
+    with pytest.raises(ParameterError, match="target modulus 10001010 is above"):
+        conjecture_semigroup(1000, 1000, 10)
+    assert AltSumSemigroup(Zmod(MAX_MODULUS), (1,)).group.modulus == MAX_MODULUS
+    assert diagrams.MAX_MODULUS == MAX_MODULUS
 
 
 def test_class_of_validates_letters():

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -258,6 +260,79 @@ def test_verify_arity_is_checked(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "verify", "--theorem", "torus", "--params", "x")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--theorem", "torus", "--params", "3,4"),
+     "family 'torus2' takes 1 parameter(s), got 2"),
+    (("verify", "--theorem", "dtw", "--params", "2"), "family 'dtw' takes 2 parameter(s), got 1"),
+    (("verify", "--theorem", "twist", "--params", "x"),
+     "bad parameter list 'x' for family 'twist'"),
+    (("verify", "--theorem", "torus", "--params", ""),
+     "family 'torus2' needs parameters, e.g. torus2:2"),
+    (("probe", "--conjecture", "cmln", "--params", "a,b,c"),
+     "bad parameter list 'a,b,c' for family 'conway'"),
+    (("probe", "--conjecture", "cmln", "--params", "1,,2"),
+     "bad parameter list '1,,2' for family 'conway'"),
+    (("probe", "--conjecture", "cmln", "--params", "1,2"),
+     "the cmln conjecture takes 3 parameters, got 2"),
+])
+def test_malformed_params_exit_two_through_the_family_grammar(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_probe_params_over_max_arcs_exit_two(capsys):
+    # the cmln diagram is conway:m,l,n, so its arcs are bounded by MAX_ARCS
+    # before it is built
+    code, out, err = run(capsys, "probe", "--conjecture", "cmln", "--params", "99999,1,1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: family 'conway' with parameters summing to 100001 is too large; "
+        "diagrams have at most 100000 arcs\n"
+    )
+
+
+def test_probe_target_modulus_above_its_bound_exits_two(capsys):
+    # the conjectured modulus (ml + 1)n + m = 10 001 010 is past MAX_MODULUS,
+    # though the diagram has only 2 012 arcs; the bound is met before the
+    # word budget is
+    code, out, err = run(
+        capsys, "probe", "--conjecture", "cmln", "--params", "1000,1000,10", "--max-len", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: target modulus 10001010 is above the bound 10000000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("classes", "--family", "torus2:3", "--max-len", "10000"),
+    ("verify", "--theorem", "torus", "--params", "3", "--max-len", "10000"),
+])
+def test_universe_past_the_digit_limit_exits_three(capsys, argv):
+    # 3 + 9 + ... + 3^10002 has 4 773 digits, past the int-to-str limit, so
+    # the error names it in closed form
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: word universe needs (3^10003 - 3)/2 words but the budget is 5000000; "
+        "raise the budget to at least (3^10003 - 3)/2\n"
+    )
+
+
+def test_huge_horizon_exits_three_at_once():
+    # in a fresh process with a timeout: the universe is never built, where
+    # building it power by power ran for minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotgrowth", "classes", "--family", "torus2:3",
+         "--max-len", "1000000000"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: word universe needs (3^1000000003 - 3)/2 words but the budget is "
+        "5000000; raise the budget to at least (3^1000000003 - 3)/2\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [

@@ -355,6 +355,22 @@ def test_closure_argument_validation():
     assert err.value.budget == 10
 
 
+def test_universe_count_prints_up_to_the_digit_limit():
+    # (3^(H+1) - 3)/2 has 4 300 digits at H = 9012 and 4 301 at H = 9013;
+    # the first is given as an int, the second in closed form, unbuilt
+    pres = presentation_from_diagram(build_torus2(3))
+    with pytest.raises(ResourceBudgetError) as err:
+        enumerate_classes(pres, 9010, pad=2)
+    assert err.value.required == (3**9013 - 3) // 2 < 10**4300
+    with pytest.raises(ResourceBudgetError) as err:
+        enumerate_classes(pres, 9011, pad=2)
+    assert err.value.required == "(3^9014 - 3)/2"
+    # one letter: the universe is the horizon
+    with pytest.raises(ResourceBudgetError) as err:
+        enumerate_classes(presentation_from_diagram(build_trivial()), 10**6, budget=10)
+    assert err.value.required == 10**6 + 2
+
+
 # -- verification -------------------------------------------------------------
 
 

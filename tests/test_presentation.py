@@ -1,5 +1,7 @@
 """Reading presentations off diagrams and manipulating them."""
 
+import time
+
 import pytest
 
 from knotgrowth.diagrams import Diagram, build_torus2, build_trivial, crossing
@@ -30,6 +32,18 @@ def test_degenerate_crossings():
     kink = Diagram(1, (crossing(0, 0, 0),))
     assert presentation_from_diagram(kink).relations == ()
     assert presentation_from_diagram(build_trivial()).relations == ()
+
+
+def test_unnamed_diagram_names_its_arcs_once():
+    # the default names are made once per diagram, not once per arc, so a
+    # large unnamed diagram (every --pd input) presents in linear time
+    n = 20_000
+    unnamed = Diagram(n, build_torus2(n).crossings)
+    start = time.perf_counter()
+    pres = presentation_from_diagram(unnamed)
+    assert time.perf_counter() - start < 5
+    assert pres.letter_names == tuple(f"x{i}" for i in range(n))
+    assert presentation_from_diagram(Diagram(3, ())).letter_names == ("a", "b", "c")
 
 
 def test_relation_normalization_and_validation():
