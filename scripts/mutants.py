@@ -166,6 +166,13 @@ MUTANTS = [
         ("tests/test_diagrams.py::test_fox_coloring_modulus_is_the_gcd_of_every_residual",),
     ),
     (
+        "the crossings a firing readies ahead of it wait a scan, those behind it do not",
+        DIAGRAMS,
+        "                    heappush(queue, (scan + (j <= i), j))\n",
+        "                    heappush(queue, (scan + (j >= i), j))\n",
+        ("tests/test_diagrams.py::test_fox_coloring_keeps_the_scan_order_after_the_first_scan",),
+    ),
+    (
         "a target's modulus is not bounded",
         ALTSUM,
         "        if (m := group.modulus) > MAX_MODULUS:\n",

@@ -36,7 +36,7 @@ rows, and adds the rest of its counts up (``level_counts``).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 
 from .errors import (
     DomainError,
@@ -62,24 +62,16 @@ _MAX_PERIOD = 4
 MAX_MODULUS = 10**7
 
 
-class Zmod:
+class Zmod(namedtuple("Zmod", "modulus")):
     """The cyclic group of integers modulo a positive modulus."""
 
-    __slots__ = ("modulus",)
+    __slots__ = ()
     __setattr__ = __delattr__ = refuse_assignment
 
-    def __init__(self, modulus: int):
+    def __new__(cls, modulus: int):
         if modulus < 1:
             raise ParameterError(f"modulus must be positive, got {modulus}")
-        _set(self, "modulus", modulus)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((self.modulus,))
+        return tuple.__new__(cls, (modulus,))
 
     def reduce(self, x: int) -> int:
         return x % self.modulus

@@ -242,7 +242,6 @@ def _cmd_classes(args) -> int:
     from .oracle import enumerate_classes
     from .presentation import presentation_from_diagram
 
-    _check_window(args)
     budget = _resolve_budget(args)
     diagram, label = _diagram_from_args(args)
     pres = presentation_from_diagram(diagram)
@@ -266,7 +265,6 @@ def _cmd_classes(args) -> int:
 def _verify_report(args):
     from .oracle import verify_family
 
-    _check_window(args)
     budget = _resolve_budget(args)
     kind = "torus2" if args.theorem == "torus" else args.theorem
     spec = parse_family_spec(f"{kind}:{args.params}")
@@ -313,7 +311,6 @@ def _cmd_verify(args) -> int:
 def _cmd_probe(args) -> int:
     from .oracle import conjecture_probe
 
-    _check_window(args)
     budget = _resolve_budget(args)
     params = parse_family_spec(f"conway:{args.params}").params
     if len(params) != 3:
@@ -402,7 +399,6 @@ def _emit_series_json(series) -> None:
 
 
 def _cmd_growth(args) -> int:
-    _check_window(args)
     series = _growth_series(args)
     if args.format == "json":
         _emit_series_json(series)
@@ -418,7 +414,6 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_skew(args) -> int:
-    _check_window(args)
     series = _growth_series(args)
     _print_notes(series.warnings)
     skew = skew_growth(series, terms=series.terms)
@@ -430,7 +425,6 @@ def _cmd_skew(args) -> int:
 
 
 def _cmd_gkdim(args) -> int:
-    _check_window(args)
     if args.counts is not None:
         # counts past degree --terms are not examined, as with --family
         source = growth_from_counts(_load_counts(args.counts)[: args.terms])
@@ -470,7 +464,6 @@ def _cmd_gkdim(args) -> int:
 
 
 def _cmd_rmove(args) -> int:
-    _check_window(args)
     budget = _resolve_budget(args)
     diagram, label = _diagram_from_args(args)
     site = _parse_site(args.site)
@@ -658,6 +651,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        _check_window(args)
         return args.run(args)
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,7 @@ semigroup and letter map, both from one Fox coloring of its diagram.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from math import gcd
 
 from .altsum import MAX_MODULUS, AltSumSemigroup, Zmod  # noqa: F401 (MAX_MODULUS re-exported)
@@ -47,27 +48,15 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 MAX_ARCS = 100_000
 
 
-class Crossing:
+class Crossing(namedtuple("Crossing", "over under")):
     """One crossing: the over arc and the unordered under pair."""
 
-    __slots__ = ("over", "under")
+    __slots__ = ()
     __setattr__ = __delattr__ = refuse_assignment
 
-    def __init__(self, over: int, under: tuple[int, int]):
+    def __new__(cls, over: int, under: tuple[int, int]):
         a, b = under
-        _set(self, "over", over)
-        _set(self, "under", (b, a) if a > b else under)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.over, self.under) == (other.over, other.under)
-
-    def __hash__(self):
-        return hash((self.over, self.under))
-
-    def __repr__(self):
-        return f"Crossing(over={self.over!r}, under={self.under!r})"
+        return tuple.__new__(cls, (over, (b, a) if a > b else under))
 
     def arcs(self) -> tuple[int, int, int]:
         return (self.over,) + self.under
@@ -248,26 +237,57 @@ def fox_coloring(diagram: Diagram, anchors: dict[int, int]) -> tuple[list[int], 
     """The integer Fox coloring of a diagram from its anchor labels.
 
     Whenever a crossing has its over arc y and one under arc x labeled, the
-    other under arc z gets 2y - x, until no crossing labels a new arc.  The
-    modulus m is the gcd over all crossings of x + z - 2y, 0 when each one
-    holds over the integers.  Mod any divisor d of m the labels hold
+    other under arc z gets 2y - x, until no crossing labels a new arc.
+    Crossings fire in the order of scans of the crossing list repeated
+    until one labels nothing, which fixes the labels where the crossings
+    over-determine them.  The first two scans visit every crossing, and
+    the later ones only the crossings at a newly labeled arc, from a heap
+    keyed (scan, index), so the time is n log n in the crossings, not n^2.
+    The modulus m is the gcd over all crossings of x + z - 2y, 0 when each
+    one holds over the integers.  Mod any divisor d of m the labels hold
     x + z = 2y, so as a letter map they respect each relation xy = yz in
     AS(Z_d, labels), and in SAS for an even d, where x and z share a parity
     (Fox 1962; Przytycki 1998).  Returns the labels by arc and m, or None
     when some arc stays unlabeled.
     """
     labels = [anchors.get(arc) for arc in range(diagram.arc_count)]
-    progress = True
-    while progress:
-        progress = False
-        for c in diagram.crossings:
-            x, z = c.under
-            if labels[c.over] is None or (labels[x] is None) == (labels[z] is None):
-                continue
-            if labels[x] is None:
-                x, z = z, x
-            labels[z] = 2 * labels[c.over] - labels[x]
-            progress = True
+    crossings = diagram.crossings
+
+    def fire(i: int) -> int | None:
+        """Label the other under arc of crossing i, and return it, if the
+        crossing has its over arc and one under arc labeled."""
+        c = crossings[i]
+        x, z = c.under
+        if labels[c.over] is None or (labels[x] is None) == (labels[z] is None):
+            return None
+        if labels[x] is None:
+            x, z = z, x
+        labels[z] = 2 * labels[c.over] - labels[x]
+        return z
+
+    # the first scan labels every arc of the stated families from arcs 0, 1
+    for i in range(len(crossings)):
+        fire(i)
+    if None in labels:
+        from heapq import heappop, heappush  # loaded only on this path
+
+        at: list[list[int]] = [[] for _ in labels]  # the crossings at each arc
+        for i, c in enumerate(crossings):
+            for arc in set(c.arcs()):
+                at[arc].append(i)
+        # The second scan visits every crossing, as the first may have
+        # readied any behind it.  After that a crossing turns ready only when
+        # one of its arcs is labeled, and the scans reach it next later in
+        # the same scan if it comes after the crossing that labeled the arc,
+        # else in the next scan: it is queued for that place, and fires there
+        # if it is ready then.
+        queue = [(1, i) for i in range(len(crossings))]  # sorted: a heap
+        while queue:
+            scan, i = heappop(queue)
+            z = fire(i)
+            if z is not None:
+                for j in at[z]:
+                    heappush(queue, (scan + (j <= i), j))
     if None in labels:
         return None
     residuals = [
@@ -323,21 +343,9 @@ FAMILIES = {
 }
 
 
-class FamilySpec:
-    __slots__ = ("kind", "params")
+class FamilySpec(namedtuple("FamilySpec", "kind params", defaults=((),))):
+    __slots__ = ()
     __setattr__ = __delattr__ = refuse_assignment
-
-    def __init__(self, kind: str, params: tuple[int, ...] = ()):
-        _set(self, "kind", kind)
-        _set(self, "params", params)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.params) == (other.kind, other.params)
-
-    def __hash__(self):
-        return hash((self.kind, self.params))
 
     def __str__(self):
         if not self.params:

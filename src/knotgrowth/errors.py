@@ -6,8 +6,9 @@ the most specific one that applies.
 
 
 def refuse_assignment(self, name: str, *value) -> None:
-    """``__setattr__`` and ``__delattr__`` of the immutable records, whose
-    ``__init__`` sets each field once through ``object.__setattr__``."""
+    """``__setattr__`` and ``__delattr__`` of the immutable records: the
+    tuple records, and those whose ``__init__`` sets each field once
+    through ``object.__setattr__``."""
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 

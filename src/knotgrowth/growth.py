@@ -25,7 +25,7 @@ exponential growth, when no exact form is available.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from itertools import accumulate
 
 from .diagrams import FAMILIES, Diagram, FamilySpec
@@ -68,26 +68,17 @@ def _divide_by_one_minus_t(p) -> tuple[int, ...] | None:
     return _trim(sums[:-1]) if len(sums) > 1 else (0,)
 
 
-class RationalForm:
+class RationalForm(namedtuple("RationalForm", "numerator denominator")):
     """numerator/denominator, both ascending, denominator constant term 1."""
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ()
     __setattr__ = __delattr__ = refuse_assignment
 
-    def __init__(self, numerator: tuple[int, ...], denominator: tuple[int, ...]):
+    def __new__(cls, numerator: tuple[int, ...], denominator: tuple[int, ...]):
         numerator, denominator = _trim(numerator), _trim(denominator)
         if denominator[0] != 1:
             raise ParameterError(f"denominator constant term must be 1, got {denominator[0]}")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.numerator, self.denominator) == (other.numerator, other.denominator)
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
+        return tuple.__new__(cls, (numerator, denominator))
 
     def expand(self, terms: int) -> tuple[int, ...]:
         return tuple(self.iter_coefficients(terms))

@@ -851,6 +851,46 @@ def test_rmove_r2(capsys):
     assert json.loads(out)["all_equal"] is True
 
 
+RMOVE_TEXT = [
+    (
+        ("torus2:3", "r1", "arc=0"),
+        0,
+        "move: r1 insert on torus2:3\n"
+        "arcs: 3 -> 4\n"
+        "degree 1: cumulative 4 vs 4 equal\n"
+        "degree 2: cumulative 7 vs 7 equal\n"
+        "degree 3: cumulative 10 vs 10 equal\n"
+        "result: EQUAL\n",
+    ),
+    (
+        ("dtw:2,2", "r2", "arc=0,over_arc=2"),
+        1,
+        "move: r2 insert on dtw:2,2\n"
+        "arcs: 4 -> 6\n"
+        "degree 1: cumulative 5 vs 6 DIFFER\n"
+        "degree 2: cumulative 10 vs 11 DIFFER\n"
+        "degree 3: cumulative 15 vs 16 DIFFER\n"
+        "result: DIFFER\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, want_code, want_out", RMOVE_TEXT, ids=["equal", "differ"])
+def test_rmove_text(capsys, case, want_code, want_out):
+    """The move, the arc counts, one line per degree and the result; the
+    cumulative counts are the JSON report's."""
+    family, move, site = case
+    argv = ("rmove", "--family", family, "--move", move, "--site", site, "--max-len", "3")
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert (code, out, err) == (want_code, want_out, "")
+    data = json.loads(run(capsys, *argv)[1])
+    assert [
+        f"degree {d['degree']}: cumulative {d['left']['cumulative']} vs "
+        f"{d['right']['cumulative']}"
+        for d in data["degrees"]
+    ] == [line.rsplit(" ", 1)[0] for line in out.splitlines()[2:-1]]
+
+
 @pytest.mark.parametrize(
     "move,site", [("r1", "--site arc=N"), ("r2", "--site arc=N,over_arc=N")]
 )

@@ -771,6 +771,32 @@ def test_probe_letter_map_is_a_nonconstant_coloring(params):
         assert (phi[x] + phi[z] - 2 * phi[c.over]) % modulus == 0, c
 
 
+def test_probe_generators_match_the_arcs_in_number():
+    """The conjectured set is 0..n+1, then jn+1 for 2 <= j <= l+1, then
+    (kl+1)n+k for 2 <= k <= m-1, all distinct and below (ml+1)n+m (for
+    m = 1, (l+1)n+1 is 0), so it has m+l+n values, as conway:m,l,n has
+    arcs."""
+    for m, l, n in itertools.product(range(1, 21), repeat=3):
+        assert len(conjecture_semigroup(m, l, n).generators) == m + l + n, (m, l, n)
+    for m, l, n in itertools.product(range(1, 16), repeat=3):
+        assert conway_with_traces((m, l, n))[0].arc_count == m + l + n, (m, l, n)
+
+
+def test_letter_map_that_breaks_a_relation_resolves_nothing():
+    # (0, 0, 1) breaks the trefoil's relation ab = bc: a - b is 0 in Z_3, b - c is 2
+    pres = presentation_from_diagram(build_torus2(3))
+    report = verify_isomorphism(pres, (0, 0, 1), AltSumSemigroup(Zmod(3), (0, 1, 2)), 3)
+    assert not report.homomorphism
+    assert report.warnings == ("the letter map does not respect the relations",)
+    assert [(d.aligned, d.verdict) for d in report.degrees] == [(False, "unresolved")] * 3
+    assert not report.all_verified
+
+
+def test_family_without_a_stated_target_is_refused():
+    with pytest.raises(ParameterError, match="family 'conway' has no stated target semigroup"):
+        verify_family("conway:2,1,2", 2)
+
+
 def test_probe_agrees_with_direct_dtw_check():
     # cmln(1, 1, n) closes the same knot as dtw(n+1, 1)-style small cases;
     # at least the (1,1,2) probe target semigroup matches dtw(2,2)'s

@@ -75,7 +75,7 @@ FROZEN = {**{name: builders[0] for name, builders in VALUES.items()},
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_hashable_records_refuse_assignment(name):
     record = FROZEN[name]()
-    field = type(record).__slots__[0]
+    field = getattr(type(record), "_fields", type(record).__slots__)[0]
     value = getattr(record, field)
     with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
         setattr(record, field, value)
@@ -189,8 +189,9 @@ EXPORTS = {
 
 
 def test_import_loads_no_code_generation_modules():
-    """The records are plain classes: importing the package and its CLI
-    pulls in none of the modules that runtime-generated classes need."""
+    """The records are plain classes or ``collections.namedtuple``
+    subclasses: importing the package and its CLI pulls in none of the
+    modules that dataclasses and other runtime-generated classes need."""
     assert _loaded_by_import(("dataclasses", "inspect", "string", "typing")) == []
 
 
