@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Check that the tests kill a fixed list of mutants of the closure, the
 verification around it, the family targets, the alternating-sum levels, the
-series, and the CLI's start-up, parser and series text.
+series, the reading of input files, and the CLI's start-up, parser and
+series text.
 
 Each mutant names a file, an exact text that must occur in it once, the
 text that replaces it, and the tests that must fail on the result.  For
@@ -171,6 +172,16 @@ MUTANTS = [
         "                    heappush(queue, (scan + (j <= i), j))\n",
         "                    heappush(queue, (scan + (j >= i), j))\n",
         ("tests/test_diagrams.py::test_fox_coloring_keeps_the_scan_order_after_the_first_scan",),
+    ),
+    (
+        "a file that is not UTF-8 text ends in a traceback",
+        DIAGRAMS,
+        "        except UnicodeDecodeError:\n",
+        "        except ParameterError:\n",
+        (
+            "tests/test_cli.py::test_pd_that_is_not_utf8_exits_two",
+            "tests/test_cli.py::test_counts_file_that_is_not_utf8_exits_two",
+        ),
     ),
     (
         "a target's modulus is not bounded",

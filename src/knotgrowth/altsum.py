@@ -370,19 +370,18 @@ class AltSumSemigroup:
 # -- generator families arising from knot diagrams -------------------------
 
 
-class DtwAlphabet:
+class DtwAlphabet(namedtuple("DtwAlphabet", "n l")):
     """Generator set attached to the double twist knot with n clockwise and
     l anticlockwise half-twists: the subset {0..n} + {jn+1 : 0 <= j < l} of
     the integers mod ln+1.  It has exactly n + l elements.
     """
 
-    __slots__ = ("n", "l")
+    __slots__ = ()
 
-    def __init__(self, n: int, l: int):
+    def __new__(cls, n: int, l: int):
         if n < 1 or l < 1:
             raise ParameterError(f"twist counts must be positive, got ({n}, {l})")
-        self.n = n
-        self.l = l
+        return tuple.__new__(cls, (n, l))
 
     @property
     def modulus(self) -> int:

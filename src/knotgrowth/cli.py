@@ -41,6 +41,7 @@ from .diagrams import (
     build_family,
     load_pd,
     parse_family_spec,
+    read_text,
 )
 from .errors import (
     DEFAULT_WORD_BUDGET,
@@ -86,10 +87,9 @@ SITE_KEYS = {
 class _no_digit_limit:
     """Lift Python's int-to-str digit limit inside the block and restore it
     on leaving.  The limit is there because that conversion is quadratic in
-    the digits.  The CSV and JSON of every growth and skew series that the
-    CLI builds print exact decimals from a recurrence; a series given by
-    its coefficients alone prints ints, and a JSON payload may hold ints of
-    any length.  Input is parsed outside, under the limit.  Python
+    the digits.  The CSV and JSON of every growth and skew series print
+    exact decimals from a recurrence, but another JSON payload may hold
+    ints of any length.  Input is parsed outside, under the limit.  Python
     3.10.0-3.10.6 have none."""
 
     def __enter__(self):
@@ -152,11 +152,7 @@ def _load_counts(arg: str) -> tuple[int, ...]:
     empty."""
     # os.path.exists gives False, not an error, for an inline list too long
     # to be a file name
-    if os.path.exists(arg):
-        with open(arg) as fh:
-            text = fh.read()
-    else:
-        text = arg
+    text = read_text(arg, "counts") if os.path.exists(arg) else arg
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParameterError("counts input is empty")
@@ -277,7 +273,7 @@ def _verify_report(args):
     )
     if args.theorem == "torus" and params[0] % 2 == 0:
         note = f"n = {params[0]} is even: the braid closes to a two-component link"
-        report.warnings += (note,)
+        report = report._replace(warnings=report.warnings + (note,))
     return report
 
 
@@ -350,15 +346,12 @@ def _print_notes(notes) -> None:
 
 
 def _text_coefficients(series):
-    """The coefficients to print and the context to print them in.  A series
-    with a recurrence (a rational form, or the quotient that expands a skew
-    with none) streams them from it in exact decimals, whose str() is
-    linear in the digits where an int's is quadratic, so the text takes
-    time linear in its length.  Only a series given by its coefficients
-    alone prints ints: the growth series of strong (link) targets and of
-    unsettled counts, whose coefficients are short."""
-    if series._recurrence is None:
-        return series.coefficients, _no_digit_limit()
+    """The coefficients to print and the context to print them in.  They
+    stream from the series' recurrence (a rational form, the quotient that
+    expands a skew with none, or given coefficients over 1) in exact
+    decimals, whose str() is linear in the digits where an int's is
+    quadratic, so the text of a recurrence takes time linear in its
+    length."""
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
     from decimal import localcontext
 
@@ -381,9 +374,8 @@ def _print_series_csv(series) -> None:
 def _emit_series_json(series) -> None:
     """`_emit_json` of a growth or skew series, with the same bytes.  The
     other keys are dumped as usual and the coefficient list, never empty, is
-    spliced in as `_text_coefficients` gives it, so a series with a
-    recurrence prints in time linear in its text, and is never expanded in
-    ints."""
+    spliced in as `_text_coefficients` gives it, so a series prints in time
+    linear in its text, and is never expanded in ints."""
     payload = dict(series.json_fields(), coefficients=[], schema_version=SCHEMA_VERSION)
     empty = '"coefficients": []'
     head, tail = json.dumps(payload, sort_keys=True, indent=2).split(empty, 1)
@@ -468,11 +460,16 @@ def _cmd_rmove(args) -> int:
     diagram, label = _diagram_from_args(args)
     site = _parse_site(args.site)
     needs = SITE_KEYS.get((args.move, args.direction))
-    if needs is not None and any(
-        flag.partition("=")[0] not in site for flag in needs.split(",")
-    ):
+    if needs is not None:
         move = args.move if args.move == "r3" else f"{args.move} {args.direction}"
-        raise ParameterError(f"{move} needs --site {needs}")
+        reads = [flag.partition("=")[0] for flag in needs.split(",")]
+        if any(key not in site for key in reads):
+            raise ParameterError(f"{move} needs --site {needs}")
+        # an insert also reads `end`, the under-endpoint of its arc
+        allowed = {*reads, "end"} if "arc" in reads else set(reads)
+        for key in site:
+            if key not in allowed:
+                raise ParameterError(f"{move} does not read --site key {key!r}")
     move = ReidemeisterMove(kind=args.move, direction=args.direction, **site)
     moved = apply_reidemeister(diagram, move)
     report = reidemeister_dimension_check(

@@ -315,17 +315,12 @@ def _odd_product_note(n: int, l: int) -> tuple[str, ...]:
     return (note,) if n * l % 2 else ()
 
 
-class Family:
+class Family(namedtuple("Family", "arity build target")):
     """One family kind.  ``arity`` is its parameter count (None: any number).
     ``target``, where the paper states an isomorphism, maps the parameters
     to (its diagram's Fox target, letter map indexed by arc, notes)."""
 
-    __slots__ = ("arity", "build", "target")
-
-    def __init__(self, arity: int | None, build, target):
-        self.arity = arity
-        self.build = build
-        self.target = target
+    __slots__ = ()
 
 
 def _stated(arity: int, build, notes=lambda *params: ()) -> Family:
@@ -434,15 +429,30 @@ def diagram_to_dict(d: Diagram) -> dict:
     }
 
 
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; other bytes raise ParameterError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ParameterError(f"{what} file {path!r} is not UTF-8 text") from None
+
+
 def load_pd(path) -> Diagram:
-    with open(path) as fh:
-        return diagram_from_dict(json.load(fh))
+    text = read_text(path, "diagram")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ParameterError(f"diagram file {path!r} is nested too deeply to read") from None
+    return diagram_from_dict(data)
 
 
 # -- Reidemeister moves -------------------------------------------------------
 
 
-class ReidemeisterMove:
+class ReidemeisterMove(
+    namedtuple("ReidemeisterMove", "kind direction arc end over_arc crossings")
+):
     """A local diagram rewrite.
 
     kind/direction select the rewrite; the remaining fields address it:
@@ -455,10 +465,10 @@ class ReidemeisterMove:
     * r3: ``crossings`` = the three crossing indices of the triangle.
     """
 
-    __slots__ = ("kind", "direction", "arc", "end", "over_arc", "crossings")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         kind: str,
         direction: str = "insert",
         arc: int | None = None,
@@ -472,12 +482,7 @@ class ReidemeisterMove:
             raise ParameterError(f"unknown move direction {direction!r}")
         if kind == "r3" and direction != "insert":
             raise ParameterError("the triangle move has no separate remove direction")
-        self.kind = kind
-        self.direction = direction
-        self.arc = arc
-        self.end = end
-        self.over_arc = over_arc
-        self.crossings = crossings
+        return tuple.__new__(cls, (kind, direction, arc, end, over_arc, crossings))
 
 
 def _extended_names(d: Diagram, extra: int) -> tuple[str, ...]:

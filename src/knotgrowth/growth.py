@@ -8,13 +8,13 @@ one is known or detected.  A family's series is read off the levels of its
 target semigroup in ``diagrams.FAMILIES``, and carries the form num/(1 - t)
 where those levels settle; where they shift instead, its counts past the
 levels read are exact sums, with no form claimed.  A series built from a
-recurrence alone (a
-settled family's form, the skew of a series with a form, and the skew of
-one without, from a quotient that agrees with 1/P through its terms)
-expands the coefficients only when they are first read; the CLI prints it
-straight from the recurrence.  Every skew so takes time linear in the
-terms where the counts are a polynomial of degree below 3 from some degree
-on, as those of every built-in family are.
+recurrence alone (a settled family's form, the skew of a series with a
+form, and the skew of one without, from a quotient that agrees with 1/P
+through its terms) expands the coefficients only when they are first
+read.  The CLI prints every series from its recurrence, which for a
+series given by its coefficients is coefficients/1.  Every skew so takes
+time linear in the terms where the counts are a polynomial of degree
+below 3 from some degree on, as those of every built-in family are.
 
 Dimension estimates follow the usual pattern for graded growth: the
 cumulative dimension 1 + c_1 + ... + c_d grows like d^k exactly when P has
@@ -108,8 +108,9 @@ class RationalForm(namedtuple("RationalForm", "numerator denominator")):
 
 class _Series:
     """Coefficients given as a tuple, or the first `terms` of a recurrence
-    num/den, expanded on their first read and then kept: the CLI prints a
-    series with a recurrence from it and never needs them.
+    num/den, expanded on their first read and then kept.  Given
+    coefficients are their own recurrence, coefficients/1, so the CLI
+    prints every series from its recurrence.
 
     `rational` is the series' exact form, where one is known, and is then
     also its recurrence.  The skew of a series with no form has a
@@ -173,7 +174,7 @@ class GrowthSeries(_Series):
                 "rational form does not expand to the stated coefficients"
             )
         self._coefficients = coefficients
-        self._recurrence = rational
+        self._recurrence = rational or RationalForm(coefficients, (1,))
         self.terms = len(coefficients)
         self.rational = rational
         self.source = source
@@ -198,7 +199,7 @@ class SkewSeries(_Series):
         source: str = "counts",
     ):
         self._coefficients = coefficients
-        self._recurrence = rational
+        self._recurrence = rational or RationalForm(coefficients, (1,))
         self.terms = len(coefficients)
         self.rational = rational
         self.source = source
@@ -279,14 +280,10 @@ def skew_growth(growth: GrowthSeries, terms: int | None = None) -> SkewSeries:
 # -- dimension estimation -----------------------------------------------------
 
 
-class GkEstimate:
-    __slots__ = ("value", "infinite", "method", "evidence")
+class GkEstimate(namedtuple("GkEstimate", "value infinite method evidence")):
+    """`method` is "rational", "difference", "ratio" or "unresolved"."""
 
-    def __init__(self, value: int | None, infinite: bool, method: str, evidence: dict):
-        self.value = value
-        self.infinite = infinite
-        self.method = method  # "rational", "difference", "ratio", "unresolved"
-        self.evidence = evidence
+    __slots__ = ()
 
     def label(self) -> str:
         if self.infinite:
@@ -418,22 +415,12 @@ def gk_dimension(source, method: str | None = None) -> GkEstimate:
 # -- dimension comparison across a diagram rewrite ----------------------------
 
 
-class DimensionComparison:
-    __slots__ = ("degree", "left_count", "right_count", "left_cumulative", "right_cumulative")
-
-    def __init__(
-        self,
-        degree: int,
-        left_count: int,
-        right_count: int,
-        left_cumulative: int,
-        right_cumulative: int,
-    ):
-        self.degree = degree
-        self.left_count = left_count
-        self.right_count = right_count
-        self.left_cumulative = left_cumulative
-        self.right_cumulative = right_cumulative
+class DimensionComparison(
+    namedtuple(
+        "DimensionComparison", "degree left_count right_count left_cumulative right_cumulative"
+    )
+):
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:
@@ -448,16 +435,8 @@ class DimensionComparison:
         }
 
 
-class RmoveReport:
-    __slots__ = ("description", "max_len", "pad", "degrees")
-
-    def __init__(
-        self, description: str, max_len: int, pad: int, degrees: tuple[DimensionComparison, ...]
-    ):
-        self.description = description
-        self.max_len = max_len
-        self.pad = pad
-        self.degrees = degrees
+class RmoveReport(namedtuple("RmoveReport", "description max_len pad degrees")):
+    __slots__ = ()
 
     @property
     def all_equal(self) -> bool:

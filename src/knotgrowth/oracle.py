@@ -56,6 +56,7 @@ counts are final, or where a certificate settles every higher degree (see
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import compress, islice, product, repeat
 from math import log2
 from operator import ge, lt
@@ -594,17 +595,12 @@ def verify_homomorphism(pres: Presentation, phi, sg: AltSumSemigroup) -> bool:
     return True
 
 
-class DegreeVerdict:
-    __slots__ = ("degree", "class_count", "element_count", "aligned", "verdict")
+class DegreeVerdict(
+    namedtuple("DegreeVerdict", "degree class_count element_count aligned verdict")
+):
+    """One degree of the squeeze; `verdict` is "verified" or "unresolved"."""
 
-    def __init__(
-        self, degree: int, class_count: int, element_count: int, aligned: bool, verdict: str
-    ):
-        self.degree = degree
-        self.class_count = class_count
-        self.element_count = element_count
-        self.aligned = aligned
-        self.verdict = verdict  # "verified" or "unresolved"
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -616,33 +612,14 @@ class DegreeVerdict:
         }
 
 
-class VerificationReport:
-    __slots__ = (
-        "description", "semigroup", "alphabet_size", "max_len", "pad", "phi",
-        "homomorphism", "degrees", "warnings",
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "description semigroup alphabet_size max_len pad phi homomorphism degrees warnings",
+        defaults=((),),
     )
-
-    def __init__(
-        self,
-        description: str,
-        semigroup: str,
-        alphabet_size: int,
-        max_len: int,
-        pad: int,
-        phi: tuple[int, ...] | None,
-        homomorphism: bool,
-        degrees: tuple[DegreeVerdict, ...],
-        warnings: tuple[str, ...] = (),
-    ):
-        self.description = description
-        self.semigroup = semigroup
-        self.alphabet_size = alphabet_size
-        self.max_len = max_len
-        self.pad = pad
-        self.phi = phi
-        self.homomorphism = homomorphism
-        self.degrees = degrees
-        self.warnings = warnings
+):
+    __slots__ = ()
 
     @property
     def all_verified(self) -> bool:

@@ -109,6 +109,34 @@ def test_classes_rejects_malformed_pd_types(capsys, tmp_path, text):
     assert err.startswith("error: malformed")
 
 
+# bytes that no UTF-8 decoder reads: a UTF-16 byte order mark before JSON,
+# and the start of an executable, whose bytes run through 0x80-0xff
+NOT_UTF8 = [b"\xff\xfe{}", b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))]
+
+
+@pytest.mark.parametrize("data", NOT_UTF8, ids=["bom", "binary"])
+def test_pd_that_is_not_utf8_exits_two(capsys, tmp_path, data):
+    path = tmp_path / "diagram.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "present", "--pd", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: diagram file {str(path)!r} is not UTF-8 text\n"
+
+
+def test_deeply_nested_pd_exits_two(capsys, tmp_path):
+    """JSON deeper than the interpreter's recursion limit is refused, not a
+    RecursionError; shallower nesting is malformed diagram data."""
+    path = tmp_path / "diagram.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "present", "--pd", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: diagram file {str(path)!r} is nested too deeply to read\n"
+    path.write_text("[" * 100 + "]" * 100)
+    code, out, err = run(capsys, "present", "--pd", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed diagram data")
+
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -230,6 +258,14 @@ def test_verify_torus_link_text(capsys):
     assert code == 0
     assert "result: VERIFIED" in out
     assert "note: n = 4 is even: the braid closes to a two-component link" in out
+
+
+def test_verify_torus_link_json_carries_the_note(capsys):
+    code, out, _ = run(capsys, "verify", "--theorem", "torus", "--params", "4", "--max-len", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["all_verified"] is True
+    assert data["warnings"] == ["n = 4 is even: the braid closes to a two-component link"]
 
 
 def test_verify_failure_exits_one(capsys):
@@ -670,6 +706,15 @@ def test_counts_lines_may_end_in_a_comma(capsys, tmp_path):
     assert run(capsys, "growth", "--counts", str(path), "--terms", "3") == expected
 
 
+@pytest.mark.parametrize("command", ["growth", "skew", "gkdim"])
+def test_counts_file_that_is_not_utf8_exits_two(capsys, tmp_path, command):
+    path = tmp_path / "counts.txt"
+    path.write_bytes(b"1,2,\xff3\n")
+    code, out, err = run(capsys, command, "--counts", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: counts file {str(path)!r} is not UTF-8 text\n"
+
+
 # (counts, --terms, coefficients printed, the note on stderr)
 COUNTS_NOTES = [
     ("1,2,3,3,3", "8", 9,
@@ -943,6 +988,29 @@ def test_rmove_repeated_site_key(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: site key 'arc' is given twice\n"
+
+
+# (move flags, a --site with a key the move does not read, that key)
+UNREAD_SITE_KEYS = [
+    (["--move", "r1"], "arc=0,crossings=1", "r1 insert", "crossings"),
+    (["--move", "r1"], "arc=0,over_arc=1", "r1 insert", "over_arc"),
+    (["--move", "r2"], "arc=0,over_arc=1,crossings=0+1", "r2 insert", "crossings"),
+    (["--move", "r1", "--direction", "remove"], "crossings=0,end=0", "r1 remove", "end"),
+    (["--move", "r2", "--direction", "remove"], "arc=0,crossings=0+1", "r2 remove", "arc"),
+    (["--move", "r3"], "crossings=0+1+2,end=0", "r3", "end"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, site, move, key", UNREAD_SITE_KEYS,
+    ids=[f"{move.replace(' ', '-')}-{key}" for _, _, move, key in UNREAD_SITE_KEYS],
+)
+def test_rmove_refuses_a_site_key_its_move_does_not_read(capsys, argv, site, move, key):
+    code, out, err = run(
+        capsys, "rmove", "--family", "torus2:3", *argv, "--site", site, "--max-len", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {move} does not read --site key {key!r}\n"
 
 
 # -- exit codes and stability ------------------------------------------------------

@@ -121,6 +121,27 @@ def test_construction_by_keyword_and_position(cls, kwargs):
         assert {key: getattr(record, key) for key in kwargs} == kwargs
 
 
+# The records of results, moves and families: tuples that are read, never
+# hashed or compared.
+RESULTS = (DegreeVerdict, VerificationReport, GkEstimate, DimensionComparison, RmoveReport,
+           Family, ReidemeisterMove, DtwAlphabet)
+
+
+@pytest.mark.parametrize("cls", RESULTS, ids=[cls.__name__ for cls in RESULTS])
+def test_result_records_refuse_assignment(cls):
+    assert "__init__" not in vars(cls)
+    kwargs = dict(KEYWORDS)[cls]
+    record = cls(**kwargs)
+    for field, value in kwargs.items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert {key: getattr(record, key) for key in kwargs} == kwargs
+
+
 def test_defaults_match_the_documented_signatures():
     assert AltSumSemigroup(Zmod(3), (0,)).strong is False
     assert FamilySpec("hopf").params == ()
