@@ -318,6 +318,28 @@ MUTANTS = [
         "from .oracle import enumerate_classes\nfrom .growth import (\n",
         ("tests/test_records.py::test_import_loads_no_closure",),
     ),
+    (
+        "the table parse skips the choices check",
+        CLI,
+        "        if value not in kwargs.get(\"choices\", (value,)):\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_one_subcommand_parser_reads_as_the_full_one",),
+    ),
+    (
+        "the table parse keeps a repeated flag's first value",
+        CLI,
+        "        if kwargs is None or flag in given:\n            return None\n",
+        "        if kwargs is None:\n            return None\n"
+        "        if flag in given:\n            next(tokens)\n            continue\n",
+        ("tests/test_cli.py::test_repeated_flag_keeps_its_last_value",),
+    ),
+    (
+        "cli imports argparse at module level",
+        CLI,
+        "import json\n",
+        "import argparse\nimport json\n",
+        ("tests/test_records.py::test_well_formed_calls_load_no_argparse",),
+    ),
 ]
 
 IGNORE = shutil.ignore_patterns(

@@ -5,15 +5,22 @@ any diagram, `verify` checks the stated isomorphisms for the torus, twist
 and double twist families, `probe` tests the three-region conjecture, and
 `growth`/`skew`/`gkdim`/`rmove` cover the series side.
 
-`SUBCOMMANDS` maps each subcommand to its help line and to the function
-that adds its arguments and handler.  A call builds only the parser of the
-subcommand it names, which takes about a sixth of the time of building all
-eight; help, a missing command and an unknown one get the full parser.
-Both print the same usage and errors.  The closure modules, `presentation`
-and `oracle`, are imported inside the handlers that use them: `present`,
-`classes`, `verify`, `probe`, `rmove`, and `gkdim` on a family with no
-stated growth.  So `growth`, `skew` and the other `gkdim` calls never
-compile or load them.
+`SUBCOMMANDS` maps each subcommand to its help line, its options and its
+handler, and holds the only definition of each option.  `main` reads a
+well-formed call straight from that table: a subcommand, then its flags
+written out in full, each at most once, with values that pass their type
+and choices.  Every other call (help, a usage error, an abbreviation,
+`--flag=value`, a repeated flag) goes to argparse, imported and built from
+the same table only then, so it keeps argparse's text and exit codes.  In a
+fresh process the first argparse parser costs about 2 ms, as argparse loads
+gettext and compiles its patterns.  It holds only the subcommand named;
+help, a missing command and an unknown one get the full parser, and both
+print the same usage and errors.
+
+The closure modules, `presentation` and `oracle`, are imported inside the
+handlers that use them: `present`, `classes`, `verify`, `probe`, `rmove`,
+and `gkdim` on a family with no stated growth.  So `growth`, `skew` and the
+other `gkdim` calls never compile or load them.
 
 `--family`, `verify --params P` (as `torus2:P`, `twist:P` or `dtw:P`) and
 `probe --params P` (as `conway:P`) all go through `parse_family_spec`.
@@ -28,10 +35,10 @@ winning.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .diagrams import (
     FAMILIES,
@@ -495,135 +502,117 @@ def _cmd_rmove(args) -> int:
     return 0 if report.all_equal else 1
 
 
-# -- parser -------------------------------------------------------------------
+# -- options and parser -------------------------------------------------------
 
+# Each option once, as (flag, add_argument's keywords).  `_parse_from_table`
+# reads a well-formed call from these rows, and `build_parser` builds the
+# argparse parser from them for every other call.
+_DIAGRAM = (
+    ("--family", {"help": "family spec, e.g. torus2:3 or dtw:2,2"}),
+    ("--pd", {"help": "path to a diagram JSON file"}),
+)
+_SERIES_SOURCE = (
+    ("--family", {"help": "trivial, hopf, torus2:n, twist:n or dtw:n,l"}),
+    ("--counts", {"help": "per-degree counts: a classes CSV file, a file of numbers, "
+                  "or an inline list like 4,5,5,5"}),
+)
+_MAX_LEN = {"type": int, "help": "largest word length to count"}
+_WINDOW = (
+    ("--pad", {"type": int, "default": 2, "help": "extra closure degrees (default 2)"}),
+    ("--budget", {"type": int, "help": f"word universe cap (default {DEFAULT_WORD_BUDGET}, "
+                  "env KNOTGROWTH_BUDGET)"}),
+)
+_CLOSURE = (("--max-len", dict(_MAX_LEN, required=True)), *_WINDOW)
+_OPEN_CLOSURE = (("--max-len", _MAX_LEN), *_WINDOW)
+_JSON_TEXT = ("--format", {"choices": ("json", "text"), "default": "json"})
+_CSV_JSON = ("--format", {"choices": ("csv", "json"), "default": "csv"})
+_TERMS = ("--terms", {"type": int, "default": 10, "help": "expand through this degree"})
 
-def _add_diagram_args(sub):
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", help="family spec, e.g. torus2:3 or dtw:2,2")
-    group.add_argument("--pd", help="path to a diagram JSON file")
-    return sub
-
-
-def _add_closure_args(sub, max_len_required: bool = True):
-    sub.add_argument(
-        "--max-len",
-        type=int,
-        required=max_len_required,
-        default=None,
-        help="largest word length to count",
-    )
-    sub.add_argument("--pad", type=int, default=2, help="extra closure degrees (default 2)")
-    sub.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help=f"word universe cap (default {DEFAULT_WORD_BUDGET}, env KNOTGROWTH_BUDGET)",
-    )
-    return sub
-
-
-def _add_format_arg(sub, choices, default):
-    sub.add_argument("--format", choices=choices, default=default)
-    return sub
-
-
-def _add_series_source(sub):
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", help="trivial, hopf, torus2:n, twist:n or dtw:n,l")
-    group.add_argument(
-        "--counts",
-        help="per-degree counts: a classes CSV file, a file of numbers, or an "
-        "inline list like 4,5,5,5",
-    )
-    return sub
-
-
-def _configure_present(p):
-    _add_diagram_args(p)
-    _add_format_arg(p, ("json", "text"), "json")
-    p.set_defaults(run=_cmd_present)
-
-
-def _configure_classes(p):
-    _add_diagram_args(p)
-    _add_closure_args(p)
-    _add_format_arg(p, ("csv", "json"), "csv")
-    p.set_defaults(run=_cmd_classes)
-
-
-def _configure_verify(p):
-    p.add_argument("--theorem", choices=("torus", "twist", "dtw"), required=True)
-    p.add_argument("--params", required=True, help="e.g. 3 for torus, 2,2 for dtw")
-    _add_closure_args(p, max_len_required=False)
-    _add_format_arg(p, ("json", "text"), "json")
-    p.set_defaults(run=_cmd_verify)
-
-
-def _configure_probe(p):
-    p.add_argument("--conjecture", choices=("cmln",), required=True)
-    p.add_argument("--params", required=True, help="twist counts m,l,n")
-    _add_closure_args(p, max_len_required=False)
-    p.set_defaults(max_len=3)
-    _add_format_arg(p, ("json", "text"), "json")
-    p.set_defaults(run=_cmd_probe)
-
-
-def _configure_growth(p):
-    _add_series_source(p)
-    p.add_argument("--terms", type=int, default=10, help="expand through this degree")
-    p.add_argument("--rational", action="store_true", help="also print the rational form")
-    _add_format_arg(p, ("csv", "json"), "csv")
-    p.set_defaults(run=_cmd_growth)
-
-
-def _configure_skew(p):
-    _add_series_source(p)
-    p.add_argument("--terms", type=int, default=10, help="expand through this degree")
-    _add_format_arg(p, ("csv", "json"), "csv")
-    p.set_defaults(run=_cmd_skew)
-
-
-def _configure_gkdim(p):
-    _add_series_source(p)
-    p.add_argument("--terms", type=int, default=12, help="series degrees to examine")
-    _add_closure_args(p, max_len_required=False)
-    p.add_argument("--method", choices=("rational", "difference", "ratio"), default=None)
-    _add_format_arg(p, ("json", "text"), "json")
-    p.set_defaults(run=_cmd_gkdim)
-
-
-def _configure_rmove(p):
-    _add_diagram_args(p)
-    p.add_argument("--move", choices=("r1", "r2", "r3"), required=True)
-    p.add_argument("--direction", choices=("insert", "remove"), default="insert")
-    p.add_argument(
-        "--site",
-        default="",
-        help="move site, e.g. arc=0,end=0 or crossings=0+1 (join indices with +)",
-    )
-    _add_closure_args(p)
-    _add_format_arg(p, ("json", "text"), "json")
-    p.set_defaults(run=_cmd_rmove)
-
-
-# name -> (help, configure); the order is the order --help lists them in
+# name -> (help, the options of its one required mutually exclusive group,
+# the other options, handler); the order is the order --help lists them in
 SUBCOMMANDS = {
-    "present": ("print the semigroup presentation of a diagram", _configure_present),
-    "classes": ("count congruence classes per degree", _configure_classes),
-    "verify": ("check a stated isomorphism for a family", _configure_verify),
-    "probe": ("probe a stated conjecture", _configure_probe),
-    "growth": ("growth series of a family or counts", _configure_growth),
-    "skew": ("skew growth series (reciprocal of growth)", _configure_skew),
-    "gkdim": ("estimate the growth exponent", _configure_gkdim),
-    "rmove": ("apply a diagram move and compare dimensions", _configure_rmove),
+    "present": ("print the semigroup presentation of a diagram", _DIAGRAM, (_JSON_TEXT,),
+                _cmd_present),
+    "classes": ("count congruence classes per degree", _DIAGRAM, (*_CLOSURE, _CSV_JSON),
+                _cmd_classes),
+    "verify": ("check a stated isomorphism for a family", (), (
+        ("--theorem", {"choices": ("torus", "twist", "dtw"), "required": True}),
+        ("--params", {"required": True, "help": "e.g. 3 for torus, 2,2 for dtw"}),
+        *_OPEN_CLOSURE, _JSON_TEXT), _cmd_verify),
+    "probe": ("probe a stated conjecture", (), (
+        ("--conjecture", {"choices": ("cmln",), "required": True}),
+        ("--params", {"required": True, "help": "twist counts m,l,n"}),
+        ("--max-len", dict(_MAX_LEN, default=3)), *_WINDOW, _JSON_TEXT), _cmd_probe),
+    "growth": ("growth series of a family or counts", _SERIES_SOURCE, (
+        _TERMS,
+        ("--rational", {"action": "store_true", "default": False,
+                        "help": "also print the rational form"}),
+        _CSV_JSON), _cmd_growth),
+    "skew": ("skew growth series (reciprocal of growth)", _SERIES_SOURCE, (_TERMS, _CSV_JSON),
+             _cmd_skew),
+    "gkdim": ("estimate the growth exponent", _SERIES_SOURCE, (
+        ("--terms", {"type": int, "default": 12, "help": "series degrees to examine"}),
+        *_OPEN_CLOSURE,
+        ("--method", {"choices": ("rational", "difference", "ratio")}),
+        _JSON_TEXT), _cmd_gkdim),
+    "rmove": ("apply a diagram move and compare dimensions", _DIAGRAM, (
+        ("--move", {"choices": ("r1", "r2", "r3"), "required": True}),
+        ("--direction", {"choices": ("insert", "remove"), "default": "insert"}),
+        ("--site", {"default": "", "help": "move site, e.g. arc=0,end=0 or "
+                    "crossings=0+1 (join indices with +)"}),
+        *_CLOSURE, _JSON_TEXT), _cmd_rmove),
 }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or with `only` one that holds just that subcommand.
-    The one-subcommand parser names every subcommand in its usage line, so
-    the errors it prints read as the full parser's do."""
+def _parse_from_table(words):
+    """The namespace argparse gives a well-formed call, read from the table
+    alone: a subcommand, then each of its flags at most once, written out in
+    full, with a value that does not begin with `-` and passes the flag's
+    type and choices, and every required option.  Anything else (help, an
+    abbreviation, `--flag=value`, a repeated flag, a negative number, `--`)
+    gives None, and argparse decides."""
+    if not words or words[0] not in SUBCOMMANDS:
+        return None
+    _, group, options, run = SUBCOMMANDS[words[0]]
+    rows = dict(group + options)
+    given = {}
+    tokens = iter(words[1:])
+    for flag in tokens:
+        kwargs = rows.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if sum(flag in given for flag, _ in group) != bool(group) or any(
+        kwargs.get("required") and flag not in given for flag, kwargs in options
+    ):
+        return None
+    args = {
+        flag[2:].replace("-", "_"): given.get(flag, kwargs.get("default"))
+        for flag, kwargs in rows.items()
+    }
+    return SimpleNamespace(command=words[0], run=run, **args)
+
+
+def build_parser(only: str | None = None):
+    """The full argparse parser, or with `only` one that holds just that
+    subcommand.  The one-subcommand parser names every subcommand in its
+    usage line, so the errors it prints read as the full parser's do.
+    argparse is imported here: its first parser loads gettext and compiles
+    its patterns, which a well-formed call never needs."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="knotgrowth",
         description="Knot semigroup presentations, congruence counting and growth.",
@@ -632,21 +621,29 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     metavar = None if only is None else "{" + ",".join(SUBCOMMANDS) + "}"
     subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in SUBCOMMANDS if only is None else (only,):
-        help_text, configure = SUBCOMMANDS[name]
-        configure(subs.add_parser(name, help=help_text))
+        help_text, group, options, run = SUBCOMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        if group:
+            exclusive = sub.add_mutually_exclusive_group(required=True)
+            for flag, kwargs in group:
+                exclusive.add_argument(flag, **kwargs)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
     words = sys.argv[1:] if argv is None else argv
-    # build only the subcommand named; help and usage errors get all of them
-    only = words[0] if words and words[0] in SUBCOMMANDS else None
-    parser = build_parser(only)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    args = _parse_from_table(words)
+    if args is None:
+        # build only the subcommand named; help and usage errors get all of them
+        only = words[0] if words and words[0] in SUBCOMMANDS else None
+        try:
+            args = build_parser(only).parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         _check_window(args)
         return args.run(args)

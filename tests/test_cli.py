@@ -20,6 +20,7 @@ from knotgrowth.cli import (
     MAX_TERMS,
     SUBCOMMANDS,
     _no_digit_limit,
+    _parse_from_table,
     _print_series_csv,
     build_parser,
     main,
@@ -1145,6 +1146,98 @@ def test_top_level_usage_lists_every_subcommand(capsys, argv):
     assert "{" + ",".join(SUBCOMMANDS) + "}" in out + err
     if argv == ["nonsense"]:
         assert "argument command: invalid choice: 'nonsense'" in err
+
+
+# tokens the table parse must leave to argparse, or read as argparse does
+AWKWARD = ("2", "-1", "x", "", "hopf", "json", "r9", "--", "-h", "--max", "--max-len=2")
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, some of its flags in any order, each with a value of
+    the flag's own kind or now and then from AWKWARD (or none, for
+    --rational); sometimes one flag again, and sometimes one more awkward
+    token anywhere."""
+    command = draw(st.sampled_from(list(SUBCOMMANDS)))
+    _, group, options, _ = SUBCOMMANDS[command]
+    rows = dict(group + options)
+    flags = draw(st.permutations(list(rows)))
+    flags = flags[: draw(st.integers(0, len(flags)))]
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from(list(rows))))
+    words = []
+    for flag in flags:
+        words.append(flag)
+        kwargs = rows[flag]
+        if kwargs.get("action") != "store_true" or draw(st.booleans()):
+            own = kwargs.get("choices") or (("2", "3") if "type" in kwargs else ("hopf", "x"))
+            words.append(draw(st.sampled_from(AWKWARD if draw(st.integers(0, 4)) == 0 else own)))
+    if draw(st.integers(0, 3)) == 0:
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(AWKWARD)))
+    return [command, *words]
+
+
+@given(_argvs())
+@settings(max_examples=400, deadline=None)
+def test_table_parse_reads_as_argparse(argv):
+    args = _parse_from_table(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser(argv[0]).parse_args(argv))
+
+
+PD = "diagram.json"  # the table parse reads the flag; it never opens the file
+
+# the argv of the CI "CLI smoke" step and of the benchmark's wide and series cases
+WELL_FORMED = [
+    "present --family torus2:3",
+    "classes --family torus2:3 --max-len 2",
+    "classes --family trivial --max-len 4",
+    "verify --theorem torus --params 3 --max-len 2",
+    "verify --theorem dtw --params 2,4 --max-len 30 --budget 1000000000000000000000000000000",
+    "verify --theorem torus --params 4 --max-len 6",
+    "verify --theorem dtw --params 3,5 --max-len 4",
+    "probe --conjecture cmln --params 1,1,2 --max-len 2",
+    "growth --family torus2:7",
+    "growth --family torus2:40 --terms 10000",
+    "growth --family trivial --terms 2 --rational",
+    "skew --family dtw:2,2",
+    "skew --family dtw:3,3 --terms 4",
+    "skew --family torus2:4 --terms 10000",
+    "skew --family hopf --format json",
+    "gkdim --family hopf",
+    "gkdim --family hopf --terms 10000",
+    "gkdim --family dtw:1,1",
+    "gkdim --family conway:3 --max-len 3 --terms 3",
+    "rmove --family torus2:3 --move r1 --site arc=0 --max-len 2",
+    "growth --counts 1,2,3,4,5",
+    "skew --counts 4,5,5,5 --format json",
+    "gkdim --counts 1,2,4,8,16",
+    "classes --family torus2:4 --max-len 4",
+    f"gkdim --counts {PD}",
+    f"classes --pd {PD} --max-len 10",
+    f"classes --pd {PD} --max-len 16",
+    "probe --conjecture cmln --params 2,1,2 --max-len 6",
+    f"rmove --pd {PD} --move r1 --site arc=0,end=0 --max-len 5",
+    "growth --family torus2:40 --terms 120",
+    "skew --family torus2:7 --terms 2000",
+    "skew --family torus2:12 --terms 150",
+    "gkdim --family hopf --terms 400",
+]
+
+
+@pytest.mark.parametrize("line", WELL_FORMED)
+def test_well_formed_calls_take_the_table_path(line):
+    argv = line.split()
+    args = _parse_from_table(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser(argv[0]).parse_args(argv))
+
+
+def test_repeated_flag_keeps_its_last_value(capsys):
+    code, out, _ = run(capsys, "classes", "--family", "hopf", "--max-len", "2", "--max-len", "3")
+    assert code == 0
+    assert out.splitlines()[0] == "degree,count"
+    assert len(out.splitlines()) == 4  # three count rows, as argparse keeps the last value
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

@@ -249,6 +249,39 @@ def test_subcommands_load_the_closure_only_to_run_it(argv, loaded):
     assert _loaded_by_import(CLOSURE_MODULES, argv) == loaded
 
 
+# a well-formed call of each subcommand
+WELL_FORMED_CALLS = [
+    ("present", "--family", "torus2:3"),
+    ("classes", "--family", "torus2:3", "--max-len", "2"),
+    ("verify", "--theorem", "torus", "--params", "3", "--max-len", "2"),
+    ("probe", "--conjecture", "cmln", "--params", "1,1,2", "--max-len", "2"),
+    ("growth", "--family", "torus2:7", "--rational"),
+    ("skew", "--family", "dtw:2,2", "--format", "json"),
+    ("gkdim", "--family", "hopf", "--terms", "20"),
+    ("rmove", "--family", "torus2:3", "--move", "r1", "--site", "arc=0", "--max-len", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED_CALLS, ids=[a[0] for a in WELL_FORMED_CALLS])
+def test_well_formed_calls_load_no_argparse(argv):
+    """The option table reads a well-formed call whole, so it never imports
+    argparse, nor the gettext that argparse loads."""
+    assert _loaded_by_import(("argparse", "gettext"), argv) == []
+
+
+@pytest.mark.parametrize("argv, code", [(("classes", "-h"), 0), (("classes", "--family", "hopf"), 2)])
+def test_help_and_usage_errors_build_argparse_in_a_fresh_interpreter(argv, code):
+    result = subprocess.run(
+        [sys.executable, "-S", "-m", "knotgrowth", *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == code
+    assert "usage: knotgrowth" in result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("name", sorted(EXPORTS))
 def test_package_names_resolve_to_their_modules(name):
     module = importlib.import_module(f"knotgrowth.{EXPORTS[name]}")
