@@ -174,6 +174,13 @@ MUTANTS = [
         ("tests/test_diagrams.py::test_fox_coloring_keeps_the_scan_order_after_the_first_scan",),
     ),
     (
+        "the conway row drops its conjecture note",
+        DIAGRAMS,
+        "conway_with_traces(twists)[0], _conjecture_note),\n",
+        "conway_with_traces(twists)[0]),\n",
+        ("tests/test_cli.py::test_conway_series_carry_the_conjecture_note",),
+    ),
+    (
         "a file that is not UTF-8 text ends in a traceback",
         DIAGRAMS,
         "        except UnicodeDecodeError:\n",
@@ -192,6 +199,16 @@ MUTANTS = [
             "tests/test_altsum.py::test_modulus_above_the_bound_is_refused",
             "tests/test_cli.py::test_probe_target_modulus_above_its_bound_exits_two",
         ),
+    ),
+    (
+        "a modulus too long to print is formatted whole",
+        ALTSUM,
+        "            try:\n"
+        "                named = f\"target modulus {m}\"\n"
+        "            except ValueError:  # more digits than Python converts to str\n"
+        "                named = f\"target modulus of {m.bit_length()} bits\"\n",
+        "            named = f\"target modulus {m}\"\n",
+        ("tests/test_cli.py::test_modulus_too_long_to_print_exits_two",),
     ),
     (
         "a run of shifts is doubled without its remainder shift",

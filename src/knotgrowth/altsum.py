@@ -226,7 +226,11 @@ class AltSumSemigroup:
         if len(generators) == 0:
             raise ParameterError("generator set must be nonempty")
         if (m := group.modulus) > MAX_MODULUS:
-            raise ParameterError(f"target modulus {m} is above the bound {MAX_MODULUS}")
+            try:
+                named = f"target modulus {m}"
+            except ValueError:  # more digits than Python converts to str
+                named = f"target modulus of {m.bit_length()} bits"
+            raise ParameterError(f"{named} is above the bound {MAX_MODULUS}")
         members = frozenset(group.reduce(b) for b in generators)
         reduced = tuple(sorted(members))
         _set(self, "group", group)

@@ -18,9 +18,10 @@ help, a missing command and an unknown one get the full parser, and both
 print the same usage and errors.
 
 The closure modules, `presentation` and `oracle`, are imported inside the
-handlers that use them: `present`, `classes`, `verify`, `probe`, `rmove`,
-and `gkdim` on a family with no stated growth.  So `growth`, `skew` and the
-other `gkdim` calls never compile or load them.
+handlers that use them: `present`, `classes`, `verify`, `probe` and
+`rmove`.  So `growth`, `skew` and `gkdim`, which read every family's series
+off its target, never compile or load them.  A `conway` series is its
+target's, Vernitski's conjecture, and prints with a note that says so.
 
 `--family`, `verify --params P` (as `torus2:P`, `twist:P` or `dtw:P`) and
 `probe --params P` (as `conway:P`) all go through `parse_family_spec`.
@@ -41,7 +42,6 @@ import sys
 from types import SimpleNamespace
 
 from .diagrams import (
-    FAMILIES,
     Diagram,
     ReidemeisterMove,
     apply_reidemeister,
@@ -118,7 +118,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         budget = args.budget
     else:
         raw = os.environ.get("KNOTGROWTH_BUDGET")
@@ -339,11 +339,6 @@ def _growth_series(args) -> GrowthSeries:
             return GrowthSeries(series.coefficients[:terms], source=series.source)
         return GrowthSeries.from_rational(series.rational, terms, source=series.source)
     spec = parse_family_spec(args.family)
-    if FAMILIES[spec.kind].target is None:
-        raise ParameterError(
-            f"no stated growth for family {spec.kind!r}; count classes first "
-            "and pass them with --counts"
-        )
     return growth_for_family(spec.kind, spec.params, terms=terms)
 
 
@@ -431,25 +426,8 @@ def _cmd_gkdim(args) -> int:
     else:
         spec = parse_family_spec(args.family)
         label = args.family
-        if FAMILIES[spec.kind].target is not None:
-            source = growth_for_family(spec.kind, spec.params, terms=args.terms + 1)
-            _print_notes(source.warnings)
-        else:
-            if args.max_len is None:
-                raise ParameterError(
-                    f"family {spec.kind!r} has no stated growth; give --max-len "
-                    "to measure it through the congruence closure"
-                )
-            from .oracle import enumerate_classes
-            from .presentation import presentation_from_diagram
-
-            budget = _resolve_budget(args)
-            pres = presentation_from_diagram(build_family(spec))
-            partition = enumerate_classes(pres, args.max_len, pad=args.pad, budget=budget)
-            # the closure keeps its horizon: a shorter one gives coarser counts
-            source = growth_from_counts(
-                partition.degree_counts[: args.terms], source=args.family
-            )
+        source = growth_for_family(spec.kind, spec.params, terms=args.terms + 1)
+        _print_notes(source.warnings)
     estimate = gk_dimension(source, method=args.method)
     if args.format == "text":
         print(f"source: {label}")
@@ -512,7 +490,7 @@ _DIAGRAM = (
     ("--pd", {"help": "path to a diagram JSON file"}),
 )
 _SERIES_SOURCE = (
-    ("--family", {"help": "trivial, hopf, torus2:n, twist:n or dtw:n,l"}),
+    ("--family", {"help": "trivial, hopf, torus2:n, twist:n, dtw:n,l or conway:a,b,..."}),
     ("--counts", {"help": "per-degree counts: a classes CSV file, a file of numbers, "
                   "or an inline list like 4,5,5,5"}),
 )
@@ -523,7 +501,6 @@ _WINDOW = (
                   "env KNOTGROWTH_BUDGET)"}),
 )
 _CLOSURE = (("--max-len", dict(_MAX_LEN, required=True)), *_WINDOW)
-_OPEN_CLOSURE = (("--max-len", _MAX_LEN), *_WINDOW)
 _JSON_TEXT = ("--format", {"choices": ("json", "text"), "default": "json"})
 _CSV_JSON = ("--format", {"choices": ("csv", "json"), "default": "csv"})
 _TERMS = ("--terms", {"type": int, "default": 10, "help": "expand through this degree"})
@@ -538,7 +515,7 @@ SUBCOMMANDS = {
     "verify": ("check a stated isomorphism for a family", (), (
         ("--theorem", {"choices": ("torus", "twist", "dtw"), "required": True}),
         ("--params", {"required": True, "help": "e.g. 3 for torus, 2,2 for dtw"}),
-        *_OPEN_CLOSURE, _JSON_TEXT), _cmd_verify),
+        ("--max-len", _MAX_LEN), *_WINDOW, _JSON_TEXT), _cmd_verify),
     "probe": ("probe a stated conjecture", (), (
         ("--conjecture", {"choices": ("cmln",), "required": True}),
         ("--params", {"required": True, "help": "twist counts m,l,n"}),
@@ -552,7 +529,6 @@ SUBCOMMANDS = {
              _cmd_skew),
     "gkdim": ("estimate the growth exponent", _SERIES_SOURCE, (
         ("--terms", {"type": int, "default": 12, "help": "series degrees to examine"}),
-        *_OPEN_CLOSURE,
         ("--method", {"choices": ("rational", "difference", "ratio")}),
         _JSON_TEXT), _cmd_gkdim),
     "rmove": ("apply a diagram move and compare dimensions", _DIAGRAM, (

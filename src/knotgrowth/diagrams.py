@@ -25,8 +25,9 @@ Families
 * custom diagrams can be loaded from a small JSON format.
 
 ``FAMILIES`` holds each family kind once: its parameter count, its builder
-and, where the paper states an isomorphism, its target alternating-sum
-semigroup and letter map, both from one Fox coloring of its diagram.
+and its target alternating-sum semigroup and letter map, both from one Fox
+coloring of its diagram.  The paper states the isomorphism for every
+family but conway, whose target is Vernitski's conjecture.
 ``parse_family_spec`` is the one grammar for them, `verify` and `probe`
 ``--params`` included; ``AltSumSemigroup`` bounds every target's modulus.
 """
@@ -315,16 +316,20 @@ def _odd_product_note(n: int, l: int) -> tuple[str, ...]:
     return (note,) if n * l % 2 else ()
 
 
+def _conjecture_note(*twists: int) -> tuple[str, ...]:
+    return ("the target is Vernitski's conjecture, checked one diagram and one degree at a time",)
+
+
 class Family(namedtuple("Family", "arity build target")):
     """One family kind.  ``arity`` is its parameter count (None: any number).
-    ``target``, where the paper states an isomorphism, maps the parameters
-    to (its diagram's Fox target, letter map indexed by arc, notes)."""
+    ``target`` maps the parameters to (its diagram's Fox target, letter map
+    indexed by arc, notes)."""
 
     __slots__ = ()
 
 
-def _stated(arity: int, build, notes=lambda *params: ()) -> Family:
-    """A family with a stated isomorphism: its diagram's Fox target, with notes."""
+def _stated(arity: int | None, build, notes=lambda *params: ()) -> Family:
+    """A family read through its diagram's Fox target, with notes."""
     return Family(arity, build, lambda *params: (*_fox_target(build(*params)), notes(*params)))
 
 
@@ -334,7 +339,7 @@ FAMILIES = {
     "torus2": _stated(1, build_torus2),
     "twist": _stated(1, _build_twist),
     "dtw": _stated(2, build_double_twist, _odd_product_note),
-    "conway": Family(None, lambda *twists: conway_with_traces(twists)[0], None),
+    "conway": _stated(None, lambda *twists: conway_with_traces(twists)[0], _conjecture_note),
 }
 
 

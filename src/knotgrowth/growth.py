@@ -217,7 +217,7 @@ STABLE_WINDOW = 3
 SKEW_DEGREES = 3
 
 
-def growth_from_counts(counts, source: str = "counts") -> GrowthSeries:
+def growth_from_counts(counts) -> GrowthSeries:
     """Wrap per-degree counts; attach num/(1-t) when the tail has settled.
 
     The rational form asserts the counts continue at their last value.  That
@@ -233,7 +233,7 @@ def growth_from_counts(counts, source: str = "counts") -> GrowthSeries:
     rational = None
     if len(counts) >= STABLE_WINDOW and len(set(counts[-STABLE_WINDOW:])) == 1:
         rational = _constant_tail(coefficients)
-    return GrowthSeries(coefficients, rational=rational, source=source)
+    return GrowthSeries(coefficients, rational=rational, source="counts")
 
 
 def skew_growth(growth: GrowthSeries, terms: int | None = None) -> SkewSeries:
@@ -490,8 +490,8 @@ def reidemeister_dimension_check(
 
 
 def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> GrowthSeries:
-    """The first `terms` coefficients of the growth series of a family with a
-    target semigroup in ``diagrams.FAMILIES``, from one pass over its levels.
+    """The first `terms` coefficients of a family's growth series, read off
+    its target semigroup in ``diagrams.FAMILIES`` in one pass over its levels.
 
     The pass reads the levels up to length `terms`, one past the last
     coefficient, and stops at a checked shift (``level_counts``).  Where
@@ -504,16 +504,12 @@ def growth_for_family(kind: str, params: tuple[int, ...], terms: int = 10) -> Gr
     shift by two rows every two steps from length 0 or 1, so 4 levels give
     every count, each later one the count two before it plus a fixed gain.
     Their series is those counts alone, with no form claimed.  Every series
-    carries its family's notes.  Other families have no stated growth and
-    must be measured through the congruence closure.
+    carries its family's notes: a conway series is its target's, which is
+    the knot's only as far as Vernitski's conjecture holds.
     """
-    target = FAMILIES[kind].target if kind in FAMILIES else None
-    if target is None:
-        raise ParameterError(
-            f"no stated growth for family {kind!r}; compute counts with the "
-            "congruence closure and pass them explicitly"
-        )
-    sg, _, notes = target(*params)
+    if kind not in FAMILIES:
+        raise ParameterError(f"unknown family {kind!r}")
+    sg, _, notes = FAMILIES[kind].target(*params)
     source = str(FamilySpec(kind, params))
     counts, settled = sg.level_counts(terms)
     if settled:

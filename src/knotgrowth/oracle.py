@@ -786,10 +786,7 @@ def verify_family(
     """
     family = parse_family_spec(spec)
     diagram = build_family(family)
-    target = FAMILIES[family.kind].target
-    if target is None:
-        raise ParameterError(f"family {family.kind!r} has no stated target semigroup")
-    sg, phi, notes = target(*family.params)
+    sg, phi, notes = FAMILIES[family.kind].target(*family.params)
     return verify_isomorphism(
         presentation_from_diagram(diagram),
         phi,

@@ -492,6 +492,9 @@ def test_trivial_growth_form_is_certified_at_two_terms(capsys):
 ODD_PRODUCT_NOTE = (
     "# note: twist product 3*3 is odd; the isomorphism is only asserted for even products"
 )
+CONJECTURE_NOTE = (
+    "# note: the target is Vernitski's conjecture, checked one diagram and one degree at a time"
+)
 
 
 def _series_notes(capsys, *argv):
@@ -512,6 +515,22 @@ def test_growth_warns_on_stderr_for_odd_twist_product(capsys):
 def test_series_commands_note_odd_twist_product_once(capsys, command):
     notes = _series_notes(capsys, command, "--family", "dtw:3,3", "--terms", "4")
     assert notes == [ODD_PRODUCT_NOTE]
+
+
+def test_conway_series_carry_the_conjecture_note(capsys):
+    """A conway series or GK value is its target's, and says so."""
+    code, out, err = run(capsys, "growth", "--family", "conway:3,1,3", "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["warnings"] == [CONJECTURE_NOTE.removeprefix("# note: ")]
+    assert data["coefficients"][:4] == [1, 7, 15, 15]
+    for argv in (
+        ("growth", "--family", "conway:3,1,3", "--rational"),
+        ("skew", "--family", "conway:2,1,2", "--terms", "4"),
+        ("skew", "--family", "conway:2,1,2", "--format", "json"),
+        ("gkdim", "--family", "conway:2,1,2"),
+    ):
+        assert _series_notes(capsys, *argv) == [CONJECTURE_NOTE], argv
 
 
 def test_skew_csv(capsys):
@@ -822,36 +841,54 @@ def test_gkdim_counts_respect_terms(capsys):
     assert json.loads(out)["gk"] == "infinity"
 
 
-def test_gkdim_closure_counts_respect_terms(capsys):
-    # the closure keeps its horizon, and only the first --terms of its
-    # counts 3, 3, 3, 3, 3 are examined, as with --counts
-    argv = ("gkdim", "--family", "conway:3", "--max-len", "5", "--method", "difference")
+def test_gkdim_closure_counts_respect_terms(capsys, tmp_path):
+    # the closure's counts 3, 3, 3, 3, 3 reach gkdim through the classes
+    # CSV, and only the first --terms of them are examined, as inline
+    code, csv, _ = run(capsys, "classes", "--family", "conway:3", "--max-len", "5")
+    assert code == 0
+    path = tmp_path / "counts.csv"
+    path.write_text(csv)
+    argv = ("gkdim", "--counts", str(path), "--method", "difference")
     code, out, _ = run(capsys, *argv, "--terms", "2")
     assert code == 0
     data = json.loads(out)
     assert (data["gk"], data["evidence"]["cumulative"]) == ("unresolved", [1, 4, 7])
     for terms in ("2", "4", "12"):
         code, out, _ = run(capsys, *argv, "--terms", terms)
-        _, counts, _ = run(
+        inline = run(
             capsys, "gkdim", "--counts", "3,3,3,3,3", "--method", "difference", "--terms", terms
         )
-        assert code == 0
-        assert json.loads(out) == dict(json.loads(counts), source="conway:3")
+        assert (code, out, "") == inline
     assert json.loads(out)["evidence"]["cumulative"] == [1, 4, 7, 10, 13, 16]
 
 
-def test_gkdim_measures_unknown_family_through_closure(capsys):
-    code, out, _ = run(capsys, "gkdim", "--family", "conway:3", "--max-len", "5")
-    assert code == 0
+def test_gkdim_measures_conway_through_its_target(capsys):
+    code, out, err = run(capsys, "gkdim", "--family", "conway:3")
+    assert (code, err) == (0, f"{CONJECTURE_NOTE}\n")
     data = json.loads(out)
-    assert data["gk"] == "1"
-    assert data["source"] == "conway:3"
+    assert (data["gk"], data["source"]) == ("1", "conway:3")
+    code, out, err = run(capsys, "gkdim", "--family", "conway:2,1,2", "--format", "text")
+    assert (code, err) == (0, f"{CONJECTURE_NOTE}\n")
+    assert out.splitlines()[:2] == ["source: conway:2,1,2", "gk: 2"]
 
 
-def test_gkdim_unknown_family_needs_max_len(capsys):
-    code, _, err = run(capsys, "gkdim", "--family", "conway:3")
-    assert code == 2
-    assert "--max-len" in err
+def test_gkdim_max_len_is_a_usage_error(capsys):
+    # gkdim reads every family off its target, so it takes no closure options
+    for flag in ("--max-len", "--pad", "--budget"):
+        code, out, err = run(capsys, "gkdim", "--family", "conway:3", flag, "3")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {flag} 3\n")
+
+
+@pytest.mark.parametrize("command", ["growth", "skew", "gkdim"])
+def test_modulus_too_long_to_print_exits_two(capsys, command):
+    # the Fox modulus of conway:1,...,1 is a Fibonacci number: with 21 000
+    # ones it has 4 389 digits, more than Python converts to str, so the
+    # refusal names it by its size
+    spec = "conway:" + ",".join(["1"] * 21_000)
+    code, out, err = run(capsys, command, "--family", spec, "--terms", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: target modulus of 14579 bits is above the bound 10000000\n"
 
 
 def test_terms_at_the_bound(capsys):
@@ -1200,14 +1237,16 @@ WELL_FORMED = [
     "growth --family torus2:7",
     "growth --family torus2:40 --terms 10000",
     "growth --family trivial --terms 2 --rational",
+    "growth --family conway:3,1,3 --rational",
     "skew --family dtw:2,2",
     "skew --family dtw:3,3 --terms 4",
     "skew --family torus2:4 --terms 10000",
     "skew --family hopf --format json",
+    "skew --family conway:2,1,2 --terms 4",
     "gkdim --family hopf",
     "gkdim --family hopf --terms 10000",
     "gkdim --family dtw:1,1",
-    "gkdim --family conway:3 --max-len 3 --terms 3",
+    "gkdim --family conway:2,1,2 --terms 3",
     "rmove --family torus2:3 --move r1 --site arc=0 --max-len 2",
     "growth --counts 1,2,3,4,5",
     "skew --counts 4,5,5,5 --format json",

@@ -367,5 +367,26 @@ def test_growth_for_family_dispatch():
     assert twist.source == "twist:3"
     assert twist.coefficients == dtw_form(3, 2).expand(5) == (1, 5, 7, 7, 7)
     assert growth_for_family("dtw", (2, 4), terms=4).counts() == (6, 9, 9)
-    with pytest.raises(ParameterError):
-        growth_for_family("conway", (3,))
+    conway = growth_for_family("conway", (2, 1, 2), terms=5)
+    assert (conway.source, conway.rational) == ("conway:2,1,2", None)
+    assert conway.counts() == (5, 11, 16, 20)
+    assert conway.warnings == (
+        "the target is Vernitski's conjecture, checked one diagram and one degree at a time",
+    )
+    with pytest.raises(ParameterError, match="unknown family 'nosuch'"):
+        growth_for_family("nosuch", ())
+
+
+def test_conway_series_are_the_torus_and_double_twist_series():
+    """conway:n is torus2:n and conway:l,n is dtw:n,l, up to arc labels, so
+    their targets give the same series."""
+
+    def series(kind, *params):
+        s = growth_for_family(kind, params, terms=15)
+        return s.coefficients, s.rational
+
+    for n in range(1, 30):
+        assert series("conway", n) == series("torus2", n), n
+    for n in range(1, 9):
+        for l in range(1, 9):
+            assert series("conway", l, n) == series("dtw", n, l), (n, l)

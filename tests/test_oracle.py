@@ -792,9 +792,29 @@ def test_letter_map_that_breaks_a_relation_resolves_nothing():
     assert not report.all_verified
 
 
-def test_family_without_a_stated_target_is_refused():
-    with pytest.raises(ParameterError, match="family 'conway' has no stated target semigroup"):
-        verify_family("conway:2,1,2", 2)
+def test_conway_family_verifies_against_its_fox_target():
+    report = verify_family("conway:2,1,2", 2)
+    assert report.description == "conway:2,1,2"
+    assert report.semigroup == "SAS(Zmod(8), {0, 1, 3, 6, 7})"
+    assert [(d.class_count, d.element_count, d.verdict) for d in report.degrees] == [
+        (5, 5, "verified"),
+        (11, 11, "verified"),
+    ]
+    assert report.warnings == (
+        "the target is Vernitski's conjecture, checked one diagram and one degree at a time",
+    )
+
+
+@pytest.mark.parametrize("spec, max_len", [
+    ("conway:2,1,2", 8), ("conway:3,1,3", 8), ("conway:2,3,2", 6), ("conway:2,2,2", 6),
+    ("conway:4,4,4,4", 6),
+])
+def test_two_bridge_targets_verify_every_degree(spec, max_len):
+    # conway:4,4,4,4 at max len 6 counts 4.6e9 words in its universe, past
+    # the default budget, though its certificate stops the closure early
+    report = verify_family(spec, max_len, budget=10**20)
+    assert report.all_verified
+    assert len(report.degrees) == max_len
 
 
 def test_probe_agrees_with_direct_dtw_check():

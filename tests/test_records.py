@@ -234,17 +234,21 @@ def test_import_loads_no_closure():
     assert _loaded_by_import(CLOSURE_MODULES) == []
 
 
-# (argv, the closure modules it loads in a fresh interpreter)
-STARTUP_CASES = [
-    (("growth", "--family", "torus2:7"), []),
-    (("skew", "--family", "dtw:2,2"), []),
-    (("gkdim", "--family", "hopf"), []),
-    (("classes", "--family", "torus2:3", "--max-len", "2"), list(CLOSURE_MODULES)),
-    (("verify", "--theorem", "torus", "--params", "3", "--max-len", "2"), list(CLOSURE_MODULES)),
-]
+# id -> (argv, the closure modules it loads in a fresh interpreter)
+STARTUP_CASES = {
+    "growth": (("growth", "--family", "torus2:7"), []),
+    "skew": (("skew", "--family", "dtw:2,2"), []),
+    "gkdim": (("gkdim", "--family", "hopf"), []),
+    "gkdim-conway": (("gkdim", "--family", "conway:2,1,2"), []),
+    "classes": (("classes", "--family", "torus2:3", "--max-len", "2"), list(CLOSURE_MODULES)),
+    "verify": (
+        ("verify", "--theorem", "torus", "--params", "3", "--max-len", "2"),
+        list(CLOSURE_MODULES),
+    ),
+}
 
 
-@pytest.mark.parametrize("argv, loaded", STARTUP_CASES, ids=[a[0] for a, _ in STARTUP_CASES])
+@pytest.mark.parametrize("argv, loaded", STARTUP_CASES.values(), ids=list(STARTUP_CASES))
 def test_subcommands_load_the_closure_only_to_run_it(argv, loaded):
     assert _loaded_by_import(CLOSURE_MODULES, argv) == loaded
 
