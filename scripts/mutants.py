@@ -157,7 +157,17 @@ MUTANTS = [
         DIAGRAMS,
         "    return AltSumSemigroup(Zmod(m), phi, strong=m % 2 == 0), phi\n",
         "    return AltSumSemigroup(Zmod(m), phi, strong=False), phi\n",
-        ("tests/test_diagrams.py::test_fox_targets_are_the_hand_written_targets",),
+        (
+            "tests/test_diagrams.py::test_fox_targets_are_the_hand_written_targets",
+            "tests/test_oracle.py::test_fox_bounds_stop_the_classes_closure[hopf-16-16]",
+        ),
+    ),
+    (
+        "above the levels, aligned whenever the counts match, whatever the letter map",
+        ORACLE,
+        "            aligned = onto and class_count == element_count\n",
+        "            aligned = class_count == element_count\n",
+        ("tests/test_oracle.py::test_a_floor_without_a_letter_map_verifies_nothing",),
     ),
     (
         "the coloring modulus is read from the last crossing, not the gcd of all",

@@ -242,13 +242,11 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    from .oracle import enumerate_classes
-    from .presentation import presentation_from_diagram
+    from .oracle import diagram_classes
 
     budget = _resolve_budget(args)
     diagram, label = _diagram_from_args(args)
-    pres = presentation_from_diagram(diagram)
-    partition = enumerate_classes(pres, args.max_len, pad=args.pad, budget=budget)
+    partition = diagram_classes(diagram, args.max_len, pad=args.pad, budget=budget)
     if args.format == "json":
         _emit_json(
             {

@@ -297,18 +297,24 @@ def fox_coloring(diagram: Diagram, anchors: dict[int, int]) -> tuple[list[int], 
     return labels, gcd(*residuals)
 
 
-def _fox_target(diagram: Diagram) -> tuple[AltSumSemigroup, tuple[int, ...]]:
-    """The target and letter map of a diagram's Fox coloring from arc 0 to
-    0 and arc 1 to 1 (arc 0 alone for a one-arc diagram): AS(Z_m, labels),
-    strong for an even m, with the labels mod m as the letter map and
-    m = 1 when the coloring holds over the integers."""
-    coloring = fox_coloring(diagram, {a: a for a in range(min(2, diagram.arc_count))})
-    if coloring is None:
-        raise InternalConsistencyError("a family's Fox coloring left an arc unlabeled")
+def fox_target(coloring: tuple[list[int], int]) -> tuple[AltSumSemigroup, tuple[int, ...]]:
+    """The target and letter map of a Fox coloring (``fox_coloring``):
+    AS(Z_m, labels), strong for an even m, with the labels mod m as the
+    letter map and m = 1 when the coloring holds over the integers."""
     labels, m = coloring
     m = m or 1
     phi = tuple(v % m for v in labels)
     return AltSumSemigroup(Zmod(m), phi, strong=m % 2 == 0), phi
+
+
+def _fox_target(diagram: Diagram) -> tuple[AltSumSemigroup, tuple[int, ...]]:
+    """The Fox target of a family's diagram, colored from arc 0 to 0 and
+    arc 1 to 1 (arc 0 alone for a one-arc diagram), the letter map that
+    `verify` prints."""
+    coloring = fox_coloring(diagram, {a: a for a in range(min(2, diagram.arc_count))})
+    if coloring is None:
+        raise InternalConsistencyError("a family's Fox coloring left an arc unlabeled")
+    return fox_target(coloring)
 
 
 def _odd_product_note(n: int, l: int) -> tuple[str, ...]:
@@ -320,26 +326,29 @@ def _conjecture_note(*twists: int) -> tuple[str, ...]:
     return ("the target is Vernitski's conjecture, checked one diagram and one degree at a time",)
 
 
-class Family(namedtuple("Family", "arity build target")):
-    """One family kind.  ``arity`` is its parameter count (None: any number).
-    ``target`` maps the parameters to (its diagram's Fox target, letter map
-    indexed by arc, notes)."""
+def _no_notes(*params: int) -> tuple[str, ...]:
+    return ()
+
+
+class Family(namedtuple("Family", "arity build notes", defaults=(_no_notes,))):
+    """One family kind, read through its diagram's Fox target.  ``arity`` is
+    its parameter count (None: any number) and ``notes`` maps the parameters
+    to the notes its reports carry."""
 
     __slots__ = ()
 
-
-def _stated(arity: int | None, build, notes=lambda *params: ()) -> Family:
-    """A family read through its diagram's Fox target, with notes."""
-    return Family(arity, build, lambda *params: (*_fox_target(build(*params)), notes(*params)))
+    def target(self, *params):
+        """(its diagram's Fox target, letter map indexed by arc, notes)."""
+        return (*_fox_target(self.build(*params)), self.notes(*params))
 
 
 FAMILIES = {
-    "trivial": _stated(0, build_trivial),
-    "hopf": _stated(0, lambda: build_torus2(2)),
-    "torus2": _stated(1, build_torus2),
-    "twist": _stated(1, _build_twist),
-    "dtw": _stated(2, build_double_twist, _odd_product_note),
-    "conway": _stated(None, lambda *twists: conway_with_traces(twists)[0], _conjecture_note),
+    "trivial": Family(0, build_trivial),
+    "hopf": Family(0, lambda: build_torus2(2)),
+    "torus2": Family(1, build_torus2),
+    "twist": Family(1, _build_twist),
+    "dtw": Family(2, build_double_twist, _odd_product_note),
+    "conway": Family(None, lambda *twists: conway_with_traces(twists)[0], _conjecture_note),
 }
 
 

@@ -464,13 +464,15 @@ def reidemeister_dimension_check(
 
     The counts are the closure's upper bounds, and a knot-preserving move
     is expected to keep the Gelfand-Kirillov dimension, not every count:
-    R2 on ``dtw:2,2`` gives 4, 5, 5, ... against 5, 5, 5, ....
+    R2 on ``dtw:2,2`` gives 4, 5, 5, ... against 5, 5, 5, ....  Each
+    side's closure is bounded by its own diagram's Fox target
+    (``oracle.diagram_classes``), so it stops where its counts are final,
+    with the counts of the closure to the full horizon.
     """
-    from .oracle import enumerate_classes
-    from .presentation import presentation_from_diagram
+    from .oracle import diagram_classes
 
-    lp = enumerate_classes(presentation_from_diagram(left), max_len, pad=pad, budget=budget)
-    rp = enumerate_classes(presentation_from_diagram(right), max_len, pad=pad, budget=budget)
+    lp = diagram_classes(left, max_len, pad=pad, budget=budget)
+    rp = diagram_classes(right, max_len, pad=pad, budget=budget)
     left_cumulative = tuple(accumulate(lp.degree_counts, initial=1))
     right_cumulative = tuple(accumulate(rp.degree_counts, initial=1))
     rows = []

@@ -50,7 +50,9 @@ the map is a bijection there.  Images go up the levels like the classes:
 R(C, a) maps to the image of C followed by that of a, one step per node.
 Given those lower bounds, the closure stops at the first level where the
 counts are final, or where a certificate settles every higher degree (see
-`enumerate_classes`).
+`enumerate_classes`).  Any diagram gives such bounds without a stated
+target: its Fox coloring is a letter map onto an alternating-sum
+semigroup that respects every relation (`fox_bounds`).
 """
 
 from __future__ import annotations
@@ -62,7 +64,17 @@ from math import log2
 from operator import ge, lt
 
 from .altsum import AltSumSemigroup, conjecture_semigroup
-from .diagrams import FAMILIES, build_family, conway_with_traces, fox_coloring, parse_family_spec
+from .diagrams import (
+    FAMILIES,
+    MAX_MODULUS,
+    Diagram,
+    _fox_target,
+    build_family,
+    conway_with_traces,
+    fox_coloring,
+    fox_target,
+    parse_family_spec,
+)
 from .errors import (
     DEFAULT_WORD_BUDGET,
     DomainError,
@@ -235,9 +247,13 @@ def enumerate_classes(
     1..max_len in every cancellative semigroup the relations present, from
     a target T that the letters map onto and in which right multiplication
     by a letter's image is injective, so that |T_d| never falls as d
-    grows.  The closure then stops after the first settled top level h
-    below the horizon where, for n the largest degree up to min(h, max_len)
-    such that the counts of degrees 1..n all meet their bounds:
+    grows.  `verify_isomorphism` passes its target's element counts, or
+    their maximum with a floor, and `diagram_classes`, for `classes` and
+    both sides of `rmove`, the counts of the diagram's own Fox target
+    (`fox_bounds`).  The closure then stops after the first settled top
+    level h below the horizon where, for n the largest degree up to
+    min(h, max_len) such that the counts of degrees 1..n all meet their
+    bounds:
 
     * n = max_len: no count up to max_len can fall any further; or
     * c = min(n, h - 1) >= 1 and, for some letter z, the nodes of column z
@@ -517,12 +533,18 @@ def enumerate_classes(
         join_merged(d)
         seed(top)
 
+    met = 0  # the degrees 1..met meet their bounds
+
     def settled() -> bool:
         """Whether the levels built fix every count up to max_len, by the
-        stop rule in the docstring."""
-        n = 0
+        stop rule in the docstring.  A count never falls below its lower
+        bound, so one that meets it stays there, and n resumes from the
+        last call's."""
+        nonlocal met
+        n = met
         while n < min(top, max_len) and k * width[n + 1] - absorbed[n + 1] == bounds[n]:
             n += 1
+        met = n
         if n == max_len:
             return True
         c = min(n, top - 1)
@@ -595,6 +617,51 @@ def verify_homomorphism(pres: Presentation, phi, sg: AltSumSemigroup) -> bool:
     return True
 
 
+def fox_bounds(
+    diagram: Diagram, pres: Presentation, max_len: int, coloring=None
+) -> tuple[int, ...] | None:
+    """Lower bounds for the closure of pres, the diagram's presentation: the
+    element counts at degrees 1..max_len of the diagram's Fox target.
+
+    coloring, if given, is a Fox coloring of the diagram that labels every
+    arc (``diagrams.fox_coloring``).  Without one, the coloring starts from
+    the first crossing whose over arc is not one of its under arcs, with
+    that under arc at 0 and the over arc at 1, so that it does not hang on
+    the arc numbering.  The target is AS(Z_m, labels), strong for an even
+    m (``diagrams.fox_target``).  Its generators are the labels, so the
+    letters map onto them, and the map respects every relation; so the
+    counts bound the closure's from below (see `enumerate_classes`).  None,
+    and the closure runs without bounds, when no crossing qualifies (no
+    crossings, or torus2:1), when an arc stays unlabeled, or when m is
+    above MAX_MODULUS.
+    """
+    if coloring is None:
+        anchors = next(
+            ({c.under[0]: 0, c.over: 1} for c in diagram.crossings if c.over not in c.under),
+            None,
+        )
+        coloring = anchors and fox_coloring(diagram, anchors)
+    if coloring is None or (coloring[1] or 1) > MAX_MODULUS:
+        return None
+    sg, phi = fox_target(coloring)
+    if not verify_homomorphism(pres, phi, sg):
+        raise InternalConsistencyError("a Fox coloring breaks a relation of its own diagram")
+    return tuple(sg.count_elements(degree) for degree in range(1, max_len + 1))
+
+
+def diagram_classes(
+    diagram: Diagram, max_len: int, pad: int = 2, budget: int = DEFAULT_WORD_BUDGET
+) -> CongruencePartition:
+    """`enumerate_classes` on a diagram's presentation, bounded by its Fox
+    target (`fox_bounds`); the counts are those of the unbounded closure.
+    A window over the budget is refused before the diagram is colored."""
+    pres = presentation_from_diagram(diagram)
+    _checked_horizon(pres, max_len, pad, budget)
+    return enumerate_classes(
+        pres, max_len, pad=pad, budget=budget, bounds=fox_bounds(diagram, pres, max_len)
+    )
+
+
 class DegreeVerdict(
     namedtuple("DegreeVerdict", "degree class_count element_count aligned verdict")
 ):
@@ -651,6 +718,7 @@ def verify_isomorphism(
     budget: int = DEFAULT_WORD_BUDGET,
     description: str = "",
     warnings: tuple[str, ...] = (),
+    floor: tuple[int, ...] | None = None,
 ) -> VerificationReport:
     """Squeeze the presentation against the target semigroup degree by degree.
 
@@ -669,9 +737,21 @@ def verify_isomorphism(
     (a) the squeeze meets at degree n, so the cancellative semigroup S has
     m elements there; (b) S_{t+1} = S_t z for every t >= n, so its counts
     never rise; (c) right multiplication in the target is injective, so
-    its counts never fall.  Each degree above the levels built then
-    reports m classes, aligned and verified, as the closure to the full
-    horizon would; an element count other than m there is a bug.
+    its counts never fall.  Each degree above the levels built then has m
+    classes, as in the closure to the full horizon; a bound other than m
+    there is a bug.
+
+    floor, if given, holds lower bounds on the closure's counts from
+    another target, such as the Fox target of the presentation's diagram
+    (`fox_bounds`).  The closure's bounds are its per-degree maximum with
+    the element counts under a homomorphism onto the generators, and the
+    floor alone with no letter map or one that breaks a relation; a
+    homomorphism that misses a generator takes none, since only the image
+    check can tell whether its classes align.  Above the levels built, a
+    degree is aligned, and verified, when the map is a homomorphism onto
+    the generators and the element count is m, as the image check would
+    find: such a map sends the m classes onto the elements, a bijection
+    when there are m of them and a collision when fewer.
 
     The image check runs once per closure node, not once per word, on the
     levels built.  A word w'a lies in the node R(C, a) for the class C of
@@ -702,9 +782,11 @@ def verify_isomorphism(
             "are not lower bounds and degrees stay unresolved",
         )
     elements = tuple(sg.count_elements(degree) for degree in range(1, max_len + 1))
-    partition = enumerate_classes(
-        pres, max_len, pad=pad, budget=budget, bounds=elements if onto else None
-    )
+    if onto:
+        bounds = elements if floor is None else tuple(map(max, floor, elements))
+    else:
+        bounds = None if hom else floor
+    partition = enumerate_classes(pres, max_len, pad=pad, budget=budget, bounds=bounds)
 
     verdicts = []
     find, base, births = partition._uf.find, partition._base, partition._births
@@ -713,18 +795,14 @@ def verify_isomorphism(
         class_count = partition.degree_counts[degree - 1]
         element_count = elements[degree - 1]
         if degree > partition.levels:
-            if element_count != class_count:
+            if class_count != bounds[degree - 1]:
                 raise InternalConsistencyError(
                     f"degree {degree}: the certificate gives {class_count} classes "
-                    f"above level {partition.levels} but the target has "
-                    f"{element_count} elements; its counts must not change there"
+                    f"above level {partition.levels} but the lower bound there is "
+                    f"{bounds[degree - 1]}; the bounds must not change there"
                 )
-            verdicts.append(
-                DegreeVerdict(degree, class_count, element_count, True, "verified")
-            )
-            continue
-        aligned = False
-        if hom:
+            aligned = onto and class_count == element_count
+        elif hom:
             if degree > 1:
                 lo = base[degree - 1]
                 states = [states[c - lo] for c in births[degree]]
@@ -740,21 +818,18 @@ def verify_isomorphism(
                         "respecting the relations; the closure merged a pair it "
                         "should not have"
                     )
-            collision = len(set().union(*targets.values())) < len(targets)
             if onto and class_count < element_count:
                 raise InternalConsistencyError(
                     f"degree {degree}: {class_count} classes but {element_count} "
                     "elements; the closure undercounts a quotient it must refine"
                 )
-            aligned = not collision
-        if hom and onto and aligned and class_count == element_count:
-            verdicts.append(
-                DegreeVerdict(degree, class_count, element_count, True, "verified")
-            )
+            aligned = len(set().union(*targets.values())) == len(targets)
         else:
-            verdicts.append(
-                DegreeVerdict(degree, class_count, element_count, aligned, "unresolved")
-            )
+            aligned = False
+        verified = onto and aligned and class_count == element_count
+        verdicts.append(DegreeVerdict(
+            degree, class_count, element_count, aligned, "verified" if verified else "unresolved"
+        ))
 
     return VerificationReport(
         description=description,
@@ -781,12 +856,13 @@ def verify_family(
 ) -> VerificationReport:
     """Check a family's stated isomorphism, e.g. ``verify_family("dtw:2,2", 3)``.
 
-    The target semigroup, letter map and notes come from the family's row
-    of ``diagrams.FAMILIES``; the description defaults to the spec.
+    The target semigroup and letter map are the diagram's Fox target
+    (``diagrams.FAMILIES``), and the notes come from the family's row; the
+    description defaults to the spec.
     """
     family = parse_family_spec(spec)
     diagram = build_family(family)
-    sg, phi, notes = FAMILIES[family.kind].target(*family.params)
+    sg, phi = _fox_target(diagram)
     return verify_isomorphism(
         presentation_from_diagram(diagram),
         phi,
@@ -795,7 +871,7 @@ def verify_family(
         pad=pad,
         budget=budget,
         description=spec if description is None else description,
-        warnings=notes,
+        warnings=FAMILIES[family.kind].notes(*family.params),
     )
 
 
@@ -819,12 +895,18 @@ def conjecture_probe(
     natural anchors (0, 1) on the last twist region; they hold mod the
     conjectured modulus exactly when it divides the coloring's.  When they
     leave an arc unlabeled, fail mod the modulus, or are not all
-    generators, the report has no letter map.
+    generators, the report has no letter map.  The diagram's own Fox
+    target, from that coloring when it labels every arc, bounds the
+    closure from below (`fox_bounds`) as a floor, once the budget has been
+    checked.  A letter map that misses a generator gets none: its labels
+    respect every relation, and `verify_isomorphism` drops the floor of
+    such a homomorphism.
     """
     diagram, traces = conway_with_traces((m, l, n))
     sg = conjecture_semigroup(m, l, n)
     modulus = sg.group.modulus
     pres = presentation_from_diagram(diagram)
+    _checked_horizon(pres, max_len, pad, budget)
 
     warnings = []
     if modulus % 2 == 0:
@@ -833,7 +915,7 @@ def conjecture_probe(
         )
 
     first, second = traces[-1][:2]
-    phi = None
+    phi = coloring = None
     if first != second:
         anchors = {first: 0, second: 1}
         coloring = fox_coloring(diagram, anchors)
@@ -846,6 +928,9 @@ def conjecture_probe(
             "no arc labeling satisfies the crossing constraints with values in "
             "the generator set"
         )
+    floor = None
+    if phi is None or set(phi) == set(sg.generators):
+        floor = fox_bounds(diagram, pres, max_len, coloring)
     return verify_isomorphism(
         pres,
         phi,
@@ -855,4 +940,5 @@ def conjecture_probe(
         budget=budget,
         description=f"cmln:{m},{l},{n}",
         warnings=tuple(warnings),
+        floor=floor,
     )

@@ -25,7 +25,13 @@ from knotgrowth.cli import (
     build_parser,
     main,
 )
-from knotgrowth.diagrams import build_torus2, diagram_to_dict
+from knotgrowth.diagrams import (
+    build_family,
+    build_torus2,
+    diagram_from_dict,
+    diagram_to_dict,
+    parse_family_spec,
+)
 from knotgrowth.errors import InternalConsistencyError
 from knotgrowth.growth import (
     GrowthSeries,
@@ -34,6 +40,8 @@ from knotgrowth.growth import (
     growth_for_family,
     skew_growth,
 )
+from knotgrowth.oracle import enumerate_classes
+from knotgrowth.presentation import presentation_from_diagram
 
 
 def run(capsys, *argv):
@@ -909,6 +917,41 @@ def test_terms_above_the_bound_exit_two(capsys, command):
     assert err == f"error: --terms must be at most {MAX_TERMS}, got {MAX_TERMS + 1}\n"
 
 
+@pytest.mark.parametrize("source, max_len, pad", [
+    ({"arcs": 3, "crossings": []}, 4, 2),
+    ("trivial", 4, 2),
+    # conway:1,...,1 with 35 regions: its Fox modulus 14 930 352 is above MAX_MODULUS
+    ("conway:" + ",".join(["1"] * 35), 1, 1),
+], ids=["free3", "trivial", "modulus-over-bound"])
+def test_classes_without_fox_bounds_keep_their_output(capsys, tmp_path, source, max_len, pad):
+    """Where the diagram gives no Fox bounds the closure runs unbounded:
+    the counts, and the exit code, are the plain closure's."""
+    if isinstance(source, dict):
+        path = tmp_path / "free3.json"
+        path.write_text(json.dumps(source))
+        where, diagram = ["--pd", str(path)], diagram_from_dict(source)
+    else:
+        where, diagram = ["--family", source], build_family(parse_family_spec(source))
+    counts = enumerate_classes(presentation_from_diagram(diagram), max_len, pad=pad).degree_counts
+    code, out, err = run(capsys, "classes", *where, "--max-len", str(max_len), "--pad", str(pad))
+    assert (code, err) == (0, "")
+    assert out == "degree,count\n" + "".join(f"{d},{c}\n" for d, c in enumerate(counts, 1))
+
+
+def test_probe_floor_keeps_an_unmapped_degree_unresolved(capsys):
+    """probe 3,1,1 has no letter map.  Its diagram's own Fox target stops
+    the closure below degree 4, where classes and elements are both 7;
+    degree 4 stays unaligned and unresolved, as on the levels built."""
+    argv = ("probe", "--conjecture", "cmln", "--params", "3,1,1", "--max-len", "4")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    top = json.loads(out)["degrees"][-1]
+    assert top == {"degree": 4, "classes": 7, "elements": 7, "aligned": False,
+                   "verdict": "unresolved"}
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert out.splitlines()[-1] == "result: UNRESOLVED (0/4 degrees)"
+
+
 # -- rmove -----------------------------------------------------------------------
 
 
@@ -1257,6 +1300,10 @@ WELL_FORMED = [
     f"classes --pd {PD} --max-len 16",
     "probe --conjecture cmln --params 2,1,2 --max-len 6",
     f"rmove --pd {PD} --move r1 --site arc=0,end=0 --max-len 5",
+    "classes --family torus2:7 --max-len 5",
+    "rmove --family torus2:5 --move r1 --site arc=0,end=0 --max-len 5",
+    f"classes --pd {PD} --max-len 5",
+    "probe --conjecture cmln --params 3,1,1 --max-len 4",
     "growth --family torus2:40 --terms 120",
     "skew --family torus2:7 --terms 2000",
     "skew --family torus2:12 --terms 150",

@@ -9,6 +9,7 @@ propagating a worklist through class nodes.
 """
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -18,12 +19,19 @@ from hypothesis import strategies as st
 from knotgrowth import oracle
 from knotgrowth.altsum import AltSumSemigroup, Zmod, conjecture_semigroup, dtw_alphabet
 from knotgrowth.diagrams import (
+    FAMILIES,
+    MAX_MODULUS,
+    Diagram,
+    ReidemeisterMove,
+    apply_reidemeister,
     build_double_twist,
     build_family,
     build_torus2,
     build_trivial,
     conway_with_traces,
+    crossing,
     double_twist_arc_values,
+    fox_coloring,
     parse_family_spec,
 )
 from knotgrowth.errors import (
@@ -32,9 +40,12 @@ from knotgrowth.errors import (
     ParameterError,
     ResourceBudgetError,
 )
+from knotgrowth.growth import reidemeister_dimension_check
 from knotgrowth.oracle import (
     conjecture_probe,
+    diagram_classes,
     enumerate_classes,
+    fox_bounds,
     verify_family,
     verify_homomorphism,
     verify_isomorphism,
@@ -821,3 +832,206 @@ def test_probe_agrees_with_direct_dtw_check():
     # cmln(1, 1, n) closes the same knot as dtw(n+1, 1)-style small cases;
     # at least the (1,1,2) probe target semigroup matches dtw(2,2)'s
     assert conjecture_probe(1, 1, 2).semigroup == repr(dtw_alphabet(2, 2).semigroup())
+
+
+# -- bounding a diagram's closure by its own Fox target --------------------------
+
+
+def relabelled(diagram, perm):
+    """The diagram with arc i renamed perm[i]."""
+    return Diagram(diagram.arc_count, tuple(
+        crossing(perm[c.over], perm[c.under[0]], perm[c.under[1]]) for c in diagram.crossings
+    ))
+
+
+SMALL_FAMILIES = ("hopf", "torus2:1", "torus2:3", "torus2:4", "twist:1", "dtw:1,1", "dtw:2,1")
+
+
+@st.composite
+def small_diagrams(draw):
+    """A random diagram on one to three arcs, or a family diagram with its
+    arcs relabelled."""
+    if draw(st.booleans()):
+        arcs = draw(st.integers(1, 3))
+        arc = st.integers(0, arcs - 1)
+        count = draw(st.integers(0, 4))
+        return Diagram(arcs, tuple(
+            crossing(draw(arc), draw(arc), draw(arc)) for _ in range(count)
+        ))
+    diagram = build_family(parse_family_spec(draw(st.sampled_from(SMALL_FAMILIES))))
+    return relabelled(diagram, draw(st.permutations(range(diagram.arc_count))))
+
+
+@given(small_diagrams(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_fox_bounded_counts_match_the_unbounded_closure_and_the_reference(diagram, arc):
+    """classes and both sides of an R1 move, each closure bounded by its
+    own diagram's Fox target, count what the closure to the full horizon
+    and the word-by-word reference count at pad 2."""
+    moved = apply_reidemeister(
+        diagram, ReidemeisterMove("r1", arc=arc % diagram.arc_count)
+    )
+    max_len = 2 if moved.arc_count ** 4 <= 256 else 1
+    report = reidemeister_dimension_check(diagram, moved, max_len)
+    sides = (
+        (diagram, tuple(d.left_count for d in report.degrees)),
+        (moved, tuple(d.right_count for d in report.degrees)),
+    )
+    for side, counts in sides:
+        pres = presentation_from_diagram(side)
+        reference = reference_partition(pres, max_len + 2)
+        assert tuple(len(c) for c in reference[:max_len]) == counts
+        assert enumerate_classes(pres, max_len).degree_counts == counts
+        assert diagram_classes(side, max_len).degree_counts == counts
+
+
+FOX_SPECS = (
+    ["trivial", "hopf"]
+    + [f"torus2:{n}" for n in range(1, 12)]
+    + [f"twist:{n}" for n in range(1, 7)]
+    + [f"dtw:{a},{b}" for a, b in itertools.product(range(1, 6), repeat=2)]
+    + [f"conway:{a},{b},{c}" for a, b, c in itertools.product(range(1, 4), repeat=3)]
+)
+
+
+@pytest.mark.parametrize("spec", FOX_SPECS)
+def test_fox_bounds_do_not_hang_on_the_arc_numbering(spec):
+    """Colored from the first crossing whose over arc is not an under arc,
+    under any of three relabellings, the bounds are the family target's
+    counts, or None for a diagram that has no such crossing."""
+    family = parse_family_spec(spec)
+    diagram = build_family(family)
+    sg = FAMILIES[family.kind].target(*family.params)[0]
+    counts = tuple(sg.count_elements(t) for t in range(1, 5))
+    qualifies = any(c.over not in c.under for c in diagram.crossings)
+    rng = random.Random(spec)
+    for _ in range(3):
+        perm = list(range(diagram.arc_count))
+        rng.shuffle(perm)
+        side = relabelled(diagram, perm)
+        bounds = fox_bounds(side, presentation_from_diagram(side), 4)
+        assert bounds == (counts if qualifies else None)
+
+
+@pytest.mark.parametrize("spec, max_len, levels", [
+    ("torus2:7", 5, 3),  # the certificate at level 3; 7 levels unbounded
+    ("torus2:5", 5, 3),
+    ("hopf", 16, 16),  # a link: its counts meet their bounds at max_len
+])
+def test_fox_bounds_stop_the_classes_closure(spec, max_len, levels):
+    diagram = build_family(parse_family_spec(spec))
+    partition = diagram_classes(diagram, max_len)
+    assert partition.levels == levels
+    full = enumerate_classes(presentation_from_diagram(diagram), max_len)
+    assert full.levels == max_len + 2
+    assert partition.degree_counts == full.degree_counts
+
+
+def closure_levels(monkeypatch):
+    """The levels each closure builds from here on, in call order."""
+    levels = []
+    enumerate_real = oracle.enumerate_classes
+
+    def spy(*args, **kwargs):
+        partition = enumerate_real(*args, **kwargs)
+        levels.append(partition.levels)
+        return partition
+
+    monkeypatch.setattr(oracle, "enumerate_classes", spy)
+    return levels
+
+
+def test_fox_bounds_stop_both_sides_of_a_move(monkeypatch):
+    """R1 on torus2:5: both closures stop on the certificate at level 3."""
+    levels = closure_levels(monkeypatch)
+    torus = build_torus2(5)
+    report = reidemeister_dimension_check(
+        torus, apply_reidemeister(torus, ReidemeisterMove("r1", arc=0)), 5
+    )
+    assert report.all_equal
+    assert levels == [3, 3]
+
+
+def test_the_probe_floor_stops_a_link_closure_at_max_len(monkeypatch):
+    """conway:2,1,2 is a link with no letter map into its conjectured
+    target: its own Fox target's counts, as a floor, stop the closure at
+    max_len instead of max_len + 2."""
+    levels = closure_levels(monkeypatch)
+    report = conjecture_probe(2, 1, 2, max_len=6)
+    assert report.phi is None
+    assert levels == [6]
+
+
+@pytest.mark.parametrize("params", [(1, 1, 2), (2, 1, 2)])
+def test_the_probe_colors_its_diagram_once(monkeypatch, params):
+    """With a letter map (1,1,2) or without one (2,1,2), the probe's own
+    coloring labels every arc, and its floor comes from that coloring."""
+    calls = []
+    color_real = oracle.fox_coloring
+    monkeypatch.setattr(oracle, "fox_coloring", lambda *args: calls.append(1) or color_real(*args))
+    conjecture_probe(*params, max_len=4)
+    assert len(calls) == 1
+
+
+def test_a_floor_without_a_letter_map_verifies_nothing():
+    """probe 3,1,1 has no letter map; its floor stops the closure below
+    degree 4, whose class count meets the element count there, yet with no
+    letter map the degree is neither aligned nor verified."""
+    report = conjecture_probe(3, 1, 1, max_len=4)
+    assert report.phi is None and not report.homomorphism
+    top = report.degrees[-1]
+    assert top.class_count == top.element_count
+    assert (top.aligned, top.verdict) == (False, "unresolved")
+    assert [d.verdict for d in report.degrees] == ["unresolved"] * 4
+
+
+def test_a_homomorphism_that_misses_a_generator_takes_no_floor(monkeypatch):
+    """Above the levels built only the image check could align its classes,
+    so its closure is built in full."""
+    levels = closure_levels(monkeypatch)
+    diagram = build_torus2(3)
+    pres = presentation_from_diagram(diagram)
+    floor = fox_bounds(diagram, pres, 5)
+    report = verify_isomorphism(pres, (0,) * 3, AltSumSemigroup(Zmod(3), (0, 1, 2)), 5,
+                                floor=floor)
+    assert report.homomorphism
+    assert levels == [7]
+
+
+def unbounded_modulus_diagram():
+    """conway:1,...,1 with 35 regions: 35 arcs, and its Fox modulus is the
+    Fibonacci number 14 930 352, above MAX_MODULUS."""
+    return conway_with_traces((1,) * 35)[0]
+
+
+@pytest.mark.parametrize("diagram, max_len, pad", [
+    (Diagram(3, ()), 3, 2),
+    (build_trivial(), 3, 2),
+    (build_torus2(1), 3, 2),  # its one crossing is a kink
+    (Diagram(3, (crossing(1, 0, 0),)), 3, 2),  # arc 2 meets no crossing
+    (unbounded_modulus_diagram(), 1, 1),
+], ids=["free3", "trivial", "torus2:1", "unlabeled-arc", "modulus-over-bound"])
+def test_fox_bounds_fall_back_to_no_bounds(diagram, max_len, pad):
+    pres = presentation_from_diagram(diagram)
+    assert fox_bounds(diagram, pres, max_len) is None
+    bounded = diagram_classes(diagram, max_len, pad=pad)
+    assert bounded.degree_counts == enumerate_classes(pres, max_len, pad=pad).degree_counts
+
+
+def test_the_fallback_modulus_is_above_the_bound():
+    diagram = unbounded_modulus_diagram()
+    c = diagram.crossings[0]
+    assert c.over not in c.under
+    assert fox_coloring(diagram, {c.under[0]: 0, c.over: 1})[1] > MAX_MODULUS
+
+
+def test_the_budget_is_checked_before_the_diagram_is_colored(monkeypatch):
+    """An over-budget window exits 3 first and at once, before any coloring."""
+    def fail(*args):
+        raise AssertionError("the diagram was colored before the budget check")
+
+    monkeypatch.setattr(oracle, "fox_coloring", fail)
+    with pytest.raises(ResourceBudgetError):
+        diagram_classes(build_torus2(7), 6)
+    with pytest.raises(ResourceBudgetError):
+        conjecture_probe(2, 1, 2, max_len=9)

@@ -93,7 +93,7 @@ KEYWORDS = [
     (DtwAlphabet, {"n": 2, "l": 4}),
     (Crossing, {"over": 0, "under": (1, 2)}),
     (Diagram, {"arc_count": 2, "crossings": (Crossing(0, (1, 1)),), "arc_names": ("p", "q")}),
-    (Family, {"arity": 1, "build": build_trivial, "target": None}),
+    (Family, {"arity": 1, "build": build_trivial, "notes": None}),
     (FamilySpec, {"kind": "torus2", "params": (3,)}),
     (ReidemeisterMove, {"kind": "r2", "direction": "insert", "arc": 0, "end": 1,
                         "over_arc": 2, "crossings": ()}),
