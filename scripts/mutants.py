@@ -70,6 +70,16 @@ MUTANTS = [
         CLOSURE_TESTS,
     ),
     (
+        "a sweep is skipped when its level is one class above its bound",
+        ORACLE,
+        "                or k * width[e - 1] - absorbed[e - 1] != bounds[e - 2]\n",
+        "                or k * width[e - 1] - absorbed[e - 1] - 1 != bounds[e - 2]\n",
+        (
+            "tests/test_oracle.py::test_certified_reports_match_the_full_closure[torus2:6]",
+            "tests/test_oracle.py::test_fox_bounds_stop_both_sides_of_a_move",
+        ),
+    ),
+    (
         "the probe labels arcs from the anchors (0, 0): the constant map",
         ORACLE,
         "        anchors = {first: 0, second: 1}\n",
@@ -170,6 +180,13 @@ MUTANTS = [
         ("tests/test_oracle.py::test_a_floor_without_a_letter_map_verifies_nothing",),
     ),
     (
+        "the image check keeps a class's first state and compares no other",
+        ORACLE,
+        "                if image.setdefault(find(n), s) != s:\n",
+        "                if image.setdefault(find(n), s) is None:\n",
+        ("tests/test_oracle.py::test_image_check_catches_over_merge",),
+    ),
+    (
         "the coloring modulus is read from the last crossing, not the gcd of all",
         DIAGRAMS,
         "    return labels, gcd(*residuals)\n",
@@ -254,6 +271,13 @@ MUTANTS = [
         "            step = b if degree % 2 else -b\n",
         "            step = -b if degree % 2 else b\n",
         ("tests/test_altsum.py::test_extend_states_appends_letters",),
+    ),
+    (
+        "the homomorphism check ignores the even count of a strong target",
+        ALTSUM,
+        "            if self.strong:\n                state += width",
+        "            if False:\n                state += width",
+        ("tests/test_oracle.py::test_homomorphism_check_reads_the_even_count",),
     ),
     (
         "the strong levels lift every letter a row, odd letters too",

@@ -207,8 +207,10 @@ class AltSumSemigroup:
 
     This is the target the squeeze in ``oracle`` checks a presentation
     against, and it reads a target only through ``generators``, the letters
-    a letter map may use; ``class_of``, the state of a word, for the
-    homomorphism check; ``extend_states``, one letter appended to many
+    a letter map may use; ``states_of``, the states of the relations'
+    sides of one length, one fold over the letter images each and one read
+    of that level, for the homomorphism check (``class_of`` reads a word
+    the same way); ``extend_states``, one letter appended to many
     states, for the image check; ``count_elements``, the lower bound at a
     degree; and ``repr``, which names the target in reports.  The closure's
     certificate also needs right multiplication by a letter's image to be
@@ -253,26 +255,32 @@ class AltSumSemigroup:
     def class_of(self, word: Word) -> int:
         """The state of the element a word over the generators represents.
 
-        Letters may be given unreduced.  The state is read at degree
-        len(word) and must be set in that level.
+        Letters may be given unreduced; reduced, they go through
+        ``states_of``.
         """
         if len(word) == 0:
             raise DomainError("alternating sum of the empty word is undefined")
         m, members = self.group.modulus, self._members
-        all_even = m % 2
-        total = evens = 0
-        sign = 1
-        for letter in word:
-            b = letter % m
+        reduced = [letter % m for letter in word]
+        for letter, b in zip(word, reduced):
             if b not in members:
                 raise DomainError(f"letter {letter} is not a generator of {self}")
-            total += sign * b
-            sign = -sign
-            if all_even or not b % 2:
-                evens += 1
-        state = total % m + (self._levels.width * evens if self.strong else 0)
-        self._check_realized((state,), len(word))
-        return state
+        return self.states_of((reduced,), len(word))[0]
+
+    def states_of(self, words, degree: int) -> list[int]:
+        """The states of words of length degree over ``generators``, one
+        fold each: b1 - b2 + b3 - ... mod m, plus 2m per even letter in the
+        strong variant.  Every state must be set in the level of that
+        degree, which is read once."""
+        m, width = self.group.modulus, self._levels.width
+        states = []
+        for w in words:
+            state = (sum(w[::2]) - sum(w[1::2])) % m
+            if self.strong:
+                state += width * (degree if m % 2 else degree - sum(b & 1 for b in w))
+            states.append(state)
+        self._check_realized(set(states), degree)
+        return states
 
     def extend_states(self, parents: list[int], letters: Word, degree: int) -> list[int]:
         """The states of the words w b at a degree, letter-major: for each

@@ -50,8 +50,10 @@ the map is a bijection there.  Images go up the levels like the classes:
 R(C, a) maps to the image of C followed by that of a, one step per node.
 Given those lower bounds, the closure stops at the first level where the
 counts are final, or where a certificate settles every higher degree (see
-`enumerate_classes`).  Any diagram gives such bounds without a stated
-target: its Fox coloring is a letter map onto an alternating-sum
+`enumerate_classes`), and skips every cancellation sweep that cannot
+merge: each merge a sweep off level e makes lands on level e-1, whose
+count cannot fall below its bound.  Any diagram gives such bounds without
+a stated target: its Fox coloring is a letter map onto an alternating-sum
 semigroup that respects every relation (`fox_bounds`).
 """
 
@@ -264,6 +266,14 @@ def enumerate_classes(
       degree above c has exactly m classes, also in the closure to the
       full horizon, and the degrees above h are counted as m.
 
+    The bounds also skip sweeps.  Every union of sweep(e) acts on level
+    e-1, whose count k * width[e-1] - absorbed[e-1] is at least the count
+    at degree e-1 in the cancellative semigroup (every merge is forced
+    there), and so at least its bound |T_{e-1}|.  At the bound no union can
+    merge, so settle skips sweep(e) there, for e - 1 <= max_len.  The last
+    bound holds above max_len too, but skipped no further sweep on any
+    closure measured.
+
     With or without bounds, the closure also stops at the first settled top
     level t >= max(max_len, longest relation) where no node merged
     (absorbed[t] == 0).  A merge at level t+1 has three sources, each empty:
@@ -396,9 +406,13 @@ def enumerate_classes(
     def settle() -> None:
         drain()
         while dirty:
-            level = dirty.pop()
-            if level > 1:
-                sweep(level)
+            e = dirty.pop()
+            # at its bound, level e-1 takes none of sweep(e)'s unions (see the docstring)
+            if e > 1 and (
+                bounds is None or e > max_len + 1
+                or k * width[e - 1] - absorbed[e - 1] != bounds[e - 2]
+            ):
+                sweep(e)
                 drain()
 
     def left_rows(d: int) -> list[list[int]]:
@@ -597,7 +611,9 @@ def verify_homomorphism(pres: Presentation, phi, sg: AltSumSemigroup) -> bool:
     phi assigns each letter a generator of the target semigroup; the map
     extends to words letterwise and must send both sides of each relation
     to the same element.  Both sides have the same length, so that is the
-    same state.
+    same state: each side's is one fold over the images of its letters, and
+    the states of one relation length are checked against that level once
+    (``AltSumSemigroup.states_of``).
     """
     phi = tuple(phi)
     if len(phi) != pres.alphabet_size:
@@ -609,10 +625,12 @@ def verify_homomorphism(pres: Presentation, phi, sg: AltSumSemigroup) -> bool:
     for image in phi:
         if image not in generators:
             raise ParameterError(f"letter image {image} is not a generator of {sg}")
+    sides: dict[int, list[list[int]]] = {}  # relation length: lhs, rhs, ...
     for lhs, rhs in pres.relations:
-        left = sg.class_of(tuple(phi[x] for x in lhs))
-        right = sg.class_of(tuple(phi[x] for x in rhs))
-        if left != right:
+        sides.setdefault(len(lhs), []).extend([[phi[x] for x in w] for w in (lhs, rhs)])
+    for length, words in sides.items():
+        states = sg.states_of(words, length)
+        if states[::2] != states[1::2]:
             return False
     return True
 
@@ -709,6 +727,23 @@ class VerificationReport(
         }
 
 
+def _split_class(
+    partition: CongruencePartition, states: list[int], degree: int
+) -> InternalConsistencyError:
+    """The error for a closure class whose nodes have distinct states at a
+    degree, naming the smallest such root and its number of states."""
+    find, lo = partition._uf.find, partition._base[degree]
+    images: dict = {}
+    for n, s in enumerate(states, lo):
+        images.setdefault(find(n), set()).add(s)
+    root = min(root for root, found in images.items() if len(found) > 1)
+    return InternalConsistencyError(
+        f"closure class {partition._birth_word(root, degree)}... maps to "
+        f"{len(images[root])} distinct elements despite the letter map "
+        "respecting the relations; the closure merged a pair it should not have"
+    )
+
+
 def verify_isomorphism(
     pres: Presentation,
     phi,
@@ -760,7 +795,9 @@ def verify_isomorphism(
     degree, a class sends all its words to one element if it sends its
     nodes' birth words to one.  No birth word is built: the image of
     R(C, a) is one step on from that of C, kept as a packed state from the
-    degree below.
+    degree below.  One table per degree maps each class root to its first
+    node's state, and any other state in the class fails the check; the
+    degree is aligned when the table's states are distinct.
 
     With phi None there is no letter map: the homomorphism check is
     skipped and every degree stays unresolved.  The closure's budget is
@@ -807,23 +844,16 @@ def verify_isomorphism(
                 lo = base[degree - 1]
                 states = [states[c - lo] for c in births[degree]]
             states = sg.extend_states(states, phi, degree)
-            targets: dict = {}
-            for n, state in enumerate(states, base[degree]):
-                targets.setdefault(find(n), set()).add(state)
-            for root, images in sorted(targets.items()):
-                if len(images) != 1:
-                    raise InternalConsistencyError(
-                        f"closure class {partition._birth_word(root, degree)}... maps to "
-                        f"{len(images)} distinct elements despite the letter map "
-                        "respecting the relations; the closure merged a pair it "
-                        "should not have"
-                    )
+            image: dict = {}
+            for n, s in enumerate(states, base[degree]):
+                if image.setdefault(find(n), s) != s:
+                    raise _split_class(partition, states, degree)
             if onto and class_count < element_count:
                 raise InternalConsistencyError(
                     f"degree {degree}: {class_count} classes but {element_count} "
                     "elements; the closure undercounts a quotient it must refine"
                 )
-            aligned = len(set().union(*targets.values())) == len(targets)
+            aligned = len(set(image.values())) == len(image)
         else:
             aligned = False
         verified = onto and aligned and class_count == element_count

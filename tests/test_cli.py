@@ -1294,6 +1294,8 @@ WELL_FORMED = [
     "growth --counts 1,2,3,4,5",
     "skew --counts 4,5,5,5 --format json",
     "gkdim --counts 1,2,4,8,16",
+    "verify --theorem dtw --params 2,2 --max-len 7",
+    "classes --family hopf --max-len 16",
     "classes --family torus2:4 --max-len 4",
     f"gkdim --counts {PD}",
     f"classes --pd {PD} --max-len 10",

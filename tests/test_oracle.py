@@ -13,7 +13,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotgrowth import oracle
@@ -32,6 +32,7 @@ from knotgrowth.diagrams import (
     crossing,
     double_twist_arc_values,
     fox_coloring,
+    fox_target,
     parse_family_spec,
 )
 from knotgrowth.errors import (
@@ -394,6 +395,59 @@ def test_verify_homomorphism():
         verify_homomorphism(pres, (0, 1), sg)
     with pytest.raises(ParameterError):
         verify_homomorphism(pres, (0, 1, 7), sg)
+
+
+def test_homomorphism_check_reads_the_even_count(monkeypatch):
+    """In Z_4 the words 1 1 and 0 0 both have alternating sum 0, with no
+    even letter and with two: a relation between them holds in AS(Z_4)
+    and not in SAS(Z_4).  The states of a relation length are checked
+    against that level."""
+    pres = Presentation(2, (((0, 0), (1, 1)),))
+    sas = AltSumSemigroup(Zmod(4), (0, 1, 2, 3), strong=True)
+    assert verify_homomorphism(pres, (1, 0), AltSumSemigroup(Zmod(4), (0, 1, 2, 3)))
+    assert not verify_homomorphism(pres, (1, 0), sas)
+    assert verify_homomorphism(pres, (1, 3), sas)
+    monkeypatch.setattr(sas._levels, "level", lambda t: 0)  # no state realized
+    with pytest.raises(InternalConsistencyError, match="length 2 .* has state 0"):
+        verify_homomorphism(pres, (1, 3), sas)
+
+
+@st.composite
+def letter_maps_and_relations(draw):
+    """A letter map into AS or SAS over Z_m, and relations whose right side
+    has any image, the left side's alternating sum, or its state (the sum
+    and, in SAS, the even count)."""
+    m = draw(st.integers(1, 8))
+    strong = draw(st.booleans())
+    generators = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    k = draw(st.integers(1, 4))
+    phi = tuple(draw(st.lists(st.sampled_from(generators), min_size=k, max_size=k)))
+    relations = []
+    for length in draw(st.lists(st.integers(1, 4), max_size=4)):
+        lhs = tuple(draw(st.lists(st.integers(0, k - 1), min_size=length, max_size=length)))
+        keep = draw(st.sampled_from([lambda image: (), lambda image: image[0], tuple]))
+        target = keep(image_of(phi, m, True, lhs))
+        relations.append((lhs, draw(st.sampled_from([
+            w for w in itertools.product(range(k), repeat=length)
+            if keep(image_of(phi, m, True, w)) == target
+        ]))))
+    return Presentation(k, tuple(relations)), phi, AltSumSemigroup(Zmod(m), generators, strong)
+
+
+@given(letter_maps_and_relations())
+@example((
+    Presentation(2, (((0, 0), (1, 1)),)),
+    (1, 0),
+    AltSumSemigroup(Zmod(4), (0, 1, 2, 3), strong=True),
+))
+@settings(max_examples=100, deadline=None)
+def test_homomorphism_check_matches_class_of_per_side(case):
+    pres, phi, sg = case
+    of = sg.class_of
+    assert verify_homomorphism(pres, phi, sg) == all(
+        of(tuple(phi[x] for x in lhs)) == of(tuple(phi[x] for x in rhs))
+        for lhs, rhs in pres.relations
+    )
 
 
 def test_verify_torus_knot_and_link():
@@ -883,6 +937,45 @@ def test_fox_bounded_counts_match_the_unbounded_closure_and_the_reference(diagra
         assert tuple(len(c) for c in reference[:max_len]) == counts
         assert enumerate_classes(pres, max_len).degree_counts == counts
         assert diagram_classes(side, max_len).degree_counts == counts
+
+
+def assert_bounded_classes_are_the_full_ones(run):
+    """Each closure run() makes, against the same window closed without
+    bounds: its counts, and every class of every degree up to the levels
+    it built."""
+    closures, enumerate_real = [], oracle.enumerate_classes
+
+    def spy(*args, **kwargs):
+        closures.append((args, kwargs, enumerate_real(*args, **kwargs)))
+        return closures[-1][2]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "enumerate_classes", spy)
+        run()
+    for args, kwargs, bounded in closures:
+        full = enumerate_real(*args, **dict(kwargs, bounds=None))
+        assert bounded.degree_counts == full.degree_counts
+        for degree in range(1, bounded.levels + 1):
+            assert bounded.classes_at_degree(degree) == full.classes_at_degree(degree), degree
+
+
+@given(small_diagrams(), st.tuples(*[st.integers(1, 2)] * 3), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_bounded_closures_keep_every_class(diagram, params, max_len):
+    """verify onto the diagram's Fox target, with its element counts as
+    bounds; classes, with `fox_bounds`; and the probe, with its floor."""
+    pres = presentation_from_diagram(diagram)
+    assert_bounded_classes_are_the_full_ones(lambda: diagram_classes(diagram, max_len))
+    anchors = next(
+        ({c.under[0]: 0, c.over: 1} for c in diagram.crossings if c.over not in c.under), None
+    )
+    coloring = anchors and fox_coloring(diagram, anchors)
+    if coloring:
+        sg, phi = fox_target(coloring)
+        assert_bounded_classes_are_the_full_ones(
+            lambda: verify_isomorphism(pres, phi, sg, max_len)
+        )
+    assert_bounded_classes_are_the_full_ones(lambda: conjecture_probe(*params, max_len=max_len))
 
 
 FOX_SPECS = (
