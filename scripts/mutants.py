@@ -144,23 +144,37 @@ MUTANTS = [
     (
         "a merge-free top level stops the closure below the longest relation",
         ORACLE,
-        "    floor = max([max_len, *(len(lhs) for lhs, _ in pres.relations)])\n",
-        "    floor = max_len\n",
+        "    floor = max((len(lhs) for lhs, _ in pres.relations), default=1)\n",
+        "    floor = 1\n",
         ("tests/test_oracle.py::test_relation_longer_than_max_len_keeps_the_pad",),
     ),
     (
-        "the closure stops at max_len whatever its top level merged",
+        "the closure stops past the longest relation whatever its top level merged",
         ORACLE,
-        "        and (top < floor or absorbed[top])\n",
-        "        and top < floor\n",
+        "        if top >= floor and not absorbed[top]:\n",
+        "        if top >= floor:\n",
         ("tests/test_oracle.py::test_trefoil_needs_padding_at_degree_two",),
     ),
     (
         "the closure builds the pad levels above a merge-free top level",
         ORACLE,
-        "        and (top < floor or absorbed[top])\n",
-        "",
+        "        if top >= floor and not absorbed[top]:\n",
+        "        if False:\n",
         ("tests/test_oracle.py::test_merge_free_top_level_stops_the_closure",),
+    ),
+    (
+        "the free tail repeats the top count instead of multiplying by k",
+        ORACLE,
+        "    factor = k if tail == \"free\" else 1\n",
+        "    factor = 1\n",
+        ("tests/test_oracle.py::test_merge_free_top_level_stops_the_closure",),
+    ),
+    (
+        "the image check above a free tail compares no state",
+        ORACLE,
+        "                aligned = len(set(states)) == len(states)\n",
+        "                aligned = True\n",
+        ("tests/test_oracle.py::test_free_tail_image_check_finds_collisions",),
     ),
     (
         "the target of an even modulus is the plain variant",

@@ -35,12 +35,14 @@ Every merge is forced in any cancellative semigroup satisfying the
 relations, so the class counts per degree are upper bounds for the true
 counts in the cancellative quotient.  The padding degrees give cancellation
 room to act above the window being counted: a typical derivation multiplies
-by a letter, rewrites at the longer length, and cancels back down.  They
-are not built above a settled top level t at or past max_len and the
-longest relation where no node merged: level t+1 could merge only by a
-relation of length t+1, or by joining or extending a level-t merge, and
-there is neither.  So every level above t settles with no merge, and no
-cancellation reaches back below it.
+by a letter, rewrites at the longer length, and cancels back down.  No
+level is built above a settled top level t at or past the longest relation
+where no node merged: level t+1 could merge only by a relation of length
+t+1, or by joining or extending a level-t merge, and there is neither.  So
+every level above t settles with no merge, and no cancellation reaches back
+below it.  Level t+j would hold k**j nodes per class at t, none merged, so
+a class of degree t+j is C.s for a class C of degree t and a word s of
+length j, and the degrees above t, up to max_len, are counted, not built.
 
 Verification then squeezes from both sides.  A letter map into an
 alternating-sum semigroup that respects the relations induces a map from
@@ -61,9 +63,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import compress, islice, product, repeat
+from itertools import accumulate, compress, islice, product, repeat
 from math import log2
-from operator import ge, lt
+from operator import ge, lt, mul
 
 from .altsum import AltSumSemigroup, conjecture_semigroup
 from .diagrams import (
@@ -132,9 +134,14 @@ def _walk(word: Word, find, slots: list, base: list[int], width: list[int]) -> i
 class CongruencePartition:
     """Result of the bounded closure: class structure on words up to the
     levels built, with per-degree class counts over the requested window.
-    The levels may stop below the horizon, with or without bounds: at a
-    merge-free top level, or where bounds settle the counts (see
-    `enumerate_classes`); `classes_at_degree` raises above them.
+    The levels may stop below the horizon, and below max_len, at one of two
+    tails (see `enumerate_classes`).  Above a "free" tail, at a merge-free
+    top level t, each count is the one below times k, and the classes of
+    degree t+j are C.s for the classes C of degree t and the words s of
+    length j, so `classes_at_degree` lists them up to max_len.  Above a
+    "certificate" tail, where bounds settle the counts, each count is the
+    top's and `classes_at_degree` raises.  _tail is None when the levels
+    reach the horizon.
 
     Words are not stored.  Level d holds k * _width[d] nodes from id
     _base[d] on; node _base[d] + a * _width[d] + i is R(C, a), the words of
@@ -149,7 +156,7 @@ class CongruencePartition:
 
     __slots__ = (
         "alphabet_size", "max_len", "horizon", "levels", "degree_counts",
-        "_uf", "_base", "_width", "_births", "_slots",
+        "_uf", "_base", "_width", "_births", "_slots", "_tail",
     )
 
     def __init__(
@@ -164,6 +171,7 @@ class CongruencePartition:
         _width: list[int],
         _births: list,
         _slots: list,
+        _tail: str | None = None,
     ):
         self.alphabet_size = alphabet_size
         self.max_len = max_len
@@ -175,6 +183,7 @@ class CongruencePartition:
         self._width = _width
         self._births = _births
         self._slots = _slots
+        self._tail = _tail
 
     def _birth_word(self, node: int, degree: int) -> Word:
         """The word a node was built from: the birth word of its class
@@ -190,8 +199,15 @@ class CongruencePartition:
     def classes_at_degree(self, degree: int) -> list[list[Word]]:
         """All classes of words of the given length, each sorted, the list
         in colex order of the classes' colex-first words."""
-        if not 1 <= degree <= self.levels:
-            raise DomainError(f"degree {degree} outside the closed range 1..{self.levels}")
+        last = max(self.levels, self.max_len) if self._tail == "free" else self.levels
+        if not 1 <= degree <= last:
+            raise DomainError(f"degree {degree} outside the closed range 1..{last}")
+        if degree > self.levels:
+            # C.s lists its words as C does, and the colex-first word of C.s
+            # is C's followed by s: the suffix s orders first, then C
+            top = self.classes_at_degree(self.levels)
+            suffixes = product(range(self.alphabet_size), repeat=degree - self.levels)
+            return [[w + s[::-1] for w in words] for s in suffixes for words in top]
         groups: dict[int, list[Word]] = {}
         find = self._uf.find
         for word in product(range(self.alphabet_size), repeat=degree):
@@ -275,8 +291,9 @@ def enumerate_classes(
     closure measured.
 
     With or without bounds, the closure also stops at the first settled top
-    level t >= max(max_len, longest relation) where no node merged
-    (absorbed[t] == 0).  A merge at level t+1 has three sources, each empty:
+    level t >= longest relation where no node merged (absorbed[t] == 0),
+    whether t is below, at or above max_len.  A merge at level t+1 has
+    three sources, each empty:
 
     * seed(t+1): no relation is longer than t;
     * join_merged(t): no node of level t was merged;
@@ -286,8 +303,12 @@ def enumerate_classes(
     So level t+1 settles with no merge, and by induction so does every
     level up to the horizon; no cancellation reaches below t.  The counts
     and the partition of every degree up to t are those of the closure to
-    the full horizon.  Only a presentation that never merges stops here.
-    Otherwise every level up to the horizon is built.
+    the full horizon.  Level t+j holds k**j nodes per class at degree t,
+    none of them merged, so a class of degree t+j is C.s for a class C at
+    degree t and a word s of length j, and the count at degree t+j is
+    k**j times the count at t.  This is the free tail; the certificate's
+    keeps the count at its top level.  Only a presentation that never
+    merges stops here.  Otherwise every level up to the horizon is built.
     """
     horizon = _checked_horizon(pres, max_len, pad, budget)
     if bounds is not None and len(bounds) != max_len:
@@ -571,23 +592,29 @@ def enumerate_classes(
             len(set(map(find, range(z, z + w)))) == roots for z in range(lo, lo + k * w, w)
         )
 
-    # past every relation and max_len, a top level that merged nothing
-    # settles every level above it with no merge
-    floor = max([max_len, *(len(lhs) for lhs, _ in pres.relations)])
+    # past every relation, a top level that merged nothing settles every
+    # level above it with no merge
+    floor = max((len(lhs) for lhs, _ in pres.relations), default=1)
+    tail = None
     uf.add(k)
     seed(1)
     settle()
-    while (
-        top < horizon
-        and (top < floor or absorbed[top])
-        and not (bounds is not None and settled())
-    ):
+    while top < horizon:
+        if top >= floor and not absorbed[top]:
+            tail = "free"
+            break
+        if bounds is not None and settled():
+            tail = "certificate"
+            break
         grow()
         settle()
 
     counts = tuple(k * width[d] - absorbed[d] for d in range(1, min(top, max_len) + 1))
-    # above a level the certificate stopped at, every count is the top's
-    counts += counts[-1:] * (max_len - top)
+    # above the top level, each count is the one below times k over a free
+    # tail, and the top's over a certificate's
+    factor = k if tail == "free" else 1
+    above = accumulate(repeat(factor, max_len - top), mul, initial=counts[-1])
+    counts += tuple(islice(above, 1, None))
     return CongruencePartition(
         alphabet_size=k,
         max_len=max_len,
@@ -599,6 +626,7 @@ def enumerate_classes(
         _width=width,
         _births=births,
         _slots=slots,
+        _tail=tail,
     )
 
 
@@ -782,11 +810,12 @@ def verify_isomorphism(
     the element counts under a homomorphism onto the generators, and the
     floor alone with no letter map or one that breaks a relation; a
     homomorphism that misses a generator takes none, since only the image
-    check can tell whether its classes align.  Above the levels built, a
-    degree is aligned, and verified, when the map is a homomorphism onto
-    the generators and the element count is m, as the image check would
-    find: such a map sends the m classes onto the elements, a bijection
-    when there are m of them and a collision when fewer.
+    check can tell whether its classes align.  Above the levels of a
+    certificate, a degree is aligned, and verified, when the map is a
+    homomorphism onto the generators and the element count is m, as the
+    image check would find: such a map sends the m classes onto the
+    elements, a bijection when there are m of them and a collision when
+    fewer.
 
     The image check runs once per closure node, not once per word, on the
     levels built.  A word w'a lies in the node R(C, a) for the class C of
@@ -797,7 +826,10 @@ def verify_isomorphism(
     R(C, a) is one step on from that of C, kept as a packed state from the
     degree below.  One table per degree maps each class root to its first
     node's state, and any other state in the class fails the check; the
-    degree is aligned when the table's states are distinct.
+    degree is aligned when the table's states are distinct.  Above a free
+    tail (see `enumerate_classes`) every class is one node, R(C, a) for a
+    class C of the degree below, so the check goes on level by level with
+    one state per class: the degree is aligned when they are distinct.
 
     With phi None there is no letter map: the homomorphism check is
     skipped and every degree stays unresolved.  The closure's budget is
@@ -831,7 +863,7 @@ def verify_isomorphism(
     for degree in range(1, max_len + 1):
         class_count = partition.degree_counts[degree - 1]
         element_count = elements[degree - 1]
-        if degree > partition.levels:
+        if degree > partition.levels and partition._tail == "certificate":
             if class_count != bounds[degree - 1]:
                 raise InternalConsistencyError(
                     f"degree {degree}: the certificate gives {class_count} classes "
@@ -840,20 +872,25 @@ def verify_isomorphism(
                 )
             aligned = onto and class_count == element_count
         elif hom:
-            if degree > 1:
+            if 1 < degree <= partition.levels:
                 lo = base[degree - 1]
                 states = [states[c - lo] for c in births[degree]]
             states = sg.extend_states(states, phi, degree)
-            image: dict = {}
-            for n, s in enumerate(states, base[degree]):
-                if image.setdefault(find(n), s) != s:
-                    raise _split_class(partition, states, degree)
+            if degree > partition.levels:
+                # above a free tail every class is one node, R(C, a) for a
+                # class C of the degree below, whose states are all kept
+                aligned = len(set(states)) == len(states)
+            else:
+                image: dict = {}
+                for n, s in enumerate(states, base[degree]):
+                    if image.setdefault(find(n), s) != s:
+                        raise _split_class(partition, states, degree)
+                aligned = len(set(image.values())) == len(image)
             if onto and class_count < element_count:
                 raise InternalConsistencyError(
                     f"degree {degree}: {class_count} classes but {element_count} "
                     "elements; the closure undercounts a quotient it must refine"
                 )
-            aligned = len(set(image.values())) == len(image)
         else:
             aligned = False
         verified = onto and aligned and class_count == element_count

@@ -123,15 +123,17 @@ def reference_partition(pres, horizon):
 
 def assert_partition_matches_reference(pres, max_len, pad):
     """Counts up to max_len, the partition of the words of every degree up
-    to the levels built, and, above a merge-free top level where the
-    closure stops short of the horizon, only singleton classes."""
+    to the levels built or, above a free tail, up to max_len, and, above a
+    merge-free top level where the closure stops short of the horizon, only
+    singleton classes.  Only a free tail stops below max_len."""
     part = enumerate_classes(pres, max_len, pad=pad)
     expected = reference_partition(pres, max_len + pad)
-    assert max_len <= part.levels <= max_len + pad
+    assert (part._tail == "free" or max_len <= part.levels) and part.levels <= max_len + pad
     assert part.degree_counts == tuple(len(c) for c in expected[:max_len])
     assert_counts_are_roots(part)
     levels = part.levels
-    assert [part.classes_at_degree(d) for d in range(1, levels + 1)] == expected[:levels]
+    listed = max(levels, max_len) if part._tail == "free" else levels
+    assert [part.classes_at_degree(d) for d in range(1, listed + 1)] == expected[:listed]
     assert all(len(c) == 1 for classes in expected[levels:] for c in classes)
 
 
@@ -166,10 +168,11 @@ CROSS_CHECK_CASES = [
 
 
 def assert_counts_are_roots(part):
-    """Each degree count, kept from merge counters, is the number of roots
-    (negative entries) in that level's slice of the union-find."""
+    """Each degree count of a level built, kept from merge counters, is the
+    number of roots (negative entries) in that level's slice of the
+    union-find."""
     parent, k = part._uf.parent, part.alphabet_size
-    for d, count in enumerate(part.degree_counts, 1):
+    for d, count in enumerate(part.degree_counts[:part.levels], 1):
         lo = part._base[d]
         assert count == sum(p < 0 for p in parent[lo:lo + k * part._width[d]])
 
@@ -273,9 +276,12 @@ def traced_bytes_per_node(pres, max_len, pad=2):
 def test_closure_memory_per_node():
     """A node is one list slot holding a shared sentinel or a parent id; a
     level that merges nothing keeps its births and slots as ranges, so a
-    free presentation stores nothing else per node (8.1 bytes, Python
-    3.11).  With no pad its ten levels are all built."""
-    nodes, per_node = traced_bytes_per_node(Presentation(3, ()), 10, pad=0)
+    presentation that never merges stores nothing else per node (8.1
+    bytes, Python 3.11).  The trivial relation 0^10 = 0^10 merges nothing,
+    but no top level below it stops the closure, so with no pad its ten
+    levels are all built."""
+    pres = Presentation(3, (((0,) * 10, (0,) * 10),))
+    nodes, per_node = traced_bytes_per_node(pres, 10, pad=0)
     assert nodes == sum(3**d for d in range(1, 11))
     assert per_node <= 12
 
@@ -299,15 +305,25 @@ def test_trefoil_needs_padding_at_degree_two():
 
 
 def test_merge_free_top_level_stops_the_closure():
-    """A top level at or past max_len and every relation, where nothing
-    merged, settles every level above it with no merge: the two pad levels
-    of a free presentation are not built."""
+    """A top level at or past every relation, where nothing merged, settles
+    every level above it with no merge: a free presentation builds its
+    letters alone, and counts each degree above as k times the one below."""
     part = enumerate_classes(Presentation(3, ()), 10)
-    assert (part.horizon, part.levels) == (12, 10)
-    assert len(part._uf.parent) == sum(3**d for d in range(1, 11)) == 88572
+    assert (part.horizon, part.levels) == (12, 1)
+    assert len(part._uf.parent) == 3
     assert part.degree_counts == tuple(3**d for d in range(1, 11))
+    words = sorted(itertools.product(range(3), repeat=10), key=lambda w: w[::-1])
+    assert part.classes_at_degree(10) == [[w] for w in words]
     with pytest.raises(DomainError):
         part.classes_at_degree(11)
+
+
+def test_free_tail_is_counted_in_linear_time():
+    """A million degrees above one merge-free letter are counted, not built:
+    grown one tuple at a time, the counts took seconds."""
+    part = enumerate_classes(Presentation(1, ()), 10**6, budget=10**7)
+    assert (part.levels, len(part._uf.parent)) == (1, 1)
+    assert part.degree_counts == (1,) * 10**6
 
 
 def test_relation_longer_than_max_len_keeps_the_pad():
@@ -485,6 +501,37 @@ def test_verified_needs_onto_letter_map():
     assert not report.all_verified
     assert all(d.verdict == "unresolved" for d in report.degrees)
     assert any("does not cover" in w for w in report.warnings)
+    # degree 2 lies above the free tail at level 1: one class, one image
+    assert [(d.class_count, d.element_count, d.aligned) for d in report.degrees] == [
+        (1, 3, True), (1, 3, True)
+    ]
+
+
+@pytest.mark.parametrize("spec", ["trivial", "torus2:1"])
+def test_free_presentations_verify_above_their_tail(spec):
+    """Neither has a relation (the one crossing of torus2:1 is on one arc),
+    so their closures stop at the free tail on their letter, and the image
+    check goes on above it: every degree to max len 6 stays verified."""
+    certified, full, built = reports_with_and_without_bounds(lambda: verify_family(spec, 6))
+    assert built == [1, 1]
+    assert certified.all_verified
+    assert [(d.class_count, d.element_count, d.aligned) for d in certified.degrees] == [
+        (1, 1, True)
+    ] * 6
+    assert certified.to_json_dict() == full.to_json_dict()
+
+
+def test_free_tail_image_check_finds_collisions():
+    """Above the free tail of two letters, the words 00 and 11 both map to
+    0 in AS(Z_2): the degrees above the letters are not aligned."""
+    sg = AltSumSemigroup(Zmod(2), (0, 1))
+    report = verify_isomorphism(Presentation(2, ()), (0, 1), sg, 4)
+    assert [(d.class_count, d.element_count, d.aligned, d.verdict) for d in report.degrees] == [
+        (2, 2, True, "verified"),
+        (4, 2, False, "unresolved"),
+        (8, 2, False, "unresolved"),
+        (16, 2, False, "unresolved"),
+    ]
 
 
 def test_undercount_with_onto_map_is_internal_error(monkeypatch):
@@ -555,8 +602,9 @@ def test_image_check_states_match_birth_words(monkeypatch, name):
     extend_real = AltSumSemigroup.extend_states
 
     def enumerate_spy(*args, bounds=None, **kwargs):
-        # the closure without bounds builds every level up to max_len, so
-        # the states are compared at every degree up to max_len
+        # the closure without bounds builds every level up to max_len, or
+        # up to a free tail, so the states are compared at every degree up
+        # to max_len or the tail
         partitions.append(enumerate_real(*args, **kwargs))
         return partitions[-1]
 
@@ -572,6 +620,10 @@ def test_image_check_states_match_birth_words(monkeypatch, name):
     assert sorted(recorded) == list(range(1, report.max_len + 1))
     for degree, (sg, phi, states) in recorded.items():
         assert phi == report.phi
+        if degree > part.levels:
+            # above a free tail every class is one node
+            assert len(states) == part.degree_counts[degree - 1]
+            continue
         m = sg.group.modulus
         assert len(states) == part.alphabet_size * part._width[degree]
         for n, state in enumerate(states, part._base[degree]):
