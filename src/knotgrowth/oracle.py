@@ -22,14 +22,14 @@ The levels are added one at a time, each followed by merging to a fixed
 point.  Any merge derived under a smaller horizon is also derived within
 H, so the result is the partition of all words up to H that the same
 rules give when applied word by word, at a cost that follows the number
-of classes times the alphabet size instead of k**H.  A level's left rows
-are built when a merge first reads them, and its class count is its node
-count less the roots merged away there, so a presentation that never
-merges builds no left rows and scans no level.  Each level keeps its own
-block of births (the roots below that its nodes extend) and slots (where
-each of its classes extends to).  On a level with no merged node both maps
-are identities and are kept as ranges, so such a level stores one
-union-find entry per node and nothing else.
+of classes times the alphabet size instead of k**H.  A level's class
+count is its node count less the roots merged away there.  Each level
+keeps its own block of births (the roots below that its nodes extend),
+slots (where each of its classes extends to) and left rows, all built as
+lists once the level above exists.  A level with no merged node gets the
+same lists: the closure stops at such a top level once it is past the
+longest relation (see below), so it builds on a merge-free level only
+below that relation, which for a diagram means level 1 alone.
 
 Every merge is forced in any cancellative semigroup satisfying the
 relations, so the class counts per degree are upper bounds for the true
@@ -148,8 +148,7 @@ class CongruencePartition:
     the level-(d-1) class C rooted at _births[d][i] followed by the letter
     a.  For a class root C at level d, _slots[d][C - _base[d]] is the id of
     R(C, 0) at level d+1; a node merged before level d+1 was built holds
-    its root's.  When no node of level d was merged by then, _births[d+1]
-    and _slots[d] are ranges.  In _uf.parent a class root holds a negative
+    its root's.  In _uf.parent a class root holds a negative
     sentinel (-1 for a singleton class, -2 otherwise) and every other node
     an id on the way to its root.
     """
@@ -258,8 +257,8 @@ def enumerate_classes(
     """Run the bounded closure and count classes per degree 1..max_len.
 
     The budget caps the words up to the horizon, k + k**2 + ... + k**H,
-    although only class nodes are stored, and left rows only for levels
-    a merge reads.  Each count is the level's node count less its merges.
+    although only class nodes are stored.  Each count is the level's node
+    count less its merges.
 
     bounds, if given, are lower bounds |T_d| on the counts of degrees
     1..max_len in every cancellative semigroup the relations present, from
@@ -309,6 +308,12 @@ def enumerate_classes(
     k**j times the count at t.  This is the free tail; the certificate's
     keeps the count at its top level.  Only a presentation that never
     merges stops here.  Otherwise every level up to the horizon is built.
+
+    Every level is built one way: its births, slots and left rows are
+    lists, whether or not it merged.  That is enough, because this check
+    runs before every grow(): a merge-free top level grows only while it
+    lies below the longest relation, which for every diagram is level 1,
+    so a leaner form for merge-free levels would serve no diagram.
     """
     horizon = _checked_horizon(pres, max_len, pad, budget)
     if bounds is not None and len(bounds) != max_len:
@@ -323,9 +328,9 @@ def enumerate_classes(
     # by the words of R(P, 0) for the class P rooted at births[d][i].  It is
     # stored once per class: L_b(R(P, a)) = R(L_b(P), a) is that node plus
     # a * width[d+1], so the level-d node base[d] + a * width[d] + i has
-    # L_b at left[d][b][i] + a * width[d+1].  left[d] is None until first
-    # read (see build_left).
-    left: list[list[list[int]] | None] = [[]]
+    # L_b at left[d][b][i] + a * width[d+1].  grow() builds left[d] with
+    # level d+1, which fixes slots[d].
+    left: list[list[list[int]]] = [[]]
     # absorbed[d]: roots of level d merged into another root
     absorbed = [0, 0]
     queue: list[tuple[int, int, int]] = []  # (level, root, root) merged
@@ -363,7 +368,7 @@ def enumerate_classes(
         ax, ix = divmod(x - base[d], w)
         ay, iy = divmod(y - base[d], w)
         ax, ay = ax * step, ay * step
-        for row in left[d] or build_left(d):
+        for row in left[d]:
             union(row[ix] + ax, row[iy] + ay, d + 1)
 
     def drain() -> None:
@@ -408,7 +413,7 @@ def enumerate_classes(
             ])
             for a, lo in enumerate(range(base[e - 1], base[e], w))
         ]
-        for row in left[e - 1] or build_left(e - 1):
+        for row in left[e - 1]:
             seen = {}
             for offset, roots in blocks:
                 for c, i in roots:
@@ -442,7 +447,9 @@ def enumerate_classes(
         The classes P of level d-1 are sorted, so each letter block a
         there holds a run of them, found once per level by bisection; P
         sits at column P - shift of its block, and the block's offset
-        takes L_b(P) there to its index in slots[d]."""
+        takes L_b(P) there to its index in slots[d].  The rows read only
+        births[d], left[d-1] and slots[d], so they are final once level d+1
+        exists."""
         slot = slots[d]
         if d == 1:
             return [[slot[b]] for b in range(k)]
@@ -462,26 +469,12 @@ def enumerate_classes(
             for row in left[d - 1]
         ]
 
-    def build_left(d: int) -> list[list[int]]:
-        """left[d], built on first read with the missing levels below it,
-        bottom-up (a relation of length L puts off the first read by L
-        levels).  left_rows(d) reads only births[d], left[d-1] and the slots
-        of level d, fixed once level d+1 exists, so the rows do not depend
-        on when they are built."""
-        first = d
-        while left[first - 1] is None:
-            first -= 1
-        for j in range(first, d + 1):
-            left[j] = left_rows(j)
-        return left[d]
-
     def join_merged(d: int) -> None:
         """Classes of level d merged before level d+1 existed: merge L_b of
         each merged node with L_b of its root, one letter block of level d
         at a time, skipping blocks of roots only.  Level d+1 is the top, so
         nothing is queued.  A node two or more steps below its root is rare
-        here and goes through find.  A level with no merged node has nothing
-        to join and reads no rows.
+        here and goes through find.
 
         Only one member per class and letter block is joined, and none whose
         root lies in its own block.  Two members R(P1, a), R(P2, a) of one
@@ -490,10 +483,7 @@ def enumerate_classes(
         So those two nodes share a slot, and L_b(R(Pi, a)) = R(L_b(Pi), a)
         is one node for both members: joining the second repeats the
         first."""
-        if not absorbed[d]:
-            return
         lo, w, step, roots = base[d], width[d], width[d + 1], births[d + 1]
-        rows = left[d] or build_left(d)
         joined = 0
         last = 0
         for a in range(k):
@@ -511,7 +501,7 @@ def enumerate_classes(
                 ay, iy = divmod(root - lo, w)
                 pairs.append((n - blo, iy, ay * step))
             ax = a * step
-            for row in rows:
+            for row in left[d]:
                 for ix, iy, ay in pairs:
                     x, y = row[ix] + ax, row[iy] + ay
                     p = parent[x]
@@ -537,28 +527,23 @@ def enumerate_classes(
         lo = base[d]
         hi = lo + k * width[d]
         start = len(parent)
-        if absorbed[d]:
-            # walk the merged nodes of level d: the roots between them take
-            # consecutive slots from start on, and a merged node takes its
-            # root's slot, so the left rows read slots[d] with no find
-            roots: list[int] | range = []
-            slot: list[int] | range = []
-            after = lo
-            for n in compress(range(lo, hi), map(ge, parent[lo:hi], repeat(0))):
-                s = start + len(roots)
-                roots += range(after, n)
-                slot.extend(range(s, s + n - after))
-                slot.append(slot[find(n) - lo])
-                after = n + 1
+        # walk the merged nodes of level d: the roots between them take
+        # consecutive slots from start on, and a merged node takes its
+        # root's slot, so the left rows read slots[d] with no find
+        roots: list[int] = []
+        slot: list[int] = []
+        after = lo
+        for n in compress(range(lo, hi), map(ge, parent[lo:hi], repeat(0))):
             s = start + len(roots)
-            roots += range(after, hi)
-            slot.extend(range(s, s + hi - after))
-        else:
-            # every node is a root: both maps are identities, kept as ranges
-            roots = range(lo, hi)
-            slot = range(start, start + hi - lo)
+            roots += range(after, n)
+            slot.extend(range(s, s + n - after))
+            slot.append(slot[find(n) - lo])
+            after = n + 1
+        s = start + len(roots)
+        roots += range(after, hi)
+        slot.extend(range(s, s + hi - after))
         slots.append(slot)
-        left.append(None)
+        left.append(left_rows(d))
         absorbed.append(0)
         uf.add(k * len(roots))
         base.append(start)

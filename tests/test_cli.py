@@ -226,6 +226,29 @@ def test_classes_csv(capsys):
     assert out.splitlines() == ["degree,count", "1,3", "2,3", "3,3"]
 
 
+class CountingIO(io.StringIO):
+    """A text buffer that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_classes_csv_is_written_in_one_go():
+    """A long window's CSV goes out in a bounded number of writes, not one
+    or two per degree, with the same text as one line per degree."""
+    out = CountingIO()
+    with redirect_stdout(out):
+        code = main(["classes", "--family", "trivial", "--max-len", "100000"])
+    assert code == 0
+    assert out.writes <= 4
+    assert out.getvalue() == "degree,count\n" + "".join(f"{d},1\n" for d in range(1, 100001))
+
+
 def test_classes_json(capsys):
     code, out, _ = run(
         capsys,

@@ -157,8 +157,8 @@ CROSS_CHECK_CASES = [
     (Presentation(3, (((0,), (1,)),)), 3, 1),  # a length-1 relation
     (Presentation(2, (((0, 0, 1), (1, 0, 0)),)), 4, 1),  # a length-3 relation
     (Presentation(3, (((2,), (1,)), ((0, 1, 2), (2, 1, 0)))), 3, 2),  # both
-    # a length-4 relation: the left rows of levels 1-3 are first built when
-    # level 4 merges
+    # a length-4 relation: levels 1-3 merge nothing, and their left rows
+    # are first read when level 4 merges
     (Presentation(2, (((0, 1, 1, 0), (1, 0, 0, 1)),)), 4, 2),
     # and cancelled down to a = b through those rows
     (Presentation(2, (((0, 0, 0, 1), (0, 0, 0, 0)),)), 4, 2),
@@ -188,8 +188,8 @@ def test_closure_matches_reference(pres, max_len, pad):
 def small_closures(draw):
     """A presentation on at most 3 letters with relations of length 1 to 4,
     a window and a pad whose word universe the reference can afford.  Levels
-    below the shortest relation merge nothing, so their births and slots
-    are ranges under levels that merge."""
+    below the shortest relation merge nothing, and levels that merge are
+    built over them."""
     k = draw(st.integers(1, 3))
     words = st.integers(1, 4).flatmap(
         lambda n: st.tuples(*[st.tuples(*[st.integers(0, k - 1)] * n)] * 2)
@@ -271,19 +271,6 @@ def traced_bytes_per_node(pres, max_len, pad=2):
     finally:
         tracemalloc.stop()
     return len(part._uf.parent), peak / len(part._uf.parent)
-
-
-def test_closure_memory_per_node():
-    """A node is one list slot holding a shared sentinel or a parent id; a
-    level that merges nothing keeps its births and slots as ranges, so a
-    presentation that never merges stores nothing else per node (8.1
-    bytes, Python 3.11).  The trivial relation 0^10 = 0^10 merges nothing,
-    but no top level below it stops the closure, so with no pad its ten
-    levels are all built."""
-    pres = Presentation(3, (((0,) * 10, (0,) * 10),))
-    nodes, per_node = traced_bytes_per_node(pres, 10, pad=0)
-    assert nodes == sum(3**d for d in range(1, 11))
-    assert per_node <= 12
 
 
 def test_merging_closure_memory_per_node():
