@@ -208,7 +208,14 @@ MUTANTS = [
         DIAGRAMS,
         "                    heappush(queue, (scan + (j <= i), j))\n",
         "                    heappush(queue, (scan + (j >= i), j))\n",
-        ("tests/test_diagrams.py::test_fox_coloring_keeps_the_scan_order_after_the_first_scan",),
+        ("tests/test_diagrams.py::test_fox_coloring_keeps_the_scan_order_in_the_heap",),
+    ),
+    (
+        "a coloring that two scans finish still enters the heap",
+        DIAGRAMS,
+        "    for _ in range(2):\n",
+        "    for _ in range(1):\n",
+        ("tests/test_diagrams.py::test_two_scan_colorings_leave_heapq_unimported",),
     ),
     (
         "the conway row drops its conjecture note",

@@ -2,10 +2,14 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +217,52 @@ def test_fox_coloring_keeps_the_scan_order_after_the_first_scan():
     assert fox_coloring(diagram, {5: 0, 4: 1}) == ([3, -2, 8, 13, 1, 0, 2], 17)
 
 
+def test_fox_coloring_keeps_the_scan_order_in_the_heap():
+    """conway:3,3,2 from the probe's anchors, arcs 6 and 4, needs 4 scans,
+    so the heap runs scans 2 and 3.  In scan 2 crossing 4 labels arc 1
+    with -4, which readies crossings 0 and 3 behind it: they wait for
+    scan 3.  There crossing 0 labels arc 2 with 10, readying crossing 1
+    ahead of it, which labels arc 3 with 2*10 - 3 = 17 before crossing 3
+    would give it 2*(-4) - (-2) = -6."""
+    diagram, traces = conway_with_traces((3, 3, 2))
+    assert traces[-1][:2] == [6, 4]
+    assert fox_coloring(diagram, {6: 0, 4: 1}) == ([3, -4, 10, 17, 1, -2, 0, 2], 23)
+
+
+def test_two_scan_colorings_leave_heapq_unimported():
+    """The two plain scans finish the probe's coloring of conway:2,1,2, so
+    neither it nor the probe call imports heapq in a fresh interpreter;
+    conway:3,3,3 needs 4 scans, so its coloring does, and still fires as
+    the rescan does."""
+    code = (
+        "import json, sys\n"
+        "from knotgrowth import cli\n"
+        "from knotgrowth.diagrams import conway_with_traces, fox_coloring\n"
+        "def color(twists):\n"
+        "    diagram, traces = conway_with_traces(twists)\n"
+        "    return fox_coloring(diagram, {traces[-1][0]: 0, traces[-1][1]: 1})\n"
+        "color((2, 1, 2))\n"
+        "loaded = ['heapq' in sys.modules]\n"
+        "argv = ['probe', '--conjecture', 'cmln', '--params', '2,1,2', '--max-len', '6']\n"
+        "assert cli.main(argv) == 0\n"
+        "loaded.append('heapq' in sys.modules)\n"
+        "coloring = color((3, 3, 3))\n"
+        "loaded.append('heapq' in sys.modules)\n"
+        "print(json.dumps([loaded, coloring]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded, coloring = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == [False, False, True]
+    diagram, traces = conway_with_traces((3, 3, 3))
+    assert tuple(coloring) == rescan_fox_coloring(diagram, {traces[-1][0]: 0, traces[-1][1]: 1})
+
+
 @st.composite
 def anchored_diagrams(draw):
     """A diagram of up to 12 crossings on up to 8 arcs, any arc at any slot,
@@ -232,14 +282,22 @@ def test_fox_coloring_fires_as_the_rescan_does(case):
 
 
 def test_fox_coloring_of_conway_diagrams_is_the_rescan():
-    """From the family anchors (0, 1) on arcs 0 and 1, and from the probe's
-    on the last twist region's first two arcs."""
-    for length in range(1, 5):
-        for twists in itertools.product(range(1, 5), repeat=length):
-            diagram, traces = conway_with_traces(twists)
-            for anchors in ({0: 0, 1: 1}, {traces[-1][0]: 0, traces[-1][1]: 1}):
-                want = rescan_fox_coloring(diagram, anchors)
-                assert fox_coloring(diagram, anchors) == want, (twists, anchors)
+    """From the family anchors (0, 1) on arcs 0 and 1, from the probe's on
+    the last twist region's first two arcs, and from `fox_bounds`' on the
+    first crossing whose over arc is not one of its under arcs.  Of the
+    three-region tuples with a 5 and no entry above it, 43 of 61 need 3 to
+    6 scans from the probe's anchors, so they reach the heap."""
+    tuples = [t for length in range(1, 5) for t in itertools.product(range(1, 5), repeat=length)]
+    tuples += [t for t in itertools.product(range(1, 6), repeat=3) if 5 in t]
+    for twists in tuples:
+        diagram, traces = conway_with_traces(twists)
+        rules = [{0: 0, 1: 1}, {traces[-1][0]: 0, traces[-1][1]: 1}]
+        first = next((c for c in diagram.crossings if c.over not in c.under), None)
+        if first is not None:
+            rules.append({first.under[0]: 0, first.over: 1})
+        for anchors in rules:
+            want = rescan_fox_coloring(diagram, anchors)
+            assert fox_coloring(diagram, anchors) == want, (twists, anchors)
 
 
 def test_fox_coloring_of_a_long_probe_diagram_is_not_quadratic():
