@@ -57,20 +57,44 @@ MUTANTS = [
         "sweep without right cancellation",
         ORACLE,
         "                if other != c:\n                    union(other, c, e - 1)\n"
-        "        # the roots",
+        "            if queue:\n",
         "                if other != c:\n                    pass\n"
-        "        # the roots",
+        "            if queue:\n",
         CLOSURE_TESTS,
     ),
     (
         "a sweep is skipped when its level is one class above its bound",
         ORACLE,
-        "                or k * width[e - 1] - absorbed[e - 1] != bounds[e - 2]\n",
-        "                or k * width[e - 1] - absorbed[e - 1] - 1 != bounds[e - 2]\n",
+        "            if e > 1 and not at_bound(e - 1):\n",
+        "            if e > 1 and not at_bound(e - 1) and not (\n"
+        "                bounds and e <= max_len + 1\n"
+        "                and k * width[e - 1] - absorbed[e - 1] - 1 == bounds[e - 2]\n"
+        "            ):\n",
         (
             "tests/test_oracle.py::test_certified_reports_match_the_full_closure[torus2:6]",
             "tests/test_oracle.py::test_fox_bounds_stop_both_sides_of_a_move",
         ),
+    ),
+    (
+        "the dropped partial level is kept",
+        ORACLE,
+        "        del parent[base[top]:]\n",
+        "",
+        ("tests/test_oracle.py::test_verify_family_keeps_the_levels_it_needs",),
+    ),
+    (
+        "the stop rule reads the partial level",
+        ORACLE,
+        "                    if at_bound(d):\n                        drop()\n",
+        "                    if settled():\n                        drop()\n",
+        ("tests/test_oracle.py::test_verify_family_keeps_the_levels_it_needs",),
+    ),
+    (
+        "a late-activated column misses the level-d merges made before it",
+        ORACLE,
+        "            if parent[c] >= 0:\n                root = slot[find(c) - lo]\n",
+        "            if False:\n                root = slot[find(c) - lo]\n",
+        ("tests/test_oracle.py::test_verify_family_keeps_the_levels_it_needs",),
     ),
     (
         "the probe labels arcs from the anchors (0, 0): the constant map",

@@ -242,11 +242,12 @@ def fox_coloring(diagram: Diagram, anchors: dict[int, int]) -> tuple[list[int], 
     Crossings fire in the order of scans of the crossing list repeated
     until one labels nothing, which fixes the labels where the crossings
     over-determine them.  Scans 0 and 1 are plain passes over every
-    crossing, run while an arc is unlabeled.  If arcs remain after them, a
-    heap keyed (scan, index) takes over: it starts at scan 2 with every
-    crossing, and later scans visit only the crossings at a newly labeled
-    arc, so the time is n log n in the crossings, not n^2.  ``heapq`` is
-    imported only on that path.
+    crossing, run while an arc is unlabeled, and one that labels no arc
+    returns None at once.  If arcs remain after them, a heap keyed (scan,
+    index) takes over: it starts at scan 2 with every crossing, and later
+    scans visit only the crossings at a newly labeled arc, so the time is
+    n log n in the crossings, not n^2.  ``heapq`` is imported only on that
+    path.
     The modulus m is the gcd over all crossings of x + z - 2y, 0 when each
     one holds over the integers.  Mod any divisor d of m the labels hold
     x + z = 2y, so as a letter map they respect each relation xy = yz in
@@ -272,12 +273,17 @@ def fox_coloring(diagram: Diagram, anchors: dict[int, int]) -> tuple[list[int], 
     # Scans 0 and 1 are plain passes, each run only while an arc is
     # unlabeled: the first labels every arc of the stated families from
     # either anchor rule, and the two finish 17 of the 27 probe colorings
-    # up to 3,3,3, so those never import heapq.
+    # up to 3,3,3, so those never import heapq.  A scan that labels no arc
+    # ends the scans with an arc unlabeled, as on a diagram with a
+    # component the anchors do not reach.
     for _ in range(2):
-        if None not in labels:
+        unlabeled = labels.count(None)
+        if not unlabeled:
             break
         for i in range(len(crossings)):
             fire(i)
+        if labels.count(None) == unlabeled:
+            return None
     if None in labels:
         from heapq import heappop, heappush  # loaded only on this path
 

@@ -22,7 +22,13 @@ The levels are added one at a time, each followed by merging to a fixed
 point.  Any merge derived under a smaller horizon is also derived within
 H, so the result is the partition of all words up to H that the same
 rules give when applied word by word, at a cost that follows the number
-of classes times the alphabet size instead of k**H.  A level's class
+of classes times the alphabet size instead of k**H.  The same holds for
+any order of building: the partition is the least fixed point of the
+rules, and a merge derived among the nodes of part of a level is derived
+in the whole level too.  So a level may be begun a few letter columns at
+a time, only to merge the level below, and dropped again, as long as the
+levels that remain are built in full and settled (see
+`enumerate_classes`).  A level's class
 count is its node count less the roots merged away there.  Each level
 keeps its own block of births (the roots below that its nodes extend),
 slots (where each of its classes extends to) and left rows, all built as
@@ -63,9 +69,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate, compress, islice, product, repeat
+from itertools import accumulate, chain, compress, islice, product, repeat
 from math import log2
-from operator import ge, lt, mul
+from operator import ge, lt, mul, ne
 
 from .altsum import AltSumSemigroup, conjecture_semigroup
 from .diagrams import (
@@ -285,9 +291,45 @@ def enumerate_classes(
     e-1, whose count k * width[e-1] - absorbed[e-1] is at least the count
     at degree e-1 in the cancellative semigroup (every merge is forced
     there), and so at least its bound |T_{e-1}|.  At the bound no union can
-    merge, so settle skips sweep(e) there, for e - 1 <= max_len.  The last
-    bound holds above max_len too, but skipped no further sweep on any
-    closure measured.
+    merge, so settle skips sweep(e) there, for e - 1 <= max_len, and a
+    sweep stops as soon as its merges bring level e-1 to the bound.  The
+    last bound holds above max_len too, but skipped no further sweep on
+    any closure measured.
+
+    The bounds also let a level be built column-first.  When the top level
+    d is at or past the longest relation, d <= max_len, and, for W its
+    count, first the number of letters in the first relation,
+
+        first * W + |T_d| * k + r < k * W,
+
+    grow() builds level d+1 only for the columns of those letters (for a
+    diagram, the three arcs of one crossing), with the unions their nodes
+    missed, and settles.  While level d stays above its bound, the columns
+    built double, in the order in which the letters first appear in the
+    relations, for as long as the rule holds with the columns built in
+    place of first.  Once level d meets its bound, level d+1 is dropped:
+    its nodes go from the union-find, and its lists are popped.  The
+    merges it gave the levels below stay, since each is also derived with
+    level d+1 built in full.  The stop rule above then reads full levels
+    only, and if it does not fire, level d+1 is built in full on the
+    classes that level d merged down to: |T_d| * k nodes, where the full
+    level on W classes takes k * W, which is what the rule weighs.  The
+    stop rule cannot fire at level d when d < max_len and |T_d| is above
+    width[d], the nodes of one column, so that level d+1 is sure to be
+    rebuilt, over level d's k * width[d] nodes walked again: that is r,
+    and r = 0 otherwise.  (Without r, dtw:2,4 would take 126 nodes where
+    the full level takes 144, and measured slower for the second walk.)
+    Where
+    the rule fails for the next batch, level d+1 is dropped too and built
+    in full at once.  Either way every level kept is built in full and
+    settled, so the counts and the partition are those of the closure
+    without it, and the root of each class is still the node of its
+    colex-first word; only the widths of the levels above d, and so their
+    node ids, can differ.  For
+    torus2:n, level 2 meets its bound of n on the first batch, and the
+    certificate holds there with c = 1, so level 3 never gets past three
+    columns: 3 * 9 605 nodes for torus2:99, against the 950 895 of level 3
+    in full.
 
     With or without bounds, the closure also stops at the first settled top
     level t >= longest relation where no node merged (absorbed[t] == 0),
@@ -327,12 +369,17 @@ def enumerate_classes(
     # left[d][b][i] is L_b(R(P, 0)), the node at level d+1 holding b followed
     # by the words of R(P, 0) for the class P rooted at births[d][i].  It is
     # stored once per class: L_b(R(P, a)) = R(L_b(P), a) is that node plus
-    # a * width[d+1], so the level-d node base[d] + a * width[d] + i has
-    # L_b at left[d][b][i] + a * width[d+1].  grow() builds left[d] with
-    # level d+1, which fixes slots[d].
+    # col[d+1][a], so the level-d node base[d] + a * width[d] + i has L_b
+    # at left[d][b][i] + col[d+1][a].  begin() builds left[d] with level
+    # d+1, which fixes slots[d].
     left: list[list[list[int]]] = [[]]
     # absorbed[d]: roots of level d merged into another root
     absorbed = [0, 0]
+    # col[d][a] is the offset from base[d] of letter a's column at level d,
+    # None while it is not built, and live[d] holds the offsets built; a
+    # level built in full has both as range(0, k * width[d], width[d])
+    col: list = [None, range(k)]
+    live: list = [None, range(k)]
     queue: list[tuple[int, int, int]] = []  # (level, root, root) merged
     dirty: set[int] = set()  # levels merged at since their last sweep
     top = 1
@@ -363,11 +410,15 @@ def enumerate_classes(
                 )
 
     def join_left(d: int, x: int, y: int) -> None:
-        """Merge L_b(x) with L_b(y) for every letter b, x and y at level d."""
-        w, step = width[d], width[d + 1]
+        """Merge L_b(x) with L_b(y) for every letter b, x and y at level d.
+        L_b(x) lies in the column of x's last letter, so the join waits
+        while either column is not built (see `grow`)."""
+        w, offset = width[d], col[d + 1]
         ax, ix = divmod(x - base[d], w)
         ay, iy = divmod(y - base[d], w)
-        ax, ay = ax * step, ay * step
+        ax, ay = offset[ax], offset[ay]
+        if ax is None or ay is None:
+            return
         for row in left[d]:
             union(row[ix] + ax, row[iy] + ay, d + 1)
 
@@ -377,8 +428,8 @@ def enumerate_classes(
         while queue:
             d, x, y = queue.pop()
             slot, lo = slots[d], base[d]
-            step, sx, sy = width[d + 1], slot[x - lo], slot[y - lo]
-            for a in range(0, k * step, step):
+            sx, sy = slot[x - lo], slot[y - lo]
+            for a in live[d + 1]:
                 union(sx + a, sy + a, d + 1)
             join_left(d, x, y)
 
@@ -388,11 +439,13 @@ def enumerate_classes(
         L_b share a class merge.  Singleton classes are skipped: a lone node
         meets no other, and no two level-(e-1) roots share an L_b node,
         because rows are read off slots fixed at a fixed point, where L_b
-        already tells the classes one level down apart."""
-        lo, step, classes = base[e], width[e], births[e]
-        for start in range(lo, lo + k * step, step):
+        already tells the classes one level down apart.  The merges of each
+        column are extended before the next column is read, so that it
+        meets them, and the sweep stops once level e-1 meets its bound."""
+        lo, classes = base[e], births[e]
+        for start in live[e]:
             seen: dict[int, int] = {}
-            for n, c in enumerate(classes, start):
+            for n, c in enumerate(classes, lo + start):
                 p = parent[n]
                 if p == -1:
                     continue
@@ -403,15 +456,20 @@ def enumerate_classes(
                 other = seen.setdefault(n, c)
                 if other != c:
                     union(other, c, e - 1)
+            if queue:
+                drain()
+                if at_bound(e - 1):
+                    return
         # the roots R(P, a) at level e-1 by letter a, with their columns and
-        # L_b offsets
+        # L_b offsets, for the letters whose column is built at level e
         w = width[e - 1]
         blocks = [
-            (a * step, [
+            (offset, [
                 (c, c - lo)
                 for c in compress(range(lo, lo + w), map(lt, parent[lo:lo + w], repeat(0)))
             ])
-            for a, lo in enumerate(range(base[e - 1], base[e], w))
+            for offset, lo in zip(col[e], range(base[e - 1], base[e], w))
+            if offset is not None
         ]
         for row in left[e - 1]:
             seen = {}
@@ -429,15 +487,17 @@ def enumerate_classes(
                     if other != c:
                         union(other, c, e - 1)
 
+    def at_bound(d: int) -> bool:
+        """Whether level d's count meets its bound, so that no union lands
+        there (see the docstring)."""
+        return bounds is not None and d <= max_len and k * width[d] - absorbed[d] == bounds[d - 1]
+
     def settle() -> None:
         drain()
         while dirty:
             e = dirty.pop()
             # at its bound, level e-1 takes none of sweep(e)'s unions (see the docstring)
-            if e > 1 and (
-                bounds is None or e > max_len + 1
-                or k * width[e - 1] - absorbed[e - 1] != bounds[e - 2]
-            ):
+            if e > 1 and not at_bound(e - 1):
                 sweep(e)
                 drain()
 
@@ -520,8 +580,10 @@ def enumerate_classes(
             absorbed[d + 1] += joined
             dirty.add(d + 1)
 
-    def grow() -> None:
-        """Build level top+1 from the classes at the top level."""
+    def begin() -> int:
+        """Open level top+1 over the classes at the top level, with no node
+        yet: its births, and the slots and left rows of the top level.
+        Returns its width."""
         nonlocal top
         d = top
         lo = base[d]
@@ -545,13 +607,91 @@ def enumerate_classes(
         slots.append(slot)
         left.append(left_rows(d))
         absorbed.append(0)
-        uf.add(k * len(roots))
         base.append(start)
         width.append(len(roots))
         births.append(roots)
         top = d + 1
+        return len(roots)
+
+    def grow() -> None:
+        """Build level top+1 from the classes at the top level: in full, or
+        column-first where the docstring's cost rule holds.  Column-first,
+        the columns of the first relation's letters are built first, and
+        after each settle that leaves level top above its bound the built
+        columns double, in the letters' order of first appearance, while the
+        rule still holds for the columns built.  Level top+1 is dropped as
+        soon as level top meets its bound, and the main loop goes on from
+        there.  Where the rule fails for the next batch, it is dropped as
+        well and built in full at once, on the classes that level top has
+        merged down to."""
+        d = top
+        w = begin()
+        if bounds is not None and floor <= d <= max_len:
+            # a batch of columns and level top+1 in full on top's bound
+            # together must come to fewer nodes than level top+1 in full,
+            # with level top's own nodes, walked again to build it, where
+            # the stop rule cannot fire at level top
+            spare = k * w - k * bounds[d - 1]
+            if d < max_len and bounds[d - 1] > width[d]:
+                spare -= k * width[d]
+            if first * w < spare:
+                col.append([None] * k)
+                live.append([])
+                built, batch = 0, first
+                while batch * w < spare:
+                    add_columns(order[built:batch])
+                    built = batch
+                    settle()
+                    if at_bound(d):
+                        drop()
+                        return
+                    batch = 2 * built
+                drop()
+                w = begin()
+        uf.add(k * w)
+        col.append(range(0, k * w, w))
+        live.append(col[-1])
         join_merged(d)
         seed(top)
+
+    def add_columns(letters) -> None:
+        """Build the columns of these letters at the top level e, begun
+        column-first, with every union their nodes missed.  R(C, a) merges
+        with R(C', a) for the roots C, C' of level e-1 that merged since
+        level e was begun, and L_b of each member of a merged class of level
+        e-1 with L_b of the first member met in a built column.  The left
+        joins are taken anew over every built column, since drain joins the
+        L_b of two classes only where both roots' columns are built.  Level
+        e is the top, so nothing is queued."""
+        e = top
+        d = e - 1
+        lo, w, start, step = base[d], width[d], base[e], width[e]
+        offset = col[e]
+        new = []
+        for a in letters:
+            offset[a] = uf.add(step) - start
+            new.append(offset[a])
+        live[e] += new
+        slot = slots[d]
+        for n, c in enumerate(births[e], start):
+            if parent[c] >= 0:
+                root = slot[find(c) - lo]
+                for a in new:
+                    union(n + a, root + a, e)
+        first_met: dict[int, int] = {}
+        for blo in compress(range(lo, lo + k * w, w), map(ne, offset, repeat(None))):
+            for x in compress(range(blo, blo + w), map(ne, parent[blo:blo + w], repeat(-1))):
+                y = first_met.setdefault(find(x), x)
+                if y != x:
+                    join_left(d, x, y)
+
+    def drop() -> None:
+        """Remove the top level: its nodes, and every list built with it."""
+        nonlocal top
+        del parent[base[top]:]
+        for stack in (base, width, births, absorbed, col, live, slots, left):
+            stack.pop()
+        top -= 1
 
     met = 0  # the degrees 1..met meet their bounds
 
@@ -580,6 +720,11 @@ def enumerate_classes(
     # past every relation, a top level that merged nothing settles every
     # level above it with no merge
     floor = max((len(lhs) for lhs, _ in pres.relations), default=1)
+    # the letters in order of first appearance in the relations, then the
+    # rest, and the number in the first relation: column-first growth
+    # builds the columns in that order
+    order = list(dict.fromkeys(chain(*chain(*pres.relations), range(k))))
+    first = len(set(chain(*pres.relations[0]))) if pres.relations else k
     tail = None
     uf.add(k)
     seed(1)

@@ -263,6 +263,28 @@ def test_two_scan_colorings_leave_heapq_unimported():
     assert tuple(coloring) == rescan_fox_coloring(diagram, {traces[-1][0]: 0, traces[-1][1]: 1})
 
 
+def test_a_scan_that_labels_nothing_ends_the_coloring():
+    """Two disjoint trefoils, anchored on the first: scan 0 labels its third
+    arc and scan 1 labels nothing, so the coloring returns None there, in a
+    fresh interpreter, without importing heapq."""
+    code = (
+        "import json, sys\n"
+        "from knotgrowth.diagrams import Diagram, crossing, fox_coloring\n"
+        "trefoils = [crossing(s + (i + 2) % 3, s + i, s + (i + 1) % 3)\n"
+        "            for s in (0, 3) for i in range(3)]\n"
+        "coloring = fox_coloring(Diagram(6, tuple(trefoils)), {0: 0, 1: 1})\n"
+        "print(json.dumps([coloring, 'heapq' in sys.modules]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == [None, False]
+
+
 @st.composite
 def anchored_diagrams(draw):
     """A diagram of up to 12 crossings on up to 8 arcs, any arc at any slot,

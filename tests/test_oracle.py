@@ -768,9 +768,11 @@ def test_certified_reports_match_the_full_closure_on_random_presentations(case):
 
 def test_certificate_stops_a_deep_closure_at_level_three():
     # every class at degree 3 holds a word ending in one letter, and the
-    # counts of degrees 1 and 2 meet the target's: degrees 4..40 follow
+    # counts of degrees 1 and 2 meet the target's: degrees 4..40 follow.
+    # Level 2 holds 9 classes in columns of 6 nodes, so the certificate
+    # needs level 3, which is built in full once level 2 meets its bound
     certified, full, levels = reports_with_and_without_bounds(
-        lambda: verify_family("torus2:7", 40, budget=10**40)
+        lambda: verify_family("dtw:2,4", 40, budget=10**40)
     )
     assert levels == [3, 42]
     assert certified.all_verified
@@ -793,10 +795,10 @@ def test_no_bounds_builds_every_level():
     part = enumerate_classes(pres, 5)
     assert (part.horizon, part.levels) == (7, 7)
     bounded = enumerate_classes(pres, 5, bounds=(7,) * 5)
-    assert (bounded.horizon, bounded.levels) == (7, 3)
+    assert (bounded.horizon, bounded.levels) == (7, 2)
     assert bounded.degree_counts == part.degree_counts == (7,) * 5
     with pytest.raises(DomainError):
-        bounded.classes_at_degree(4)
+        bounded.classes_at_degree(3)
     with pytest.raises(ParameterError):
         enumerate_classes(pres, 5, bounds=(7,) * 4)
 
@@ -998,7 +1000,27 @@ def assert_bounded_classes_are_the_full_ones(run):
             assert bounded.classes_at_degree(degree) == full.classes_at_degree(degree), degree
 
 
-@given(small_diagrams(), st.tuples(*[st.integers(1, 2)] * 3), st.integers(1, 3))
+# Family diagrams whose closure builds a level column-first at max len 2
+# (see `enumerate_classes`): level 2 meets its bound on the first batch
+# (torus2, twist:4, dtw:2,4), on the second (dtw:3,6), or not before the
+# cost rule stops the batches, so that level 3 is built in full (dtw:3,4)
+COLUMN_FIRST_SPECS = ("torus2:5", "torus2:7", "twist:4", "dtw:2,4", "dtw:3,4", "dtw:3,6")
+
+
+@st.composite
+def column_first_diagrams(draw):
+    """A family diagram that is built column-first, with its arcs
+    relabelled, so that the first relation and the order in which the
+    letters first appear vary."""
+    diagram = build_family(parse_family_spec(draw(st.sampled_from(COLUMN_FIRST_SPECS))))
+    return relabelled(diagram, draw(st.permutations(range(diagram.arc_count))))
+
+
+@given(
+    st.one_of(small_diagrams(), column_first_diagrams()),
+    st.tuples(*[st.integers(1, 2)] * 3),
+    st.integers(1, 3),
+)
 @settings(max_examples=60, deadline=None)
 def test_bounded_closures_keep_every_class(diagram, params, max_len):
     """verify onto the diagram's Fox target, with its element counts as
@@ -1046,8 +1068,8 @@ def test_fox_bounds_do_not_hang_on_the_arc_numbering(spec):
 
 
 @pytest.mark.parametrize("spec, max_len, levels", [
-    ("torus2:7", 5, 3),  # the certificate at level 3; 7 levels unbounded
-    ("torus2:5", 5, 3),
+    ("torus2:7", 5, 2),  # the certificate at level 2; 7 levels unbounded
+    ("torus2:5", 5, 2),
     ("hopf", 16, 16),  # a link: its counts meet their bounds at max_len
 ])
 def test_fox_bounds_stop_the_classes_closure(spec, max_len, levels):
@@ -1057,6 +1079,90 @@ def test_fox_bounds_stop_the_classes_closure(spec, max_len, levels):
     full = enumerate_classes(presentation_from_diagram(diagram), max_len)
     assert full.levels == max_len + 2
     assert partition.degree_counts == full.degree_counts
+
+
+REFERENCE_SPECS = [
+    spec for spec in FOX_SPECS
+    if spec.startswith("conway:") or build_family(parse_family_spec(spec)).arc_count <= 7
+] + ["dtw:3,5", "dtw:3,6"]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_column_first_partitions_match_the_reference(spec):
+    """Bounded by its Fox target at max len 2 and pad 1, a diagram's closure
+    keeps the reference's classes on every level it builds, whether level 3
+    was dropped once level 2 met its bound, built after a batch that did
+    not, or built in full from the start."""
+    diagram = build_family(parse_family_spec(spec))
+    bounded = diagram_classes(diagram, 2, pad=1)
+    expected = reference_partition(presentation_from_diagram(diagram), 3)
+    assert bounded.degree_counts == tuple(len(c) for c in expected[:2])
+    levels = bounded.levels
+    assert [bounded.classes_at_degree(d) for d in range(1, levels + 1)] == expected[:levels]
+
+
+@pytest.mark.parametrize("spec", COLUMN_FIRST_SPECS + ("dtw:3,5", "dtw:3,8", "conway:3,3,3"))
+def test_column_first_classes_are_the_full_ones(spec):
+    """At max len 4, where a level dropped at degree 3 is rebuilt in full
+    or stopped on, and dtw:3,8, which needs a second batch, as classes and
+    as verify."""
+    diagram = build_family(parse_family_spec(spec))
+    assert_bounded_classes_are_the_full_ones(lambda: diagram_classes(diagram, 4))
+    assert_bounded_classes_are_the_full_ones(lambda: verify_family(spec, 4, budget=10**10))
+
+
+def closure_nodes(run):
+    """The levels, the nodes kept and the most nodes held at once by the
+    closure that run() makes."""
+    partitions, peak = [], [0]
+    enumerate_real, add_real = oracle.enumerate_classes, oracle._UnionFind.add
+
+    def enumerate_spy(*args, **kwargs):
+        partitions.append(enumerate_real(*args, **kwargs))
+        return partitions[-1]
+
+    def add_spy(uf, count):
+        start = add_real(uf, count)
+        peak[0] = max(peak[0], len(uf.parent))
+        return start
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "enumerate_classes", enumerate_spy)
+        m.setattr(oracle._UnionFind, "add", add_spy)
+        run()
+    (partition,) = partitions
+    return partition.levels, len(partition._uf.parent), peak[0]
+
+
+@pytest.mark.parametrize("spec, max_len, levels, kept, peak", [
+    # level 3 on the first relation's 3 columns of 37 and 577 classes
+    # collapses level 2 to the k classes of its bound, is dropped, and the
+    # certificate holds at level 2: k + k^2 nodes are kept
+    ("torus2:7", 10, 2, 56, 56 + 3 * 37),
+    ("torus2:25", 10, 2, 650, 650 + 3 * 577),
+    # level 2 meets its bound of 9 on 3 columns of 24, and at max len 2 the
+    # closure stops there; at 10 its 9 classes do not fit a column of 6, so
+    # level 3 would be rebuilt over level 2 walked again, and the cost rule
+    # keeps level 3 in full: 3 * 24 + 9 * 6 + 6 * 6 >= 6 * 24
+    ("dtw:2,4", 2, 2, 42, 42 + 3 * 24),
+    ("dtw:2,4", 10, 3, 186, 186),
+    # 3 then 6 columns of 63, 80 and 99 bring level 2 to its bound of 19,
+    # 31 and 25; in dtw:7,3 only with the right extension of the merges
+    # that the first batch made, which the late columns are built with.
+    # dtw:3,8 then rebuilds level 3 in full on its 25 classes
+    ("dtw:3,6", 2, 2, 90, 90 + 6 * 63),
+    ("dtw:7,3", 2, 2, 110, 110 + 6 * 80),
+    ("dtw:3,8", 10, 3, 132 + 11 * 25, 132 + 6 * 99),
+    # 3 columns of 35 leave level 2 at 30 classes, above its bound of 13, and
+    # 6 would build no fewer nodes than the full level: that is built on 30
+    ("dtw:3,4", 2, 3, 56 + 7 * 30, 56 + 7 * 30),
+    # outside the cost rule: 3 * 8 + 4 * 5 >= 4 * 8
+    ("dtw:2,2", 10, 3, 52, 52),
+])
+def test_verify_family_keeps_the_levels_it_needs(spec, max_len, levels, kept, peak):
+    assert closure_nodes(lambda: verify_family(spec, max_len, budget=10**40)) == (
+        levels, kept, peak
+    )
 
 
 def closure_levels(monkeypatch):
@@ -1074,14 +1180,14 @@ def closure_levels(monkeypatch):
 
 
 def test_fox_bounds_stop_both_sides_of_a_move(monkeypatch):
-    """R1 on torus2:5: both closures stop on the certificate at level 3."""
+    """R1 on torus2:5: both closures stop on the certificate at level 2."""
     levels = closure_levels(monkeypatch)
     torus = build_torus2(5)
     report = reidemeister_dimension_check(
         torus, apply_reidemeister(torus, ReidemeisterMove("r1", arc=0)), 5
     )
     assert report.all_equal
-    assert levels == [3, 3]
+    assert levels == [2, 2]
 
 
 def test_the_probe_floor_stops_a_link_closure_at_max_len(monkeypatch):
