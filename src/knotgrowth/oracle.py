@@ -25,17 +25,16 @@ rules give when applied word by word, at a cost that follows the number
 of classes times the alphabet size instead of k**H.  The same holds for
 any order of building: the partition is the least fixed point of the
 rules, and a merge derived among the nodes of part of a level is derived
-in the whole level too.  So a level may be begun a few letter columns at
-a time, only to merge the level below, and dropped again, as long as the
-levels that remain are built in full and settled (see
-`enumerate_classes`).  A level's class
-count is its node count less the roots merged away there.  Each level
-keeps its own block of births (the roots below that its nodes extend),
-slots (where each of its classes extends to) and left rows, all built as
-lists once the level above exists.  A level with no merged node gets the
-same lists: the closure stops at such a top level once it is past the
-longest relation (see below), so it builds on a merge-free level only
-below that relation, which for a diagram means level 1 alone.
+in the whole level too.  So a level may be begun on a few letter columns,
+only to merge the level below, and dropped again, as long as the levels
+that remain are built in full and settled (see `enumerate_classes`).  A
+level's class count is its node count less the roots merged away there.
+Each level keeps its own block of births (the roots below that its nodes
+extend), slots (where each of its classes extends to) and left rows, all
+built as lists once the level above exists.  A level with no merged node
+gets the same lists: the closure stops at such a top level once it is
+past the longest relation (see below), so it builds on a merge-free level
+only below that relation, which for a diagram means level 1 alone.
 
 Every merge is forced in any cancellative semigroup satisfying the
 relations, so the class counts per degree are upper bounds for the true
@@ -71,7 +70,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import accumulate, chain, compress, islice, product, repeat
 from math import log2
-from operator import ge, lt, mul, ne
+from operator import ge, lt, mul
 
 from .altsum import AltSumSemigroup, conjecture_semigroup
 from .diagrams import (
@@ -296,40 +295,37 @@ def enumerate_classes(
     last bound holds above max_len too, but skipped no further sweep on
     any closure measured.
 
-    The bounds also let a level be built column-first.  When the top level
+    The bounds also let a level be begun column-first.  When the top level
     d is at or past the longest relation, d <= max_len, and, for W its
     count, first the number of letters in the first relation,
 
         first * W + |T_d| * k + r < k * W,
 
     grow() builds level d+1 only for the columns of those letters (for a
-    diagram, the three arcs of one crossing), with the unions their nodes
-    missed, and settles.  While level d stays above its bound, the columns
-    built double, in the order in which the letters first appear in the
-    relations, for as long as the rule holds with the columns built in
-    place of first.  Once level d meets its bound, level d+1 is dropped:
-    its nodes go from the union-find, and its lists are popped.  The
-    merges it gave the levels below stay, since each is also derived with
-    level d+1 built in full.  The stop rule above then reads full levels
-    only, and if it does not fire, level d+1 is built in full on the
-    classes that level d merged down to: |T_d| * k nodes, where the full
-    level on W classes takes k * W, which is what the rule weighs.  The
-    stop rule cannot fire at level d when d < max_len and |T_d| is above
-    width[d], the nodes of one column, so that level d+1 is sure to be
-    rebuilt, over level d's k * width[d] nodes walked again: that is r,
-    and r = 0 otherwise.  (Without r, dtw:2,4 would take 126 nodes where
-    the full level takes 144, and measured slower for the second walk.)
-    Where
-    the rule fails for the next batch, level d+1 is dropped too and built
-    in full at once.  Either way every level kept is built in full and
-    settled, so the counts and the partition are those of the closure
-    without it, and the root of each class is still the node of its
+    diagram, the three arcs of one crossing), settles, and drops it: its
+    nodes go from the union-find, and its lists are popped.  The merges it
+    gave the levels below stay, since each is also derived with level d+1
+    built in full.  Its left joins are those of the full level, but only
+    between built columns; where a class root's column is not built, the
+    class's first member met in a built column stands in for the root.  If
+    level d now meets its bound, the stop rule above reads full levels only,
+    and if it does not fire, level d+1 is built in full on the classes that
+    level d merged down to: |T_d| * k nodes, where the full level on W
+    classes takes k * W, which is what the rule weighs.  The stop rule
+    cannot fire at level d when d < max_len and |T_d| is above width[d],
+    the nodes of one column, so that level d+1 is sure to be rebuilt, over
+    level d's k * width[d] nodes walked again: that is r, and r = 0
+    otherwise.  (Without r, dtw:2,4 would take 126 nodes where the full
+    level takes 144, and measured slower for the second walk.)  If level d
+    stays above its bound, level d+1 is built in full at once, on the
+    classes that the columns left.  Either way every level kept is built in
+    full and settled, so the counts and the partition are those of the
+    closure without it, and the root of each class is still the node of its
     colex-first word; only the widths of the levels above d, and so their
-    node ids, can differ.  For
-    torus2:n, level 2 meets its bound of n on the first batch, and the
-    certificate holds there with c = 1, so level 3 never gets past three
-    columns: 3 * 9 605 nodes for torus2:99, against the 950 895 of level 3
-    in full.
+    node ids, can differ.  For torus2:n, level 2 meets its bound of n on
+    those columns, and the certificate holds there with c = 1, so level 3
+    never gets past three columns: 3 * 9 605 nodes for torus2:99, against
+    the 950 895 of level 3 in full.
 
     With or without bounds, the closure also stops at the first settled top
     level t >= longest relation where no node merged (absorbed[t] == 0),
@@ -376,10 +372,11 @@ def enumerate_classes(
     # absorbed[d]: roots of level d merged into another root
     absorbed = [0, 0]
     # col[d][a] is the offset from base[d] of letter a's column at level d,
-    # None while it is not built, and live[d] holds the offsets built; a
-    # level built in full has both as range(0, k * width[d], width[d])
-    col: list = [None, range(k)]
-    live: list = [None, range(k)]
+    # None where it is not built, and live[d] lists the offsets built: every
+    # level kept is built in full, with col[d] == live[d] ==
+    # [0, width[d], 2 * width[d], ...]
+    col: list[list[int | None]] = [[], list(range(k))]
+    live: list[list[int]] = [[], list(range(k))]
     queue: list[tuple[int, int, int]] = []  # (level, root, root) merged
     dirty: set[int] = set()  # levels merged at since their last sweep
     top = 1
@@ -411,8 +408,9 @@ def enumerate_classes(
 
     def join_left(d: int, x: int, y: int) -> None:
         """Merge L_b(x) with L_b(y) for every letter b, x and y at level d.
-        L_b(x) lies in the column of x's last letter, so the join waits
-        while either column is not built (see `grow`)."""
+        L_b(x) lies in the column of x's last letter, so on a level begun
+        column-first the join is skipped where either column is not built
+        (see `grow`)."""
         w, offset = width[d], col[d + 1]
         ax, ix = divmod(x - base[d], w)
         ay, iy = divmod(y - base[d], w)
@@ -532,35 +530,43 @@ def enumerate_classes(
     def join_merged(d: int) -> None:
         """Classes of level d merged before level d+1 existed: merge L_b of
         each merged node with L_b of its root, one letter block of level d
-        at a time, skipping blocks of roots only.  Level d+1 is the top, so
-        nothing is queued.  A node two or more steps below its root is rare
-        here and goes through find.
+        at a time, skipping blocks of roots only and blocks whose column of
+        level d+1 is not built.  Level d+1 is the top, so nothing is queued.
+        A node two or more steps below its root is rare here and goes
+        through find.  Where the root's column is not built, on a level
+        begun column-first, the class's first member met in a built column
+        stands in for the root.
 
         Only one member per class and letter block is joined, and none whose
-        root lies in its own block.  Two members R(P1, a), R(P2, a) of one
-        class were right-cancelled to P1 ~ P2 by sweep(d) during settle, and
-        extension then merged L_b(P1) ~ L_b(P2) before level d+1 existed.
-        So those two nodes share a slot, and L_b(R(Pi, a)) = R(L_b(Pi), a)
-        is one node for both members: joining the second repeats the
-        first."""
-        lo, w, step, roots = base[d], width[d], width[d + 1], births[d + 1]
+        root, or stand-in, lies in its own block.  Two members R(P1, a),
+        R(P2, a) of one class were right-cancelled to P1 ~ P2 by sweep(d)
+        during settle, and extension then merged L_b(P1) ~ L_b(P2) before
+        level d+1 existed.  So those two nodes share a slot, and
+        L_b(R(Pi, a)) = R(L_b(Pi), a) is one node for both members: joining
+        the second repeats the first."""
+        lo, w, roots, offset = base[d], width[d], births[d + 1], col[d + 1]
+        stand: dict[int, int] = {}
         joined = 0
         last = 0
         for a in range(k):
             blo = lo + a * w
             first, last = last, bisect_left(roots, blo + w, last)
-            if last - first == w:
+            if last - first == w or offset[a] is None:
                 continue
             pairs = []
             seen = set()
             for n in compress(range(blo, blo + w), map(ge, parent[blo:blo + w], repeat(0))):
                 root = find(n)
-                if root >= blo or root in seen:
+                if root in seen:
                     continue
                 seen.add(root)
+                if offset[(root - lo) // w] is None:
+                    root = stand.setdefault(root, n)
+                if root >= blo:
+                    continue
                 ay, iy = divmod(root - lo, w)
-                pairs.append((n - blo, iy, ay * step))
-            ax = a * step
+                pairs.append((n - blo, iy, offset[ay]))
+            ax = offset[a]
             for row in left[d]:
                 for ix, iy, ay in pairs:
                     x, y = row[ix] + ax, row[iy] + ay
@@ -615,75 +621,42 @@ def enumerate_classes(
 
     def grow() -> None:
         """Build level top+1 from the classes at the top level: in full, or
-        column-first where the docstring's cost rule holds.  Column-first,
-        the columns of the first relation's letters are built first, and
-        after each settle that leaves level top above its bound the built
-        columns double, in the letters' order of first appearance, while the
-        rule still holds for the columns built.  Level top+1 is dropped as
-        soon as level top meets its bound, and the main loop goes on from
-        there.  Where the rule fails for the next batch, it is dropped as
-        well and built in full at once, on the classes that level top has
-        merged down to."""
+        first on the columns of the first relation's letters where the
+        docstring's cost rule holds.  Those columns are settled and the
+        level dropped; if level top then meets its bound, the main loop goes
+        on from there, and otherwise level top+1 is built in full on the
+        classes that level top has merged down to."""
         d = top
         w = begin()
         if bounds is not None and floor <= d <= max_len:
-            # a batch of columns and level top+1 in full on top's bound
-            # together must come to fewer nodes than level top+1 in full,
-            # with level top's own nodes, walked again to build it, where
-            # the stop rule cannot fire at level top
+            # the columns and level top+1 in full on top's bound together
+            # must come to fewer nodes than level top+1 in full, with level
+            # top's own nodes, walked again to build it, where the stop rule
+            # cannot fire at level top
             spare = k * w - k * bounds[d - 1]
             if d < max_len and bounds[d - 1] > width[d]:
                 spare -= k * width[d]
-            if first * w < spare:
-                col.append([None] * k)
-                live.append([])
-                built, batch = 0, first
-                while batch * w < spare:
-                    add_columns(order[built:batch])
-                    built = batch
-                    settle()
-                    if at_bound(d):
-                        drop()
-                        return
-                    batch = 2 * built
+            if len(first) * w < spare:
+                build(first)
+                settle()
                 drop()
-                w = begin()
-        uf.add(k * w)
-        col.append(range(0, k * w, w))
-        live.append(col[-1])
-        join_merged(d)
+                if at_bound(d):
+                    return
+                begin()
+        build(range(k))
         seed(top)
 
-    def add_columns(letters) -> None:
-        """Build the columns of these letters at the top level e, begun
-        column-first, with every union their nodes missed.  R(C, a) merges
-        with R(C', a) for the roots C, C' of level e-1 that merged since
-        level e was begun, and L_b of each member of a merged class of level
-        e-1 with L_b of the first member met in a built column.  The left
-        joins are taken anew over every built column, since drain joins the
-        L_b of two classes only where both roots' columns are built.  Level
-        e is the top, so nothing is queued."""
-        e = top
-        d = e - 1
-        lo, w, start, step = base[d], width[d], base[e], width[e]
-        offset = col[e]
-        new = []
-        for a in letters:
-            offset[a] = uf.add(step) - start
-            new.append(offset[a])
-        live[e] += new
-        slot = slots[d]
-        for n, c in enumerate(births[e], start):
-            if parent[c] >= 0:
-                root = slot[find(c) - lo]
-                for a in new:
-                    union(n + a, root + a, e)
-        first_met: dict[int, int] = {}
-        for blo in compress(range(lo, lo + k * w, w), map(ne, offset, repeat(None))):
-            for x in compress(range(blo, blo + w), map(ne, parent[blo:blo + w], repeat(-1))):
-                y = first_met.setdefault(find(x), x)
-                if y != x:
-                    join_left(d, x, y)
+    def build(letters) -> None:
+        """Build the columns of these letters, in their order, at the top
+        level begun by begin(), with the left joins of the merges below."""
+        w = width[top]
+        live.append(list(range(0, len(letters) * w, w)))
+        offset = [None] * k
+        for a, start in zip(letters, live[-1]):
+            offset[a] = start
+        col.append(offset)
+        uf.add(len(letters) * w)
+        join_merged(top - 1)
 
     def drop() -> None:
         """Remove the top level: its nodes, and every list built with it."""
@@ -702,7 +675,7 @@ def enumerate_classes(
         last call's."""
         nonlocal met
         n = met
-        while n < min(top, max_len) and k * width[n + 1] - absorbed[n + 1] == bounds[n]:
+        while n < min(top, max_len) and at_bound(n + 1):
             n += 1
         met = n
         if n == max_len:
@@ -720,11 +693,9 @@ def enumerate_classes(
     # past every relation, a top level that merged nothing settles every
     # level above it with no merge
     floor = max((len(lhs) for lhs, _ in pres.relations), default=1)
-    # the letters in order of first appearance in the relations, then the
-    # rest, and the number in the first relation: column-first growth
-    # builds the columns in that order
-    order = list(dict.fromkeys(chain(*chain(*pres.relations), range(k))))
-    first = len(set(chain(*pres.relations[0]))) if pres.relations else k
+    # the first relation's letters in order of first appearance: column-first
+    # growth builds their columns
+    first = list(dict.fromkeys(chain(*pres.relations[0]))) if pres.relations else range(k)
     tail = None
     uf.add(k)
     seed(1)

@@ -1000,10 +1000,10 @@ def assert_bounded_classes_are_the_full_ones(run):
             assert bounded.classes_at_degree(degree) == full.classes_at_degree(degree), degree
 
 
-# Family diagrams whose closure builds a level column-first at max len 2
-# (see `enumerate_classes`): level 2 meets its bound on the first batch
-# (torus2, twist:4, dtw:2,4), on the second (dtw:3,6), or not before the
-# cost rule stops the batches, so that level 3 is built in full (dtw:3,4)
+# Family diagrams whose closure begins a level column-first at max len 2
+# (see `enumerate_classes`): level 2 meets its bound on those columns
+# (torus2, twist:4, dtw:2,4), or stays above it, so that level 3 is built
+# in full after them (dtw:3,4, dtw:3,6)
 COLUMN_FIRST_SPECS = ("torus2:5", "torus2:7", "twist:4", "dtw:2,4", "dtw:3,4", "dtw:3,6")
 
 
@@ -1091,8 +1091,8 @@ REFERENCE_SPECS = [
 def test_column_first_partitions_match_the_reference(spec):
     """Bounded by its Fox target at max len 2 and pad 1, a diagram's closure
     keeps the reference's classes on every level it builds, whether level 3
-    was dropped once level 2 met its bound, built after a batch that did
-    not, or built in full from the start."""
+    was dropped once level 2 met its bound, built in full after columns
+    that did not bring level 2 to it, or built in full from the start."""
     diagram = build_family(parse_family_spec(spec))
     bounded = diagram_classes(diagram, 2, pad=1)
     expected = reference_partition(presentation_from_diagram(diagram), 3)
@@ -1104,8 +1104,8 @@ def test_column_first_partitions_match_the_reference(spec):
 @pytest.mark.parametrize("spec", COLUMN_FIRST_SPECS + ("dtw:3,5", "dtw:3,8", "conway:3,3,3"))
 def test_column_first_classes_are_the_full_ones(spec):
     """At max len 4, where a level dropped at degree 3 is rebuilt in full
-    or stopped on, and dtw:3,8, which needs a second batch, as classes and
-    as verify."""
+    or stopped on, and dtw:3,8, whose first columns leave level 2 above its
+    bound, as classes and as verify."""
     diagram = build_family(parse_family_spec(spec))
     assert_bounded_classes_are_the_full_ones(lambda: diagram_classes(diagram, 4))
     assert_bounded_classes_are_the_full_ones(lambda: verify_family(spec, 4, budget=10**10))
@@ -1146,23 +1146,46 @@ def closure_nodes(run):
     # keeps level 3 in full: 3 * 24 + 9 * 6 + 6 * 6 >= 6 * 24
     ("dtw:2,4", 2, 2, 42, 42 + 3 * 24),
     ("dtw:2,4", 10, 3, 186, 186),
-    # 3 then 6 columns of 63, 80 and 99 bring level 2 to its bound of 19,
-    # 31 and 25; in dtw:7,3 only with the right extension of the merges
-    # that the first batch made, which the late columns are built with.
-    # dtw:3,8 then rebuilds level 3 in full on its 25 classes
-    ("dtw:3,6", 2, 2, 90, 90 + 6 * 63),
-    ("dtw:7,3", 2, 2, 110, 110 + 6 * 80),
-    ("dtw:3,8", 10, 3, 132 + 11 * 25, 132 + 6 * 99),
-    # 3 columns of 35 leave level 2 at 30 classes, above its bound of 13, and
-    # 6 would build no fewer nodes than the full level: that is built on 30
+    # 3 columns of 35, 63, 80 and 99 leave level 2 at 30, 58, 39 and 94
+    # classes, above its bound of 13, 19, 31 and 25, and level 3 is built
+    # in full on them
     ("dtw:3,4", 2, 3, 56 + 7 * 30, 56 + 7 * 30),
+    ("dtw:3,6", 2, 3, 90 + 9 * 58, 90 + 9 * 58),
+    ("dtw:7,3", 2, 3, 110 + 10 * 39, 110 + 10 * 39),
+    ("dtw:3,8", 10, 3, 132 + 11 * 94, 132 + 11 * 94),
+    # relabelled, the first relation's columns leave out the columns of
+    # some class roots of level 2, whose members' left rows are joined to
+    # the class's first member met in a built column: 819 nodes without
+    # those joins
+    pytest.param(
+        ("conway:3,3,3", (3, 4, 2, 6, 1, 0, 5, 7, 8)), 5, 4, 810, 810,
+        id="conway:3,3,3-relabelled-5-4-810-810",
+    ),
     # outside the cost rule: 3 * 8 + 4 * 5 >= 4 * 8
     ("dtw:2,2", 10, 3, 52, 52),
 ])
 def test_verify_family_keeps_the_levels_it_needs(spec, max_len, levels, kept, peak):
-    assert closure_nodes(lambda: verify_family(spec, max_len, budget=10**40)) == (
-        levels, kept, peak
-    )
+    def run():
+        if isinstance(spec, tuple):
+            return verify_relabelled(*spec, max_len, budget=10**40)
+        return verify_family(spec, max_len, budget=10**40)
+
+    assert closure_nodes(run) == (levels, kept, peak)
+
+
+def verify_relabelled(spec, perm, max_len, budget):
+    """verify_family on the family's presentation and letter map with
+    letter a renamed perm[a]."""
+    diagram = build_family(parse_family_spec(spec))
+    pres = presentation_from_diagram(diagram)
+    sg, phi = fox_target(fox_coloring(diagram, {0: 0, 1: 1}))
+    renamed = Presentation(pres.alphabet_size, tuple(
+        (tuple(perm[a] for a in lhs), tuple(perm[a] for a in rhs)) for lhs, rhs in pres.relations
+    ))
+    images = [None] * len(phi)
+    for a, image in enumerate(phi):
+        images[perm[a]] = image
+    return verify_isomorphism(renamed, tuple(images), sg, max_len, budget=budget)
 
 
 def closure_levels(monkeypatch):
