@@ -293,6 +293,13 @@ MUTANTS = [
         ("tests/test_altsum.py::test_levels_of_asymmetric_sets",),
     ),
     (
+        "a read below the last level built restarts from level 0",
+        ALTSUM,
+        "        if t <= self.t - len(self.seen):\n",
+        "        if t < self.t:\n",
+        ("tests/test_oracle.py::test_verify_steps_to_each_target_level_once",),
+    ),
+    (
         "a checked shift is checked at the residue j = 0 only",
         ALTSUM,
         "            if any(\n",

@@ -28,10 +28,11 @@ of every row back onto 0..m-1.  The shifts are grouped into arithmetic
 runs, and the copies of a run of k shifts are ORed by doubling, in about
 log2 k shifts.  When B = -B the two shift sets are equal (negation keeps
 evenness), so S_t = -S_t at every level and one side is built.  Levels
-are built on demand, iteratively, and each semigroup keeps only the last
-one built.  A run of counts stops building levels at a checked shift,
-where each level is the one P before it moved up s rows plus fixed low
-rows, and adds the rest of its counts up (``level_counts``).
+are built on demand, iteratively, and each semigroup keeps the last
+2 * _MAX_PERIOD built.  A run of counts stops building levels at a
+checked shift, where each level is the one P before it moved up s rows
+plus fixed low rows, and adds the rest of its counts up
+(``level_counts``).
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ _MAX_PERIOD = 4
 # wide, one per even count in the strong variant.  growth --terms 3 on the
 # plain targets of dtw:50000,50000 (m = 2.5e9) ran 53 s and peaked at
 # 4.8 GB, and on dtw:10000,10000 (m = 1e8) 0.7 s and 286 MB.  The link
-# dtw:3163,3163 (m = 1e7) took 0.11 s and 45 MB with a plain target, and
-# 3.4 s and 325 MB with its strong one at --terms 40 (2-vCPU host).
+# dtw:3161,3163 (m = 9 998 244, just under the bound) took 1.9 s and 208 MB
+# with its strong target at --terms 3, and 6.3 s and 342 MB at --terms 40
+# (2-vCPU host, one run each).
 MAX_MODULUS = 10**7
 
 
@@ -119,15 +121,18 @@ def _spread(x: int, runs) -> int:
 class _Levels:
     """The packed state recurrence of one semigroup, extended on demand.
 
-    ``pos`` packs S_t as described in the module docstring for the last
-    level built, t = ``t``, and ``neg`` packs -S_t.  ``pos_runs`` and
-    ``neg_runs`` are the two shift sets as arithmetic runs; ``neg_runs`` is
-    None when the generator set is closed under negation, and then ``neg``
-    is ``pos``.  Level 0 is the empty word.  Only that level is kept, so
-    memory stays linear in t.  A request for an earlier level restarts from
-    level 0; the image check and the counts read levels in ascending order.
-    ``step`` is one step of the recurrence on any pair of packed sets, and
-    ``shift`` checks the shift of ``level_counts`` on the levels it is given.
+    ``seen`` holds the pairs (S, -S), each packed as described in the
+    module docstring, of the last 2 * _MAX_PERIOD levels built, ending at
+    level t = ``t``.  ``pos_runs`` and ``neg_runs`` are the two shift sets
+    as arithmetic runs; ``neg_runs`` is None when the generator set is
+    closed under negation, and then -S is S.  Level 0 is the empty word.
+    Only that window is kept, so memory stays linear in t.  A request for a
+    level below the window restarts from level 0.  The counts restart once
+    and read levels in ascending order; ``verify_isomorphism`` reads its
+    element counts and then its image checks from level 1 up, so up to
+    max_len 2 * _MAX_PERIOD it never restarts.  ``step`` is one step of
+    the recurrence on any pair of packed sets, and ``shift`` checks the
+    shift of ``level_counts`` on the levels it is given.
     """
 
     def __init__(self, group: Zmod, generators: tuple[int, ...], strong: bool):
@@ -148,7 +153,7 @@ class _Levels:
         # count up to t
         self.low = self.row
         self.t = 0
-        self.pos = self.neg = 1
+        self.seen = deque([(1, 1)], maxlen=2 * _MAX_PERIOD)
 
     def step(self, pos: int, neg: int, low: int) -> tuple[int, int]:
         """F: the level after the pair (pos, neg), each row folded under the
@@ -162,15 +167,15 @@ class _Levels:
         return nxt_pos, (nxt & low) | ((nxt >> m) & low)
 
     def level(self, t: int) -> int:
-        if t < self.t:
+        if t <= self.t - len(self.seen):
             self._restart()
-        pos, neg, low = self.pos, self.neg, self.low
+        seen, low = self.seen, self.low
         for level in range(self.t + 1, t + 1):
             if self.strong:
                 low |= self.row << (self.width * level)
-            pos, neg = self.step(pos, neg, low)
-        self.pos, self.neg, self.low, self.t = pos, neg, low, t
-        return pos
+            seen.append(self.step(*seen[-1], low))
+            self.low, self.t = low, level
+        return seen[t - self.t - 1][0]
 
     def shift(self, seen, period: int) -> tuple[int, list[int]] | None:
         """(s, [|B_0|, ..., |B_{P-1}|]) where the last 2P levels in seen,
@@ -351,13 +356,12 @@ class AltSumSemigroup:
         strong targets of hopf and even torus2 shift by s = P = 2.
         """
         levels = self._levels
-        seen = deque([(levels.level(0), levels.neg)], maxlen=2 * _MAX_PERIOD)
+        levels._restart()
         counts = [1]
         for t in range(1, last + 1):
-            seen.append((levels.level(t), levels.neg))
-            counts.append(seen[-1][0].bit_count())
+            counts.append(levels.level(t).bit_count())
             for period in range(1, min(_MAX_PERIOD, (t + 1) // 2) + 1):
-                found = levels.shift(seen, period)
+                found = levels.shift(levels.seen, period)
                 if found is None:
                     continue
                 rows, gains = found

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from itertools import permutations
 from math import gcd
 
 from .altsum import MAX_MODULUS, AltSumSemigroup, Zmod  # noqa: F401 (MAX_MODULUS re-exported)
@@ -664,28 +665,21 @@ def _apply_triangle(d: Diagram, move: ReidemeisterMove) -> Diagram:
     swaps the two bottom under-pairs; arc count is unchanged and applying
     the move again at the same site restores the diagram.
     """
-    i, j, k = _check_crossing_indices(d, move.crossings, 3)
-    triple = {i: d.crossings[i], j: d.crossings[j], k: d.crossings[k]}
-    matches = []
-    for mb_idx in (i, j, k):
-        t_idx = [x for x in (i, j, k) if x != mb_idx]
-        c_mb = triple[mb_idx]
-        for tm_idx, tb_idx in (t_idx, t_idx[::-1]):
-            c_tm, c_tb = triple[tm_idx], triple[tb_idx]
-            if c_tm.over != c_tb.over:
-                continue
-            t = c_tm.over
-            if c_mb.over not in c_tm.under or c_mb.over == t:
-                continue
-            shared = set(c_mb.under) & set(c_tb.under)
-            if len(shared) != 1:
-                continue
-            matches.append((tm_idx, mb_idx, tb_idx))
-    if not matches:
+    idx = _check_crossing_indices(d, move.crossings, 3)
+    # the first assignment of the roles (top-middle, middle-bottom,
+    # top-bottom) to the three crossings, in index order, that fits
+    for tm_idx, mb_idx, tb_idx in sorted(permutations(idx)):
+        c_tm, c_mb, c_tb = d.crossings[tm_idx], d.crossings[mb_idx], d.crossings[tb_idx]
+        t = c_tm.over
+        if (
+            c_tb.over == t
+            and c_mb.over in c_tm.under
+            and c_mb.over != t
+            and len(set(c_mb.under) & set(c_tb.under)) == 1
+        ):
+            break
+    else:
         raise MoveError("the three crossings do not form a slideable triangle")
-    matches.sort()
-    tm_idx, mb_idx, tb_idx = matches[0]
-    c_tm, c_mb, c_tb = triple[tm_idx], triple[mb_idx], triple[tb_idx]
     other_mid = c_tm.under[0] if c_tm.under[1] == c_mb.over else c_tm.under[1]
     crossings = list(d.crossings)
     crossings[mb_idx] = Crossing(other_mid, c_tb.under)

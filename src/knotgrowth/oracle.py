@@ -366,8 +366,8 @@ def enumerate_classes(
     # by the words of R(P, 0) for the class P rooted at births[d][i].  It is
     # stored once per class: L_b(R(P, a)) = R(L_b(P), a) is that node plus
     # col[d+1][a], so the level-d node base[d] + a * width[d] + i has L_b
-    # at left[d][b][i] + col[d+1][a].  begin() builds left[d] with level
-    # d+1, which fixes slots[d].
+    # at left[d][b][i] + col[d+1][a].  open_level() builds left[d] as it
+    # opens level d+1, which fixes slots[d].
     left: list[list[list[int]]] = [[]]
     # absorbed[d]: roots of level d merged into another root
     absorbed = [0, 0]
@@ -586,10 +586,11 @@ def enumerate_classes(
             absorbed[d + 1] += joined
             dirty.add(d + 1)
 
-    def begin() -> int:
-        """Open level top+1 over the classes at the top level, with no node
-        yet: its births, and the slots and left rows of the top level.
-        Returns its width."""
+    def open_level(letters) -> None:
+        """Open level top+1 over the classes at the top level: its births,
+        and the slots and left rows of the top level.  Build the columns of
+        these letters, in their order, join the merges below, and seed the
+        relations of the new length."""
         nonlocal top
         d = top
         lo = base[d]
@@ -614,10 +615,17 @@ def enumerate_classes(
         left.append(left_rows(d))
         absorbed.append(0)
         base.append(start)
-        width.append(len(roots))
+        width.append(w := len(roots))
         births.append(roots)
+        live.append(list(range(0, len(letters) * w, w)))
+        offset = [None] * k
+        for i, a in enumerate(letters):
+            offset[a] = i * w
+        col.append(offset)
+        uf.add(len(letters) * w)
         top = d + 1
-        return len(roots)
+        join_merged(d)
+        seed(top)
 
     def grow() -> None:
         """Build level top+1 from the classes at the top level: in full, or
@@ -625,38 +633,28 @@ def enumerate_classes(
         docstring's cost rule holds.  Those columns are settled and the
         level dropped; if level top then meets its bound, the main loop goes
         on from there, and otherwise level top+1 is built in full on the
-        classes that level top has merged down to."""
+        classes that level top has merged down to.  A level opened on those
+        columns lies past the longest relation, so it seeds nothing."""
         d = top
-        w = begin()
         if bounds is not None and floor <= d <= max_len:
             # the columns and level top+1 in full on top's bound together
             # must come to fewer nodes than level top+1 in full, with level
             # top's own nodes, walked again to build it, where the stop rule
-            # cannot fire at level top
+            # cannot fire at level top.  w must be top's class count: with
+            # its node count k * width[d], a level that has met its bound
+            # would take the columns again on every pass, and the closure
+            # would never return
+            w = k * width[d] - absorbed[d]
             spare = k * w - k * bounds[d - 1]
             if d < max_len and bounds[d - 1] > width[d]:
                 spare -= k * width[d]
             if len(first) * w < spare:
-                build(first)
+                open_level(first)
                 settle()
                 drop()
                 if at_bound(d):
                     return
-                begin()
-        build(range(k))
-        seed(top)
-
-    def build(letters) -> None:
-        """Build the columns of these letters, in their order, at the top
-        level begun by begin(), with the left joins of the merges below."""
-        w = width[top]
-        live.append(list(range(0, len(letters) * w, w)))
-        offset = [None] * k
-        for a, start in zip(letters, live[-1]):
-            offset[a] = start
-        col.append(offset)
-        uf.add(len(letters) * w)
-        join_merged(top - 1)
+        open_level(range(k))
 
     def drop() -> None:
         """Remove the top level: its nodes, and every list built with it."""

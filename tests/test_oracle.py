@@ -17,7 +17,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotgrowth import oracle
-from knotgrowth.altsum import AltSumSemigroup, Zmod, conjecture_semigroup, dtw_alphabet
+from knotgrowth.altsum import (
+    AltSumSemigroup,
+    Zmod,
+    _Levels,
+    conjecture_semigroup,
+    dtw_alphabet,
+)
 from knotgrowth.diagrams import (
     FAMILIES,
     MAX_MODULUS,
@@ -1186,6 +1192,19 @@ def verify_relabelled(spec, perm, max_len, budget):
     for a, image in enumerate(phi):
         images[perm[a]] = image
     return verify_isomorphism(renamed, tuple(images), sg, max_len, budget=budget)
+
+
+@pytest.mark.parametrize("spec, max_len", [("torus2:7", 5), ("dtw:2,4", 5), ("dtw:2,2", 7)])
+def test_verify_steps_to_each_target_level_once(monkeypatch, spec, max_len):
+    """verify reads its target's level at the relation length, then its
+    element counts and its image checks, each from degree 1 up: up to
+    max_len 8 the window of the last levels built serves every read below
+    the last level, so no level is built twice."""
+    steps = []
+    step_real = _Levels.step
+    monkeypatch.setattr(_Levels, "step", lambda *args: steps.append(1) or step_real(*args))
+    assert verify_family(spec, max_len).all_verified
+    assert len(steps) == max_len
 
 
 def closure_levels(monkeypatch):
